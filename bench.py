@@ -130,7 +130,7 @@ def bench_headline(results: dict, meta: dict):
 
         shard_dir = f"/tmp/tldr_ray/bench_shards_{BUILD_METHOD}_{NPARTS}_{NCPU}"
         shutil.rmtree(shard_dir, ignore_errors=True)
-        actor_cls = _shard_actor_cls(0)
+        actor_cls = _shard_actor_cls()
         prestarted = [actor_cls.remote(p, NPARTS) for p in range(NPARTS)]
         build_shards(edges, NPARTS, shard_dir, method=BUILD_METHOD)
         import ray
@@ -244,7 +244,7 @@ def bench_synth_graph(n_edges: int) -> dict:
 
     shutil.rmtree(shard_dir, ignore_errors=True)
     t0 = time.time()
-    actor_cls = _shard_actor_cls(0)
+    actor_cls = _shard_actor_cls()
     prestarted = [actor_cls.remote(p, NPARTS) for p in range(NPARTS)]
     edges = rd.range(blocks, override_num_blocks=blocks).map_batches(
         gen, batch_format="numpy")

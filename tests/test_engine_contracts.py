@@ -1,0 +1,227 @@
+"""GraphEngine contracts: bit-exact outputs, empty graphs, temp cleanup.
+
+The digests below pin every engine algorithm bit-for-bit on one seeded
+random weighted graph at P=3. The other engine tests compare floats with
+allclose, so without these a change in summation order would pass
+unnoticed. A digest changes only when an algorithm's output does.
+"""
+
+import glob
+import hashlib
+import os
+
+import numpy as np
+import pyarrow as pa
+import pytest
+
+P = 3
+
+
+def _graph():
+    """Simple undirected random graph (no self-loops, no duplicate
+    pairs) with sparse non-negative ids, given one random direction per
+    edge, and weights from {0.25, 0.5, 0.75, 1.0} so that label votes
+    tie and the tie-breaks are pinned too."""
+    rng = np.random.default_rng(20261017)
+    ids = np.sort(rng.choice(10**9, size=120, replace=False))
+    a = rng.integers(0, ids.size, 260)
+    b = rng.integers(0, ids.size, 260)
+    keep = a != b
+    pairs = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)],
+                               axis=1)[keep], axis=0)
+    flip = rng.random(len(pairs)) < 0.5
+    src = np.where(flip, pairs[:, 1], pairs[:, 0])
+    dst = np.where(flip, pairs[:, 0], pairs[:, 1])
+    w = rng.integers(1, 5, len(pairs)) / 4.0
+    return ids, ids[src], ids[dst], w
+
+
+def _edge_ds(src, dst, w):
+    import ray.data as rd
+
+    return rd.from_arrow(pa.table({"src": pa.array(src, pa.int64()),
+                                   "dst": pa.array(dst, pa.int64()),
+                                   "weight": pa.array(w, pa.float64())}))
+
+
+def _digest(*arrays):
+    h = hashlib.blake2b(digest_size=12)
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(a.dtype.str.encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _run_all(tmp_path, msg_ref_bytes):
+    from tldr_ray.graph import GraphEngine
+
+    ids, src, dst, w = _graph()
+    seeds = [int(ids[0]), int(ids[7])]
+    out = {}
+    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P,
+                                 work_dir=str(tmp_path / "directed"),
+                                 msg_ref_bytes=msg_ref_bytes)
+    try:
+        runs = {
+            "pagerank": lambda: eng.pagerank(tolerance=1e-12),
+            "pagerank_personalized": lambda: eng.pagerank(
+                tolerance=1e-12,
+                personalization=(ids[:3], np.array([1.0, 2.0, 3.0]))),
+            "sssp": lambda: eng.sssp(seeds),
+            "temporal_reachability": lambda: eng.temporal_reachability(
+                seeds),
+            "widest_path": lambda: eng.widest_path(seeds),
+        }
+        for name, run in runs.items():
+            got_ids, vals, _ = run()
+            out[name] = _digest(got_ids, vals)
+    finally:
+        eng.shutdown()
+    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P,
+                                 work_dir=str(tmp_path / "symmetric"),
+                                 symmetrize=True,
+                                 msg_ref_bytes=msg_ref_bytes)
+    try:
+        runs = {
+            "connected_components": lambda: eng.connected_components(),
+            "bfs": lambda: eng.bfs(seeds),
+            "betweenness_sampled": lambda: eng.betweenness_sampled(
+                [int(ids[0]), int(ids[3]), int(ids[50])]),
+            "label_propagation": lambda: eng.label_propagation(),
+            "label_spread": lambda: eng.label_spread(
+                (ids[[2, 40, 80, 110]], np.array([0, 1, 2, 1]))),
+            "kcore": lambda: eng.kcore(),
+            "maximal_matching": lambda: eng.maximal_matching(),
+            "maximal_independent_set": lambda: eng.maximal_independent_set(),
+            "greedy_coloring": lambda: eng.greedy_coloring(),
+            "eigenvector_centrality": lambda: eng.eigenvector_centrality(),
+        }
+        for name, run in runs.items():
+            got_ids, vals, _ = run()
+            out[name] = _digest(got_ids, vals)
+    finally:
+        eng.shutdown()
+    return out
+
+
+EXPECTED = {
+    "pagerank": "4f4c1a3e3c6aff5b5d7ccb0e",
+    "pagerank_personalized": "649a45d472ba3d1f50046afe",
+    "sssp": "c3affeb6d7b511a941e4bc37",
+    "temporal_reachability": "1992b43b65b6ede8e10fd309",
+    "widest_path": "5568d9d419e25a090c42630b",
+    "connected_components": "efb2f2c5f3d3c69be8d9f579",
+    "bfs": "df0d7829449e6297b67412f5",
+    "betweenness_sampled": "d69302984ec1105dd1155a21",
+    "label_propagation": "51d723d86afb96ec5649fb19",
+    "label_spread": "4813b2a6e97741eddeac67e9",
+    "kcore": "0e37d690d2c0401357ea9bf6",
+    "maximal_matching": "88a9443705e2c7e48afd572e",
+    "maximal_independent_set": "601080b0572100f75054507b",
+    "greedy_coloring": "81f2c797193c65f86b4e7019",
+    "eigenvector_centrality": "471fba24c8d09077c9dec063",
+}
+
+EXPECTED_HITS = "be3f6a4e2f4621188a8775c6"
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("msg_ref_bytes", [None, 1],
+                         ids=["by-value", "by-ref"])
+def test_engine_outputs_bit_identical(tmp_path, msg_ref_bytes):
+    got = _run_all(tmp_path, msg_ref_bytes)
+    assert got == EXPECTED
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_hits_bit_identical():
+    from tldr_ray.graph import hits
+
+    _, src, dst, w = _graph()
+    ids, hubs, auth, _ = hits(_edge_ds(src, dst, w), num_partitions=P)
+    assert _digest(ids, hubs, auth) == EXPECTED_HITS
+
+
+# -- empty graphs --------------------------------------------------------
+
+EMPTY_RUNS = {
+    "pagerank": lambda e: e.pagerank(),
+    "connected_components": lambda e: e.connected_components(),
+    "bfs": lambda e: e.bfs([1]),
+    "betweenness_sampled": lambda e: e.betweenness_sampled([1]),
+    "sssp": lambda e: e.sssp([1]),
+    "temporal_reachability": lambda e: e.temporal_reachability([1]),
+    "widest_path": lambda e: e.widest_path([1]),
+    "label_propagation": lambda e: e.label_propagation(),
+    "label_spread": lambda e: e.label_spread(([1], [0])),
+    "kcore": lambda e: e.kcore(),
+    "maximal_matching": lambda e: e.maximal_matching(),
+    "maximal_independent_set": lambda e: e.maximal_independent_set(),
+    "greedy_coloring": lambda e: e.greedy_coloring(),
+    "eigenvector_centrality": lambda e: e.eigenvector_centrality(),
+}
+
+
+def _empty_ds():
+    return _edge_ds(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                    np.zeros(0))
+
+
+@pytest.fixture(scope="module")
+def empty_engines(ray_session, tmp_path_factory):
+    from tldr_ray.graph import GraphEngine
+
+    engines = {
+        "from_edges": GraphEngine.from_edges(
+            _empty_ds(), P, work_dir=str(tmp_path_factory.mktemp("empty"))),
+        "from_edges_streaming": GraphEngine.from_edges_streaming(
+            _empty_ds(), P),
+    }
+    yield engines
+    for eng in engines.values():
+        eng.shutdown()
+
+
+@pytest.mark.parametrize("build", ["from_edges", "from_edges_streaming"])
+@pytest.mark.parametrize("name", sorted(EMPTY_RUNS))
+def test_empty_graph_contract(empty_engines, build, name):
+    """Every algorithm on a zero-row edge table: no exception, no rows,
+    and its converged/stable/done flag (betweenness has none) set."""
+    ids, vals, info = EMPTY_RUNS[name](empty_engines[build])
+    assert len(ids) == 0 and len(vals) == 0
+    flags = [info[k] for k in ("converged", "stable", "done") if k in info]
+    assert flags or name == "betweenness_sampled"
+    assert all(flags)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_hits_empty_graph_converged():
+    from tldr_ray.graph import hits
+
+    ids, hubs, auth, info = hits(_empty_ds(), num_partitions=P)
+    assert len(ids) == len(hubs) == len(auth) == 0
+    assert info["converged"]
+
+
+# -- temporary state -----------------------------------------------------
+
+@pytest.mark.usefixtures("ray_session")
+def test_shutdown_removes_only_its_own_work_dir(tmp_path):
+    """A work dir that from_edges made up is deleted at shutdown; a
+    caller's work dir stays (a later resume re-reads it)."""
+    from tldr_ray.graph import GraphEngine
+
+    _, src, dst, w = _graph()
+    before = set(glob.glob("/tmp/tldr_ray/graph-*"))
+    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P)
+    assert os.path.isdir(eng.shard_dir)
+    eng.shutdown()
+    assert not os.path.exists(eng.shard_dir)
+    assert set(glob.glob("/tmp/tldr_ray/graph-*")) - before == set()
+
+    kept = tmp_path / "shards"
+    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P,
+                                 work_dir=str(kept))
+    eng.shutdown()
+    assert (kept / "manifest.json").is_file()

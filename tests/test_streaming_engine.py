@@ -67,7 +67,7 @@ def test_ingest_duplicate_digest_dropped_distinct_kept():
 
     from tldr_ray.graph.engine import _shard_actor_cls
 
-    actor = _shard_actor_cls(0).remote(0, 1)
+    actor = _shard_actor_cls().remote(0, 1)
     src = np.array([0, 1], np.int64)
     dst = np.array([1, 0], np.int64)
     w = np.ones(2, np.float64)

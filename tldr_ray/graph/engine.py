@@ -25,14 +25,39 @@ sends to (static for the run); receivers resolve those once to local
 positions. Per iteration only dense float/int arrays aligned to those
 vocabularies travel — zero-copy NumPy views over plasma buffers.
 
-Algorithms sharing the plumbing:
-- PageRank: combiner=sum; scores match the reference oracle
-  (kernel.pagerank_ref, alixaxel semantics) to allclose 1e-6.
-- Connected components: combiner=min over propagated labels
-  (min-vertex-id fixpoint); exact.
-- Label propagation: messages are (dst, label, weight) triples combined
-  by (dst, label); synchronous rounds, deterministic smallest-label
-  tie-break; exact.
+One superstep, Pregel style (Malewicz et al., SIGMOD 2010): every shard
+EMITS one pre-combined message per destination partition
+(``CsrShard._combine`` for per-vertex arrays, or sorted per-(vertex,
+key) triples), ``GraphEngine._exchange`` hands shard q the messages
+addressed to it, and shard q MERGES them into its state in sender order
+(``CsrShard._gather``, or the triple merges). ``GraphEngine._until_stable``
+loops until no vertex changes. The algorithms differ only in what they
+emit, how they merge and when they stop:
+
+  algorithm                emit (combiner)             merge                   stop
+  pagerank                 rank*w/out (sum)            restart + add           L1 delta <= tol
+  eigenvector_centrality   state*w (sum)               add onto state (+I)     L1 delta < tol*n
+  hits (two pools)         state*w (sum)               add onto zeros          L1 delta < tol*n
+  connected_components     label (min)                 min                     no change
+  bfs                      hops+1 (min)                min                     no change
+  sssp                     dist+w (min)                min                     no change
+  temporal_reachability    usable departure (min)      min                     no change
+  widest_path              min(width, w) (max)         max                     no change
+  label_propagation,       (dst, label, weight sum)    heaviest label,         no change
+    label_spread                                       smallest on ties
+  kcore                    (dst, value, count)         H-index, min            no change
+  maximal_matching         min-priority unmatched      mutual proposals        no new match
+                           neighbor; then proposals
+  maximal_independent_set  min-priority active         Luby win; OR of         none undecided
+                           neighbor; new-member flag   new-member flags
+  greedy_coloring          max-priority uncolored      local-max win; OR of    none uncolored
+                           neighbor; color bits (OR)   neighbor color bits
+  betweenness_sampled      sigma, then dependency      add                     frontier empty,
+                           (sum)                                               then level 1
+
+Float sums are bit-deterministic for a given shard layout: every fold
+runs in edge order on the emitting side and in sender order on the
+receiving side.
 
 Checkpoint/resume: every ``checkpoint_every`` iterations each shard
 writes its state slice ``part=<p>.parquet`` (atomic rename) and the
@@ -47,6 +72,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time as _time
 import uuid
 
@@ -61,26 +87,56 @@ from tldr_ray.graph.partition import build_shards, vhash
 # (measured: 1024 refs/iter cost more than relaying 80 MB by value on
 # one box), so only messages big enough to amortize that — or to
 # threaten the driver heap / double network hops on a real cluster —
-# are shipped as refs. Lower it on a multi-node cluster where the
-# driver relay also means two network crossings per message.
-_MSG_REF_BYTES_DEFAULT = int(os.environ.get("TLDR_RAY_MSG_REF_BYTES",
-                                            8 * 1024 * 1024))
+# are shipped as refs. Pass a lower ``msg_ref_bytes`` on a multi-node
+# cluster, where the driver relay also means two network crossings per
+# message.
+_MSG_REF_BYTES_DEFAULT = 8 * 1024 * 1024
 
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _shard_actor_cls(num_cpus: float = 0):
+def _runs(cols, sort_keys, nkeys: int):
+    """Sort the equal-length ``cols`` by ``sort_keys`` (np.lexsort
+    order: the last key is primary). Returns the sorted cols and the
+    start offsets of the runs of equal values in the first ``nkeys``
+    cols."""
+    order = np.lexsort(sort_keys)
+    cols = [c[order] for c in cols]
+    new = np.zeros(cols[0].size, dtype=bool)
+    new[:1] = True
+    for c in cols[:nkeys]:
+        new[1:] |= c[1:] != c[:-1]
+    return cols, np.flatnonzero(new)
+
+
+def _sum_runs(pos, key, w):
+    """One row per distinct (pos, key) pair, in (pos, key) order, with
+    ``w`` summed over the pair's rows."""
+    (pos, key, w), st = _runs((pos, key, w), (key, pos), 2)
+    return pos[st], key[st], np.add.reduceat(w, st)
+
+
+def _first_rows(pos, ids, prio, descending: bool):
+    """The best (prio, id) row per ``pos``: smallest first, or largest
+    first if ``descending``. ``~`` reverses int order without the
+    overflow of negation."""
+    keys = (~ids, ~prio) if descending else (ids, prio)
+    (pos, ids, prio), st = _runs((pos, ids, prio), (*keys, pos), 1)
+    return pos[st], ids[st], prio[st]
+
+
+def _shard_actor_cls():
     """Build the shard actor class.
 
-    ``num_cpus`` defaults to 0 so a pool of P shards is always
-    schedulable regardless of the session's CPU count (P > num_cpus
-    would otherwise deadlock actor creation); shard work is bursty,
-    GIL-releasing NumPy, so logical oversubscription is harmless. Bench
-    runs size the pool explicitly (e.g. 1.0 per shard on a 32-CPU box).
+    Shards reserve no CPU, so a pool of P shards is always schedulable
+    whatever the session's CPU count (P > num_cpus would otherwise
+    deadlock actor creation, and reserved CPUs would starve the Ray Data
+    shard build); shard work is bursty, GIL-releasing NumPy, so logical
+    oversubscription is harmless.
     """
     import ray
 
-    @ray.remote(num_cpus=num_cpus)
+    @ray.remote(num_cpus=0)
     class CsrShard:
         def __init__(self, part: int, num_partitions: int,
                      shard_dir: str | None = None,
@@ -222,12 +278,13 @@ def _shard_actor_cls(num_cpus: float = 0):
             self.e_weight_sorted = w[order]     # raw weights (LPA votes)
             e_dst = dst[order]
             dp_sorted = dst_part[order]
-            self.q_lo = np.searchsorted(dp_sorted, np.arange(self.P))
-            self.q_hi = np.searchsorted(dp_sorted, np.arange(self.P) + 1)
+            q_lo = np.searchsorted(dp_sorted, np.arange(self.P))
+            q_hi = np.searchsorted(dp_sorted, np.arange(self.P) + 1)
+            # edges bound for destination partition q
+            self.q_slices = [slice(lo, hi) for lo, hi in zip(q_lo, q_hi)]
             self.dvocabs = []
             self.dlocals = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
+            for sl in self.q_slices:
                 dv, dl = np.unique(e_dst[sl], return_inverse=True)
                 self.dvocabs.append(dv)
                 self.dlocals.append(dl)
@@ -271,12 +328,70 @@ def _shard_actor_cls(num_cpus: float = 0):
                     items[i] = v
             return items
 
+        # -- the two halves of a superstep -----------------------------
+        def _combine(self, values, ufunc, fill):
+            """Emit: fold the per-edge ``values`` into one array per
+            destination partition q, aligned to ``dvocabs[q]`` (each
+            slot starts at ``fill``; ``ufunc`` folds the edges in, in
+            edge order), and ``_ship`` them. Sums from zero use
+            bincount, which adds in the same order as ``np.add.at``
+            (the same bits) and is much faster."""
+            out = []
+            for q, sl in enumerate(self.q_slices):
+                if ufunc is np.add and fill == 0:
+                    acc = np.bincount(self.dlocals[q], weights=values[sl],
+                                      minlength=self.dvocabs[q].size)
+                else:
+                    acc = np.full(self.dvocabs[q].size, fill,
+                                  dtype=values.dtype)
+                    ufunc.at(acc, self.dlocals[q], values[sl])
+                out.append(acc)
+            return self._ship(out)
+
+        def _gather(self, inbox, ufunc, base):
+            """Merge: fold each sender's ``_combine`` array into ``base``
+            at the local positions of its vocabulary, in sender order,
+            and return ``base``. It must stay ``ufunc.at`` into the
+            base: ``base + bincount(...)`` rounds sums differently."""
+            for idx, arr in zip(self.incoming_idx, self._fetch(inbox)):
+                arr = np.asarray(arr)
+                if arr.size:
+                    ufunc.at(base, idx, arr)
+            return base
+
+        def _inbox_rows(self, inbox):
+            """The senders' (dst_local, a, b) triples concatenated in
+            sender order, with dst_local mapped to local positions."""
+            rows = [(idx[np.asarray(t[0])], np.asarray(t[1]),
+                     np.asarray(t[2]))
+                    for idx, t in zip(self.incoming_idx, self._fetch(inbox))]
+            return [np.concatenate(c) for c in zip(*rows)]
+
+        def _settle(self, new) -> int:
+            """Adopt ``new`` as the state; returns how many vertices
+            changed."""
+            changed = int((new != self.state).sum())
+            self.state = new
+            return changed
+
+        def _find(self, ids_sorted):
+            """Which local vertices occur in ``ids_sorted``: (mask over
+            the local vertices, positions of those hits in
+            ``ids_sorted``)."""
+            if not ids_sorted.size:
+                return np.zeros(self.verts.size, dtype=bool), \
+                    np.zeros(0, dtype=np.int64)
+            pos = np.minimum(np.searchsorted(ids_sorted, self.verts),
+                             ids_sorted.size - 1)
+            hit = ids_sorted[pos] == self.verts
+            return hit, pos[hit]
+
         # -- setup -----------------------------------------------------
         def publish_vocabs(self):
             """One-time exchange goes through plasma refs so vocab bytes
             flow actor-to-actor, not through the driver (per-iteration
-            mass arrays use the same path once they outgrow
-            ``_MSG_REF_BYTES``)."""
+            messages use the same path once they outgrow
+            ``msg_ref_bytes``)."""
             import ray
             return [ray.put(dv) for dv in self.dvocabs]
 
@@ -294,6 +409,14 @@ def _shard_actor_cls(num_cpus: float = 0):
             """First k local vertex ids — cheap pivot seeds for the
             sampled-betweenness CLI (no O(V) collect)."""
             return self.verts[:k].tolist()
+
+        def seed_init(self, seeds, at_seed, elsewhere) -> int:
+            """State = ``at_seed`` at the local seed vertices,
+            ``elsewhere`` at the rest; returns how many seeds this shard
+            owns (the driver checks the global sum is nonzero)."""
+            hit = np.isin(self.verts, np.asarray(seeds, dtype=np.int64))
+            self.state = np.where(hit, at_seed, elsewhere)
+            return int(hit.sum())
 
         # -- pagerank --------------------------------------------------
         def pr_init(self, n_total: int):
@@ -314,11 +437,8 @@ def _shard_actor_cls(num_cpus: float = 0):
             vertices must be redistributed)."""
             ids_sorted, scores = warm
             st = np.full(self.verts.size, fill)
-            if ids_sorted.size:
-                pos = np.searchsorted(ids_sorted, self.verts)
-                pos = np.minimum(pos, ids_sorted.size - 1)
-                hit = ids_sorted[pos] == self.verts
-                st[hit] = scores[pos[hit]]
+            hit, at = self._find(ids_sorted)
+            st[hit] = scores[at]
             self.state = st
             return float(st.sum())
 
@@ -335,10 +455,8 @@ def _shard_actor_cls(num_cpus: float = 0):
                 return 0.0
             seed_ids, seed_w = seed
             p = np.zeros(self.verts.size)
-            pos = np.searchsorted(seed_ids, self.verts)
-            pos = np.minimum(pos, seed_ids.size - 1)
-            hit = seed_ids[pos] == self.verts
-            p[hit] = seed_w[pos[hit]]
+            hit, at = self._find(seed_ids)
+            p[hit] = seed_w[at]
             self.pvec = p
             local = float(p.sum())
             # start from the restart vector itself
@@ -350,46 +468,36 @@ def _shard_actor_cls(num_cpus: float = 0):
             self.state = self.state * factor
 
         def pr_messages(self):
-            """Per-destination-partition pre-combined mass arrays. Small
-            message sets travel by value; large ones are ray.put() here
-            so the bytes move plasma-to-plasma between shard actors and
-            the driver only relays ObjectRefs — O(P^2) refs per
-            iteration instead of O(P * V) floats through one process."""
-            m = self.state[self.e_src_local] * self.e_wnorm
-            masses = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                masses.append(np.bincount(self.dlocals[q], weights=m[sl],
-                                          minlength=self.dvocabs[q].size))
-            dangling = float(self.state[self.dangling_mask].sum())
-            return dangling, self._ship(masses)
-
-        def pr_apply(self, masses, dangling_total: float, alpha: float) -> float:
-            masses = self._fetch(masses)
-            coef = (1.0 - alpha) + alpha * dangling_total
-            if getattr(self, "pvec", None) is not None:
-                new = coef * self.pvec      # personalized restart
-            else:
-                new = np.full(self.verts.size, coef / self.n_total)
-            for idx, arr in zip(self.incoming_idx, masses):
-                arr = np.asarray(arr)
-                if arr.size:
-                    np.add.at(new, idx, alpha * arr)
-            delta = float(np.abs(new - self.state).sum())
-            self.state = new
-            return delta
+            """(dangling mass, per-destination-partition pre-combined
+            rank mass). Small message sets travel by value; large ones
+            are ray.put() here so the bytes move plasma-to-plasma
+            between shard actors and the driver only relays ObjectRefs
+            — O(P^2) refs per iteration instead of O(P * V) floats
+            through one process."""
+            masses = self._combine(self.state[self.e_src_local]
+                                   * self.e_wnorm, np.add, 0.0)
+            return float(self.state[self.dangling_mask].sum()), masses
 
         def pr_step(self, masses, dangling_total: float, alpha: float):
             """Fused apply + emit: one RPC round per iteration instead of
             two (halves the BSP coordination cost that dominates small
             graphs). Returns (delta, dangling_next, masses_next)."""
-            delta = self.pr_apply(masses, dangling_total, alpha)
-            dangling, next_masses = self.pr_messages()
-            return delta, dangling, next_masses
+            coef = (1.0 - alpha) + alpha * dangling_total
+            if getattr(self, "pvec", None) is not None:
+                new = coef * self.pvec      # personalized restart
+            else:
+                new = np.full(self.verts.size, coef / self.n_total)
+            new = self._gather([alpha * np.asarray(m)
+                                for m in self._fetch(masses)], np.add, new)
+            delta = float(np.abs(new - self.state).sum())
+            self.state = new
+            return (delta, *self.pr_messages())
 
-        # -- connected components (min-label) --------------------------
+        # -- min / max label fixpoints ---------------------------------
         def label_init(self):
+            """Every vertex starts labeled with its own id (CC, LPA)."""
             self.state = self.verts.copy()
+            self._clamp = None
 
         def label_warm(self, warm):
             """Seed labels from a prior run's (sorted ids, labels):
@@ -399,68 +507,65 @@ def _shard_actor_cls(num_cpus: float = 0):
             their own id."""
             ids_sorted, labels = warm
             st = self.verts.copy()
-            if ids_sorted.size:
-                pos = np.searchsorted(ids_sorted, self.verts)
-                pos = np.minimum(pos, ids_sorted.size - 1)
-                hit = ids_sorted[pos] == self.verts
-                st[hit] = np.minimum(st[hit], labels[pos[hit]])
+            hit, at = self._find(ids_sorted)
+            st[hit] = np.minimum(st[hit], labels[at])
             self.state = st
 
         def cc_messages(self):
-            lab = self.state[self.e_src_local]
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                acc = np.full(self.dvocabs[q].size, _INT64_MAX, dtype=np.int64)
-                if self.dlocals[q].size:
-                    np.minimum.at(acc, self.dlocals[q], lab[sl])
-                out.append(acc)
-            return self._ship(out)
-
-        def cc_apply(self, mins) -> int:
-            mins = self._fetch(mins)
-            new = self.state.copy()
-            for idx, arr in zip(self.incoming_idx, mins):
-                arr = np.asarray(arr)
-                if arr.size:
-                    np.minimum.at(new, idx, arr)
-            changed = int((new != self.state).sum())
-            self.state = new
-            return changed
-
-        # -- BFS hop distance (min-plus over the same min machinery) ---
-        def bfs_init(self, seeds) -> int:
-            """State = 0 at local seed vertices, INT64_MAX elsewhere;
-            returns how many seeds this shard owns (the driver checks
-            the global sum is nonzero before iterating)."""
-            seeds = np.asarray(seeds, dtype=np.int64)
-            self.state = np.where(np.isin(self.verts, seeds),
-                                  0, _INT64_MAX).astype(np.int64)
-            return int((self.state == 0).sum())
+            return self._combine(self.state[self.e_src_local], np.minimum,
+                                 _INT64_MAX)
 
         def bfs_messages(self):
-            """Per-destination-shard min(dist[src] + 1) — identical
-            shipping layout to cc_messages, so bfs_apply IS cc_apply
-            (element-wise min merge). Unreached sources propagate
-            INT64_MAX unchanged (no +1 overflow)."""
+            """min(dist[src] + 1) per destination. Unreached sources
+            propagate INT64_MAX unchanged (no +1 overflow)."""
             d = self.state[self.e_src_local]
-            nxt = np.where(d == _INT64_MAX, _INT64_MAX, d + 1)
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                acc = np.full(self.dvocabs[q].size, _INT64_MAX,
-                              dtype=np.int64)
-                if self.dlocals[q].size:
-                    np.minimum.at(acc, self.dlocals[q], nxt[sl])
-                out.append(acc)
-            return self._ship(out)
+            return self._combine(np.where(d == _INT64_MAX, _INT64_MAX, d + 1),
+                                 np.minimum, _INT64_MAX)
+
+        def sssp_messages(self):
+            """min(dist[src] + w) per destination — distances
+            accumulate seed-outward, so every path sum is associated
+            left-to-right and the float fixpoint is deterministic
+            (message order can't change which IEEE sum wins the min)."""
+            return self._combine(self.state[self.e_src_local]
+                                 + self.e_weight_sorted, np.minimum, np.inf)
+
+        def temporal_messages(self):
+            """Time-respecting relaxation: edge weights ARE departure
+            timestamps; an edge (u,v) at time tau is usable only once
+            u has been reached by tau (arr[u] <= tau), and then
+            delivers arrival tau at v. Candidates are picked from the
+            fixed timestamp set (never combined), so the fixpoint is
+            bit-deterministic."""
+            tau = self.e_weight_sorted
+            return self._combine(
+                np.where(tau >= self.state[self.e_src_local], tau, np.inf),
+                np.minimum, np.inf)
+
+        def widest_messages(self):
+            """max over edges of min(width[src], w) per destination —
+            the max-min dual of sssp_messages. Widths are picked (never
+            arithmetically combined) from the fixed edge-weight set, so
+            the float fixpoint is trivially bit-deterministic. Unreached
+            sources propagate -inf, harmless under the max merge."""
+            return self._combine(np.minimum(self.state[self.e_src_local],
+                                            self.e_weight_sorted),
+                                 np.maximum, -np.inf)
+
+        def min_apply(self, inbox) -> int:
+            return self._settle(self._gather(inbox, np.minimum,
+                                             self.state.copy()))
+
+        def max_apply(self, inbox) -> int:
+            return self._settle(self._gather(inbox, np.maximum,
+                                             self.state.copy()))
 
         # -- sampled Brandes betweenness (forward sigma BFS + level-
         #    synchronous backward dependency accumulation). Sigma stays
         #    EXACT: path counts are integer-valued float64 sums (exact
-        #    to 2^53); only delta is genuinely float, and its per-shard
-        #    np.add.at order + fixed sender loop make the fixpoint
-        #    deterministic for a given layout. --------------------------
+        #    to 2^53); only delta is genuinely float, and its fixed
+        #    edge-order combine + sender-order merge make the fixpoint
+        #    deterministic for a given layout. -------------------------
         def bc_begin(self):
             self.bc_acc = np.zeros(self.verts.size)
 
@@ -472,27 +577,15 @@ def _shard_actor_cls(num_cpus: float = 0):
             return int((self.bc_dist == 0).sum())
 
         def bc_fwd_messages(self, level: int):
-            d = self.bc_dist[self.e_src_local]
-            sig = np.where(d == level,
+            self._level = level
+            sig = np.where(self.bc_dist[self.e_src_local] == level,
                            self.bc_sigma[self.e_src_local], 0.0)
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                acc = np.zeros(self.dvocabs[q].size)
-                if self.dlocals[q].size:
-                    np.add.at(acc, self.dlocals[q], sig[sl])
-                out.append(acc)
-            return self._ship(out)
+            return self._combine(sig, np.add, 0.0)
 
-        def bc_fwd_apply(self, sums, level: int) -> int:
-            sums = self._fetch(sums)
-            inc = np.zeros(self.verts.size)
-            for idx, arr in zip(self.incoming_idx, sums):
-                arr = np.asarray(arr)
-                if arr.size:
-                    np.add.at(inc, idx, arr)
+        def bc_fwd_apply(self, sums) -> int:
+            inc = self._gather(sums, np.add, np.zeros(self.verts.size))
             newly = (self.bc_dist == _INT64_MAX) & (inc > 0.0)
-            self.bc_dist[newly] = level + 1
+            self.bc_dist[newly] = self._level + 1
             self.bc_sigma[newly] = inc[newly]
             return int(newly.sum())
 
@@ -509,29 +602,18 @@ def _shard_actor_cls(num_cpus: float = 0):
             predecessor on some shortest path (BFS level property), so
             multiplying the received sum by its own sigma is exactly
             Brandes' dependency accumulation."""
+            self._level = level
             d = self.bc_dist[self.e_src_local]
             sig = np.where(self.bc_sigma[self.e_src_local] > 0.0,
                            self.bc_sigma[self.e_src_local], 1.0)
             contrib = np.where(
                 d == level,
                 (1.0 + self.bc_delta[self.e_src_local]) / sig, 0.0)
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                acc = np.zeros(self.dvocabs[q].size)
-                if self.dlocals[q].size:
-                    np.add.at(acc, self.dlocals[q], contrib[sl])
-                out.append(acc)
-            return self._ship(out)
+            return self._combine(contrib, np.add, 0.0)
 
-        def bc_bwd_apply(self, sums, level: int):
-            sums = self._fetch(sums)
-            inc = np.zeros(self.verts.size)
-            for idx, arr in zip(self.incoming_idx, sums):
-                arr = np.asarray(arr)
-                if arr.size:
-                    np.add.at(inc, idx, arr)
-            mask = self.bc_dist == (level - 1)
+        def bc_bwd_apply(self, sums):
+            inc = self._gather(sums, np.add, np.zeros(self.verts.size))
+            mask = self.bc_dist == (self._level - 1)
             self.bc_delta[mask] += self.bc_sigma[mask] * inc[mask]
 
         def bc_accumulate(self, seed) -> None:
@@ -543,295 +625,106 @@ def _shard_actor_cls(num_cpus: float = 0):
         def bc_finish(self):
             self.state = self.bc_acc
 
-        # -- weighted SSSP (Bellman-Ford min-plus, float64 state) ------
-        def sssp_init(self, seeds) -> int:
-            seeds = np.asarray(seeds, dtype=np.int64)
-            self.state = np.where(np.isin(self.verts, seeds),
-                                  0.0, np.inf)
-            return int((self.state == 0.0).sum())
-
-        def sssp_messages(self):
-            """min(dist[src] + w) per destination — distances
-            accumulate seed-outward, so every path sum is associated
-            left-to-right and the float fixpoint is deterministic
-            (message order can't change which IEEE sum wins the min)."""
-            d = self.state[self.e_src_local] + self.e_weight_sorted
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                acc = np.full(self.dvocabs[q].size, np.inf)
-                if self.dlocals[q].size:
-                    np.minimum.at(acc, self.dlocals[q], d[sl])
-                out.append(acc)
-            return self._ship(out)
-
-        # -- temporal earliest-arrival reachability --------------------
-        def temporal_messages(self):
-            """Time-respecting relaxation: edge weights ARE departure
-            timestamps; an edge (u,v) at time tau is usable only once
-            u has been reached by tau (arr[u] <= tau), and then
-            delivers arrival tau at v. Candidates are picked from the
-            fixed timestamp set (never combined), so the fixpoint is
-            bit-deterministic; min-merge reuses cc_apply."""
-            src_arr = self.state[self.e_src_local]
-            d = np.where(self.e_weight_sorted >= src_arr,
-                         self.e_weight_sorted, np.inf)
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                acc = np.full(self.dvocabs[q].size, np.inf)
-                if self.dlocals[q].size:
-                    np.minimum.at(acc, self.dlocals[q], d[sl])
-                out.append(acc)
-            return self._ship(out)
-
-        # -- widest path (max-min bottleneck semiring) -----------------
-        def widest_init(self, seeds) -> int:
-            """State = +inf at seeds (no constraint yet), -inf
-            elsewhere (unreached). Returns seeds owned locally."""
-            seeds = np.asarray(seeds, dtype=np.int64)
-            self.state = np.where(np.isin(self.verts, seeds),
-                                  np.inf, -np.inf)
-            return int(np.isposinf(self.state).sum())
-
-        def widest_messages(self):
-            """max over edges of min(width[src], w) per destination —
-            the max-min dual of sssp_messages. Widths are picked (never
-            arithmetically combined) from the fixed edge-weight set, so
-            the float fixpoint is trivially bit-deterministic. Unreached
-            sources propagate -inf, harmless under the max merge."""
-            d = np.minimum(self.state[self.e_src_local],
-                           self.e_weight_sorted)
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                acc = np.full(self.dvocabs[q].size, -np.inf)
-                if self.dlocals[q].size:
-                    np.maximum.at(acc, self.dlocals[q], d[sl])
-                out.append(acc)
-            return self._ship(out)
-
-        def max_apply(self, maxes) -> int:
-            """Element-wise MAX merge — the mirror of cc_apply."""
-            maxes = self._fetch(maxes)
-            new = self.state.copy()
-            for idx, arr in zip(self.incoming_idx, maxes):
-                arr = np.asarray(arr)
-                if arr.size:
-                    np.maximum.at(new, idx, arr)
-            changed = int((new != self.state).sum())
-            self.state = new
-            return changed
-
         # -- label propagation (weighted mode, smallest-label ties) ----
-        def lpa_messages(self):
-            lab = self.state[self.e_src_local]
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                dl = self.dlocals[q]
-                lq = lab[sl]
-                wq = self.e_weight_sorted[sl]
-                if dl.size:
-                    order = np.lexsort((lq, dl))
-                    dl_s, lq_s, wq_s = dl[order], lq[order], wq[order]
-                    bound = np.empty(dl_s.size, dtype=bool)
-                    bound[0] = True
-                    bound[1:] = (dl_s[1:] != dl_s[:-1]) | (lq_s[1:] != lq_s[:-1])
-                    starts = np.nonzero(bound)[0]
-                    sums = np.add.reduceat(wq_s, starts)
-                    trip = (dl_s[starts], lq_s[starts], sums)
-                else:
-                    trip = (np.zeros(0, np.int64), np.zeros(0, np.int64),
-                            np.zeros(0, np.float64))
-                out.append(trip)
-            return self._ship(out)
-
-        def lpa_apply(self, trips) -> int:
-            trips = self._fetch(trips)
-            pos_all, lab_all, w_all = [], [], []
-            for idx, (dl, lq, wq) in zip(self.incoming_idx, trips):
-                if len(dl):
-                    pos_all.append(idx[dl])
-                    lab_all.append(np.asarray(lq))
-                    w_all.append(np.asarray(wq))
-            if not pos_all:
-                return 0
-            pos = np.concatenate(pos_all)
-            lab = np.concatenate(lab_all)
-            w = np.concatenate(w_all)
-            # combine across senders by (pos, label)
-            order = np.lexsort((lab, pos))
-            pos, lab, w = pos[order], lab[order], w[order]
-            bound = np.empty(pos.size, dtype=bool)
-            bound[0] = True
-            bound[1:] = (pos[1:] != pos[:-1]) | (lab[1:] != lab[:-1])
-            starts = np.nonzero(bound)[0]
-            pos_u, lab_u = pos[starts], lab[starts]
-            w_u = np.add.reduceat(w, starts)
-            # per pos: max weight, tie -> smallest label. Sort by
-            # (pos, -w, label) and take the first row per pos.
-            order2 = np.lexsort((lab_u, -w_u, pos_u))
-            pos_s, lab_s = pos_u[order2], lab_u[order2]
-            first = np.empty(pos_s.size, dtype=bool)
-            first[0] = True
-            first[1:] = pos_s[1:] != pos_s[:-1]
-            tgt, val = pos_s[first], lab_s[first]
-            new = self.state.copy()
-            new[tgt] = val
-            changed = int((new != self.state).sum())
-            self.state = new
-            return changed
-
-        def lpa_init(self):
-            # LPA votes are weighed by RAW edge weight (e_weight_sorted)
-            self.state = self.verts.copy()
-
-        # -- seeded (semi-supervised) label spreading -------------------
         def lpa_seed_init(self, seeds) -> int:
-            """Seed-clamped variant: ``seeds`` = (sorted ids, labels).
-            Non-seeds start unlabeled (-1); seeds are clamped for the
-            whole run. Returns how many seeds this shard owns."""
+            """Seed-clamped start for label_spread: ``seeds`` = (sorted
+            ids, labels). Non-seeds start unlabeled (-1) and do not vote
+            until labeled; seeds are clamped for the whole run. Returns
+            how many seeds this shard owns."""
             ids_sorted, labels = seeds
             st = np.full(self.verts.size, -1, dtype=np.int64)
-            if ids_sorted.size:
-                pos = np.searchsorted(ids_sorted, self.verts)
-                pos = np.minimum(pos, ids_sorted.size - 1)
-                hit = ids_sorted[pos] == self.verts
-                st[hit] = labels[pos[hit]]
+            hit, at = self._find(ids_sorted)
+            st[hit] = labels[at]
             self._clamp = st >= 0
             self.state = st
             return int(self._clamp.sum())
 
-        def lpa_seed_messages(self):
-            """lpa_messages restricted to LABELED sources — unlabeled
-            vertices don't vote yet."""
+        def lpa_messages(self):
+            """Per destination partition, this shard's (dst_local,
+            label, summed weight) votes, one row per (dst, label). Every
+            source votes, except that label_spread's unlabeled (-1)
+            vertices do not."""
             lab = self.state[self.e_src_local]
+            voting = None if self._clamp is None else lab >= 0
             out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                dl = self.dlocals[q]
-                lq = lab[sl]
-                wq = self.e_weight_sorted[sl]
-                m = lq >= 0
-                dl, lq, wq = dl[m], lq[m], wq[m]
-                if dl.size:
-                    order = np.lexsort((lq, dl))
-                    dl_s, lq_s, wq_s = dl[order], lq[order], wq[order]
-                    bound = np.empty(dl_s.size, dtype=bool)
-                    bound[0] = True
-                    bound[1:] = (dl_s[1:] != dl_s[:-1]) \
-                        | (lq_s[1:] != lq_s[:-1])
-                    starts = np.nonzero(bound)[0]
-                    sums = np.add.reduceat(wq_s, starts)
-                    trip = (dl_s[starts], lq_s[starts], sums)
-                else:
-                    trip = (np.zeros(0, np.int64),
-                            np.zeros(0, np.int64),
-                            np.zeros(0, np.float64))
-                out.append(trip)
+            for q, sl in enumerate(self.q_slices):
+                cols = (self.dlocals[q], lab[sl], self.e_weight_sorted[sl])
+                if voting is not None:
+                    cols = [c[voting[sl]] for c in cols]
+                out.append(_sum_runs(*cols))
             return self._ship(out)
 
-        def lpa_seed_apply(self, trips) -> int:
-            """lpa_apply with the seed clamp: seeds never change; every
-            voted non-seed adopts argmax (max weight, ties -> smallest
-            label); unvoted vertices keep their state."""
-            trips = self._fetch(trips)
-            pos_all, lab_all, w_all = [], [], []
-            for idx, (dl, lq, wq) in zip(self.incoming_idx, trips):
-                if len(dl):
-                    pos_all.append(idx[dl])
-                    lab_all.append(np.asarray(lq))
-                    w_all.append(np.asarray(wq))
-            if not pos_all:
-                return 0
-            pos = np.concatenate(pos_all)
-            lab = np.concatenate(lab_all)
-            w = np.concatenate(w_all)
-            order = np.lexsort((lab, pos))
-            pos, lab, w = pos[order], lab[order], w[order]
-            bound = np.empty(pos.size, dtype=bool)
-            bound[0] = True
-            bound[1:] = (pos[1:] != pos[:-1]) | (lab[1:] != lab[:-1])
-            starts = np.nonzero(bound)[0]
-            pos_u, lab_u = pos[starts], lab[starts]
-            w_u = np.add.reduceat(w, starts)
-            order2 = np.lexsort((lab_u, -w_u, pos_u))
-            pos_s, lab_s = pos_u[order2], lab_u[order2]
-            first = np.empty(pos_s.size, dtype=bool)
-            first[0] = True
-            first[1:] = pos_s[1:] != pos_s[:-1]
-            tgt, val = pos_s[first], lab_s[first]
-            free = ~self._clamp[tgt]
+        def lpa_apply(self, trips) -> int:
+            """Every voted vertex adopts its heaviest label summed over
+            all senders (ties -> smallest label); clamped seeds never
+            change and unvoted vertices keep their state."""
+            pos, lab, w = _sum_runs(*self._inbox_rows(trips))
+            (pos, lab), st = _runs((pos, lab), (lab, -w, pos), 1)
+            tgt, val = pos[st], lab[st]
+            if self._clamp is not None:
+                free = ~self._clamp[tgt]
+                tgt, val = tgt[free], val[free]
             new = self.state.copy()
-            new[tgt[free]] = val[free]
-            changed = int((new != self.state).sum())
-            self.state = new
-            return changed
+            new[tgt] = val
+            return self._settle(new)
 
-        # -- maximal matching (hashed-priority handshake rounds) -------
-        def match_init(self):
+        # -- hashed-priority rounds: matching, MIS, coloring ------------
+        def undecided_init(self):
+            """State -1 = undecided (unmatched / not yet in or out of
+            the set / uncolored)."""
             self.state = np.full(self.verts.size, -1, dtype=np.int64)
 
-        def match_unmatched_messages(self, r: int):
-            """Per destination partition: for each destination vertex,
-            the unmatched source neighbor with the SMALLEST round-
-            salted priority splitmix64(src * K + r) (ties -> smaller
-            id). The per-round re-salt is what makes the handshake
-            converge in O(log n) expected rounds (Israeli-Itai) —
-            min-by-raw-id serializes on paths/rings. Triples
-            (dst_local, src, key) pre-combine per shard, so a hub
-            receives at most P candidates."""
+        def _priority(self, salt: int):
+            """splitmix64(v * K + salt) per local vertex."""
             from tldr_ray.stages.dedup import _mix64
 
-            K = np.uint64(0x9E3779B97F4A7C15)
+            return _mix64(self.verts.astype(np.uint64)
+                          * np.uint64(0x9E3779B97F4A7C15) + np.uint64(salt))
+
+        def _best_nbr_messages(self, prio, descending: bool):
+            """Per destination partition, each destination's best
+            UNDECIDED source neighbor as (dst_local, id, priority): the
+            min (priority, id), or the max if ``descending``. Pre-
+            combined per shard, so a hub receives at most P
+            candidates."""
+            active = self.state[self.e_src_local] == -1
             src_v = self.verts[self.e_src_local]
-            un = self.state[self.e_src_local] == -1
-            kv = _mix64(src_v.astype(np.uint64) * K + np.uint64(r))
+            kv = prio[self.e_src_local]
             out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                m = un[sl]
-                dl = self.dlocals[q][m]
-                sv = src_v[sl][m]
-                kq = kv[sl][m]
-                if dl.size:
-                    order = np.lexsort((sv, kq, dl))
-                    dl, sv, kq = dl[order], sv[order], kq[order]
-                    first = np.empty(dl.size, dtype=bool)
-                    first[0] = True
-                    first[1:] = dl[1:] != dl[:-1]
-                    trip = (dl[first], sv[first],
-                            kq[first].view(np.int64))
-                else:
-                    trip = (np.zeros(0, np.int64), np.zeros(0, np.int64),
-                            np.zeros(0, np.int64))
-                out.append(trip)
+            for q, sl in enumerate(self.q_slices):
+                m = active[sl]
+                out.append(_first_rows(self.dlocals[q][m], src_v[sl][m],
+                                       kv[sl][m], descending))
             return self._ship(out)
+
+        def _best_nbr(self, trips, descending: bool):
+            """Merge the senders' ``_best_nbr_messages``: per local
+            vertex, (has a candidate, its priority, its id)."""
+            pos, ids, prio = _first_rows(*self._inbox_rows(trips),
+                                         descending)
+            has = np.zeros(self.verts.size, dtype=bool)
+            best_k = np.zeros(self.verts.size, dtype=np.uint64)
+            best_v = np.zeros(self.verts.size, dtype=np.int64)
+            has[pos] = True
+            best_k[pos] = prio
+            best_v[pos] = ids
+            return has, best_k, best_v
+
+        def match_unmatched_messages(self, r: int):
+            """Each destination's unmatched source neighbor with the
+            SMALLEST round-salted priority splitmix64(src * K + r)
+            (ties -> smaller id). The per-round re-salt is what makes
+            the handshake converge in O(log n) expected rounds
+            (Israeli-Itai) — min-by-raw-id serializes on paths/rings.
+            MIS uses the same message for its active neighbors."""
+            return self._best_nbr_messages(self._priority(r), False)
 
         def match_set_proposals(self, trips):
             """p(v) = the min-(key, id) unmatched neighbor across all
             senders, for unmatched local v."""
-            trips = self._fetch(trips)
-            pos_all, sv_all, kq_all = [], [], []
-            for idx, (dl, sv, kq) in zip(self.incoming_idx, trips):
-                if len(dl):
-                    pos_all.append(idx[np.asarray(dl)])
-                    sv_all.append(np.asarray(sv))
-                    kq_all.append(np.asarray(kq).view(np.uint64))
-            p = np.full(self.verts.size, _INT64_MAX, dtype=np.int64)
-            if pos_all:
-                pos = np.concatenate(pos_all)
-                sv = np.concatenate(sv_all)
-                kq = np.concatenate(kq_all)
-                order = np.lexsort((sv, kq, pos))
-                pos, sv = pos[order], sv[order]
-                first = np.empty(pos.size, dtype=bool)
-                first[0] = True
-                first[1:] = pos[1:] != pos[:-1]
-                p[pos[first]] = sv[first]
-            p[self.state != -1] = _INT64_MAX
-            self._prop = p
+            has, _, best_v = self._best_nbr(trips, False)
+            self._prop = np.where(has & (self.state == -1), best_v,
+                                  _INT64_MAX)
 
         def match_propose_messages(self):
             """Ship (partner, proposer) pairs to the partner's owning
@@ -866,141 +759,52 @@ def _shard_actor_cls(num_cpus: float = 0):
                 new += int(tgt.size)
             return new
 
-        # -- maximal independent set (Luby, hashed priorities) ---------
-        def mis_init(self):
-            self.state = np.full(self.verts.size, -1, dtype=np.int64)
-
         def mis_decide(self, trips, r: int) -> int:
             """An ACTIVE vertex joins the MIS iff its own round-salted
             (priority, id) beats the minimum over its ACTIVE neighbors
-            (delivered pre-combined by match_unmatched_messages, which
-            already filters state == -1 sources and uses the same
-            splitmix64(v*K + r) priorities). No active neighbor ->
-            joins. Returns new members on this shard."""
-            from tldr_ray.stages.dedup import _mix64
-
-            K = np.uint64(0x9E3779B97F4A7C15)
-            trips = self._fetch(trips)
-            pos_all, sv_all, kq_all = [], [], []
-            for idx, (dl, sv, kq) in zip(self.incoming_idx, trips):
-                if len(dl):
-                    pos_all.append(idx[np.asarray(dl)])
-                    sv_all.append(np.asarray(sv))
-                    kq_all.append(np.asarray(kq).view(np.uint64))
-            best_k = np.full(self.verts.size, np.uint64(0xFFFFFFFFFFFFFFFF),
-                             dtype=np.uint64)
-            best_v = np.full(self.verts.size, _INT64_MAX, dtype=np.int64)
-            if pos_all:
-                pos = np.concatenate(pos_all)
-                sv = np.concatenate(sv_all)
-                kq = np.concatenate(kq_all)
-                order = np.lexsort((sv, kq, pos))
-                pos, sv, kq = pos[order], sv[order], kq[order]
-                first = np.empty(pos.size, dtype=bool)
-                first[0] = True
-                first[1:] = pos[1:] != pos[:-1]
-                best_k[pos[first]] = kq[first]
-                best_v[pos[first]] = sv[first]
-            active = self.state == -1
-            own_k = _mix64(self.verts.astype(np.uint64) * K
-                           + np.uint64(r))
-            win = active & ((own_k < best_k)
-                            | ((own_k == best_k)
-                               & (self.verts < best_v)))
+            (match_unmatched_messages, same priorities). No active
+            neighbor -> joins. Returns new members on this shard."""
+            has, best_k, best_v = self._best_nbr(trips, False)
+            own_k = self._priority(r)
+            win = (self.state == -1) & (
+                ~has | (own_k < best_k)
+                | ((own_k == best_k) & (self.verts < best_v)))
             self._new_mis = win
             self.state[win] = 1
             return int(win.sum())
 
         def mis_notify_messages(self):
-            """Per destination partition: a boolean per destination
-            vertex — does it have a NEW MIS source neighbor? (OR is
-            the combiner.)"""
-            flag = self._new_mis[self.e_src_local]
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                acc = np.zeros(self.dvocabs[q].size, dtype=bool)
-                dl = self.dlocals[q][flag[sl]]
-                if dl.size:
-                    acc[np.unique(dl)] = True
-                out.append(acc)
-            return self._ship(out)
+            """Per destination: does it have a NEW MIS source neighbor?
+            (OR is the combiner.)"""
+            return self._combine(self._new_mis[self.e_src_local],
+                                 np.logical_or, False)
 
         def mis_exclude(self, flags) -> int:
             """Active vertices with a new MIS neighbor leave the game
             (state 0). Returns the shard's remaining active count."""
-            flags = self._fetch(flags)
-            hit = np.zeros(self.verts.size, dtype=bool)
-            for idx, arr in zip(self.incoming_idx, flags):
-                arr = np.asarray(arr)
-                if arr.size:
-                    hit[idx[np.flatnonzero(arr)]] = True
-            out = (self.state == -1) & hit
-            self.state[out] = 0
+            hit = self._gather(flags, np.logical_or,
+                               np.zeros(self.verts.size, dtype=bool))
+            self.state[(self.state == -1) & hit] = 0
             return int((self.state == -1).sum())
 
-        # -- Jones-Plassmann greedy coloring ----------------------------
         def color_init(self):
-            from tldr_ray.stages.dedup import _mix64
-
-            K = np.uint64(0x9E3779B97F4A7C15)
-            self.state = np.full(self.verts.size, -1, dtype=np.int64)
-            self._prio = _mix64(self.verts.astype(np.uint64) * K)
+            self.undecided_init()
+            self._prio = self._priority(0)
 
         def color_nbr_max_messages(self):
             """Per destination: the MAXIMUM (static priority, id) over
-            UNCOLORED source neighbors (pre-combined per shard)."""
-            un = self.state[self.e_src_local] == -1
-            src_v = self.verts[self.e_src_local]
-            kv = self._prio[self.e_src_local]
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                m = un[sl]
-                dl = self.dlocals[q][m]
-                sv = src_v[sl][m]
-                kq = kv[sl][m]
-                if dl.size:
-                    # descending (priority, id): invert for lexsort
-                    order = np.lexsort((-sv, np.invert(kq), dl))
-                    dl, sv, kq = dl[order], sv[order], kq[order]
-                    first = np.empty(dl.size, dtype=bool)
-                    first[0] = True
-                    first[1:] = dl[1:] != dl[:-1]
-                    trip = (dl[first], sv[first],
-                            kq[first].view(np.int64))
-                else:
-                    trip = (np.zeros(0, np.int64),
-                            np.zeros(0, np.int64),
-                            np.zeros(0, np.int64))
-                out.append(trip)
-            return self._ship(out)
+            UNCOLORED source neighbors."""
+            return self._best_nbr_messages(self._prio, True)
 
         def color_decide(self, trips) -> int:
             """An uncolored vertex WINS the round iff its own
             (priority, id) exceeds every uncolored neighbor's — winners
             form an independent set, so same-round color picks cannot
             conflict. Returns the shard's winner count."""
-            trips = self._fetch(trips)
-            best_k = np.zeros(self.verts.size, dtype=np.uint64)
-            best_v = np.full(self.verts.size, -1, dtype=np.int64)
-            has = np.zeros(self.verts.size, dtype=bool)
-            for idx, (dl, sv, kq) in zip(self.incoming_idx, trips):
-                if not len(dl):
-                    continue
-                pos = idx[np.asarray(dl)]
-                sv = np.asarray(sv)
-                kq = np.asarray(kq).view(np.uint64)
-                better = (~has[pos]) | (kq > best_k[pos]) \
-                    | ((kq == best_k[pos]) & (sv > best_v[pos]))
-                upd = pos[better]
-                best_k[upd] = kq[better]
-                best_v[upd] = sv[better]
-                has[upd] = True
-            un = self.state == -1
-            win = un & (~has | (self._prio > best_k)
-                        | ((self._prio == best_k)
-                           & (self.verts > best_v)))
+            has, best_k, best_v = self._best_nbr(trips, True)
+            win = (self.state == -1) & (
+                ~has | (self._prio > best_k)
+                | ((self._prio == best_k) & (self.verts > best_v)))
             self._winner = win
             return int(win.sum())
 
@@ -1009,28 +813,14 @@ def _shard_actor_cls(num_cpus: float = 0):
             neighbors (int64 bitmask; JP needs <= maxdeg+1 < 63
             colors — guarded in color_assign)."""
             col = self.state[self.e_src_local]
-            m = col >= 0
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                mm = m[sl]
-                dl = self.dlocals[q][mm]
-                bits = (np.int64(1) << col[sl][mm]).astype(np.int64)
-                acc = np.zeros(self.dvocabs[q].size, dtype=np.int64)
-                if dl.size:
-                    np.bitwise_or.at(acc, dl, bits)
-                out.append(acc)
-            return self._ship(out)
+            bits = np.where(col >= 0, np.left_shift(1, np.maximum(col, 0)), 0)
+            return self._combine(bits, np.bitwise_or, 0)
 
         def color_assign(self, masks) -> int:
             """Winners take the lowest color bit absent from their
             colored-neighbor mask."""
-            masks = self._fetch(masks)
-            acc = np.zeros(self.verts.size, dtype=np.int64)
-            for idx, arr in zip(self.incoming_idx, masks):
-                arr = np.asarray(arr)
-                if arr.size:
-                    np.bitwise_or.at(acc, idx, arr)
+            acc = self._gather(masks, np.bitwise_or,
+                               np.zeros(self.verts.size, dtype=np.int64))
             w = np.flatnonzero(self._winner)
             if not w.size:
                 # no winners here this round — but the shard may still
@@ -1045,7 +835,7 @@ def _shard_actor_cls(num_cpus: float = 0):
             self.state[w] = c
             return int((self.state == -1).sum())
 
-        # -- eigenvector centrality (shifted power iteration) ----------
+        # -- eigenvector centrality and HITS (power iteration) ---------
         def eig_init(self):
             self.state = np.ones(self.verts.size)
             self._eig_prev = self.state.copy()
@@ -1056,14 +846,8 @@ def _shard_actor_cls(num_cpus: float = 0):
             iteration converge on bipartite components too). Returns
             the local sum of squares so the driver can assemble the
             global L2 norm."""
-            masses = self._fetch(masses)
-            new = self.state.copy()          # the +I shift term
-            for idx, arr in zip(self.incoming_idx, masses):
-                arr = np.asarray(arr)
-                if arr.size:
-                    np.add.at(new, idx, arr)
             self._eig_prev = self.state
-            self.state = new
+            self.state = self._gather(masses, np.add, self.state.copy())
             return float((self.state * self.state).sum())
 
         def eig_scale_emit(self, factor: float):
@@ -1073,15 +857,8 @@ def _shard_actor_cls(num_cpus: float = 0):
             masses)."""
             self.state = self.state * factor
             d = float(np.abs(self.state - self._eig_prev).sum())
-            m = self.state[self.e_src_local] * self.e_weight_sorted
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                out.append(np.bincount(self.dlocals[q], weights=m[sl],
-                                       minlength=self.dvocabs[q].size))
-            return d, self._ship(out)
+            return d, self.emit_state_messages()
 
-        # -- HITS primitives (shared with eigenvector centrality) ------
         def emit_state_messages(self):
             """Emit raw-weight SpMV messages from the CURRENT state —
             no normalization, no delta (the mutual-recursion loops own
@@ -1091,26 +868,16 @@ def _shard_actor_cls(num_cpus: float = 0):
             mutual-recursion round even though intermediate applies
             overwrite ``state``."""
             self._stash = self.state
-            m = self.state[self.e_src_local] * self.e_weight_sorted
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                out.append(np.bincount(self.dlocals[q], weights=m[sl],
-                                       minlength=self.dvocabs[q].size))
-            return self._ship(out)
+            return self._combine(self.state[self.e_src_local]
+                                 * self.e_weight_sorted, np.add, 0.0)
 
         def hits_apply(self, masses) -> float:
             """state = incoming masses only (NO +I shift — A^T A is
             PSD so the alternating iteration cannot oscillate).
             Returns the local sum of squares."""
-            masses = self._fetch(masses)
-            new = np.zeros(self.verts.size)
-            for idx, arr in zip(self.incoming_idx, masses):
-                arr = np.asarray(arr)
-                if arr.size:
-                    np.add.at(new, idx, arr)
-            self.state = new
-            return float((new * new).sum())
+            self.state = self._gather(masses, np.add,
+                                      np.zeros(self.verts.size))
+            return float((self.state * self.state).sum())
 
         def scale_and_state_ref(self, factor: float):
             """Normalize by the global factor and hand the state out as
@@ -1151,59 +918,26 @@ def _shard_actor_cls(num_cpus: float = 0):
             pre-combined histogram a receiver needs to compute the
             H-index of its neighbors' current values."""
             val = self.state[self.e_src_local]
-            out = []
-            for q in range(self.P):
-                sl = slice(self.q_lo[q], self.q_hi[q])
-                dl = self.dlocals[q]
-                vq = val[sl]
-                if dl.size:
-                    order = np.lexsort((vq, dl))
-                    dl_s, vq_s = dl[order], vq[order]
-                    bound = np.empty(dl_s.size, dtype=bool)
-                    bound[0] = True
-                    bound[1:] = (dl_s[1:] != dl_s[:-1]) | (vq_s[1:] != vq_s[:-1])
-                    starts = np.nonzero(bound)[0]
-                    cnt = np.diff(np.concatenate([starts, [dl_s.size]]))
-                    trip = (dl_s[starts], vq_s[starts], cnt.astype(np.int64))
-                else:
-                    trip = (np.zeros(0, np.int64), np.zeros(0, np.int64),
-                            np.zeros(0, np.int64))
-                out.append(trip)
-            return self._ship(out)
+            ones = np.ones(val.size, dtype=np.int64)
+            return self._ship([_sum_runs(self.dlocals[q], val[sl], ones[sl])
+                               for q, sl in enumerate(self.q_slices)])
 
         def kcore_apply(self, trips) -> int:
             """new(v) = min(state(v), H-index of neighbor values):
             converges exactly to the core number (Lu et al., the
             H-index fixpoint of networks)."""
-            trips = self._fetch(trips)
-            pos_all, val_all, cnt_all = [], [], []
-            for idx, (dl, vv, cc) in zip(self.incoming_idx, trips):
-                if len(dl):
-                    pos_all.append(idx[np.asarray(dl)])
-                    val_all.append(np.asarray(vv))
-                    cnt_all.append(np.asarray(cc))
-            if not pos_all:
-                return 0
-            pos = np.concatenate(pos_all)
-            val = np.concatenate(val_all)
-            cnt = np.concatenate(cnt_all)
+            pos, val, cnt = self._inbox_rows(trips)
             # per vertex: sort values desc, running neighbor count,
             # H = max over rows of min(value, cum_count)
-            order = np.lexsort((-val, pos))
-            pos, val, cnt = pos[order], val[order], cnt[order]
+            (pos, val, cnt), st = _runs((pos, val, cnt), (-val, pos), 1)
             cum = np.cumsum(cnt)
-            new_seg = np.concatenate([[True], pos[1:] != pos[:-1]])
-            starts = np.flatnonzero(new_seg)
-            seg_of = np.cumsum(new_seg) - 1
-            base = (cum[starts] - cnt[starts])[seg_of]
-            cand = np.minimum(val, cum - base)
-            h = np.maximum.reduceat(cand, starts)
+            before = np.repeat(cum[st] - cnt[st],
+                               np.diff(np.append(st, pos.size)))
+            h = np.maximum.reduceat(np.minimum(val, cum - before), st)
             new = self.state.copy()
-            tgt = pos[starts]
+            tgt = pos[st]
             new[tgt] = np.minimum(new[tgt], h)
-            changed = int((new != self.state).sum())
-            self.state = new
-            return changed
+            return self._settle(new)
 
         # -- state I/O -------------------------------------------------
         def collect(self):
@@ -1240,9 +974,11 @@ def _shard_actor_cls(num_cpus: float = 0):
 class GraphEngine:
     """Actor pool over the shard layout of ``build_shards``."""
 
+    # shard directory this engine created itself; shutdown() deletes it
+    _owned_dir: str | None = None
+
     def __init__(self, shard_dir: str, num_partitions: int | None = None,
-                 cpus_per_shard: float = 0, _prestarted=None,
-                 msg_ref_bytes: int | None = None):
+                 _prestarted=None, msg_ref_bytes: int | None = None):
         import ray
 
         with open(f"{shard_dir}/manifest.json") as f:
@@ -1253,7 +989,7 @@ class GraphEngine:
             self.shards = _prestarted
             ray.get([s.load.remote(shard_dir) for s in self.shards])
         else:
-            cls = _shard_actor_cls(cpus_per_shard)
+            cls = _shard_actor_cls()
             self.shards = [cls.remote(p, self.P, shard_dir,
                                       msg_ref_bytes=msg_ref_bytes)
                            for p in range(self.P)]
@@ -1275,7 +1011,7 @@ class GraphEngine:
         import ray
 
         P = num_partitions
-        actor_cls = _shard_actor_cls(0)
+        actor_cls = _shard_actor_cls()
         shards = [actor_cls.remote(p, P, msg_ref_bytes=msg_ref_bytes)
                   for p in range(P)]
 
@@ -1331,40 +1067,90 @@ class GraphEngine:
         return eng
 
     def _exchange_vocabs(self):
-        import ray
-
-        vocabs = ray.get([s.publish_vocabs.remote() for s in self.shards])
-        ray.get([
-            self.shards[q].register_incoming.remote(
-                [vocabs[p][q] for p in range(self.P)])
-            for q in range(self.P)
-        ])
-        self.n_total = sum(ray.get([s.n_local.remote() for s in self.shards]))
+        vocabs = self._all("publish_vocabs")
+        self._exchange(vocabs, "register_incoming")
+        self.n_total = sum(self._all("n_local"))
 
     @classmethod
     def from_edges(cls, edges, num_partitions: int = 8,
                    work_dir: str | None = None, symmetrize: bool = False,
-                   cpus_per_shard: float = 0,
                    msg_ref_bytes: int | None = None):
         """Build shards and the actor pool; actor processes are spawned
         BEFORE the Ray Data shard build so interpreter startup overlaps
-        the shuffle. Prestarted actors are ALWAYS num_cpus=0 regardless
-        of ``cpus_per_shard`` — they hold no work until after the build,
-        and reserving P x cpus_per_shard logical CPUs during the Ray
-        Data shuffle would starve the build tasks and deadlock the
-        streaming executor (the actors-leave-CPUs invariant).
-        ``cpus_per_shard`` is kept for signature compatibility; pass it
-        to ``GraphEngine(shard_dir, cpus_per_shard=...)`` when actors
-        are created AFTER a build instead."""
-        import ray  # noqa: F401
-
-        work_dir = work_dir or f"/tmp/tldr_ray/graph-{uuid.uuid4().hex[:8]}"
-        actor_cls = _shard_actor_cls(0)
+        the shuffle. Without ``work_dir`` the shards go to a fresh
+        temporary directory that ``shutdown`` deletes; a caller's
+        ``work_dir`` is kept (a later resume re-reads it)."""
+        owned = work_dir is None
+        if owned:
+            work_dir = f"/tmp/tldr_ray/graph-{uuid.uuid4().hex[:8]}"
+        actor_cls = _shard_actor_cls()
         prestarted = [actor_cls.remote(p, num_partitions,
                                        msg_ref_bytes=msg_ref_bytes)
                       for p in range(num_partitions)]
         build_shards(edges, num_partitions, work_dir, symmetrize=symmetrize)
-        return cls(work_dir, num_partitions, _prestarted=prestarted)
+        eng = cls(work_dir, num_partitions, _prestarted=prestarted)
+        if owned:
+            eng._owned_dir = work_dir
+        return eng
+
+    # -- the superstep -------------------------------------------------
+    def _all(self, method: str, *args) -> list:
+        """Call ``method`` on every shard and wait for the results."""
+        import ray
+
+        return ray.get([getattr(s, method).remote(*args)
+                        for s in self.shards])
+
+    def _exchange(self, outs, method: str, *args) -> list:
+        """The all-to-all step: send ``outs[p][q]`` to shard q, i.e.
+        call shard q's ``method`` with the list of what every shard p
+        addressed to it, in sender order. Returns the per-shard
+        results."""
+        import ray
+
+        return ray.get([
+            getattr(self.shards[q], method).remote(
+                [outs[p][q] for p in range(self.P)], *args)
+            for q in range(self.P)])
+
+    def _until_stable(self, init, emit, apply: str, max_rounds: int):
+        """The BSP loop of every fixpoint algorithm. ``init()`` runs
+        once; then each round r exchanges the outboxes ``emit(r)``
+        returns into the shards' ``apply`` method, whose results (how
+        many vertices changed, or are still undecided) sum to the stop
+        signal: the loop ends when it is 0 or after ``max_rounds``
+        rounds. Returns (what ``init()`` returned, rounds, whether it
+        ended at 0, per-round wall seconds)."""
+        first = init()
+        it, left, secs = 0, 1, []
+        while left and it < max_rounds:
+            t0 = _time.time()
+            left = sum(self._exchange(emit(it), apply))
+            it += 1
+            secs.append(round(_time.time() - t0, 4))
+        return first, it, left == 0, secs
+
+    def _seeded(self, error: str, method: str, *args) -> int:
+        """Run the seeding ``method`` on every shard and return how many
+        seeds the graph holds; raise ``error`` if a non-empty graph
+        holds none (an empty graph has an empty answer)."""
+        found = sum(self._all(method, *args))
+        if found == 0 and self.n_total:
+            raise ValueError(error)
+        return found
+
+    def _relax(self, name: str, seeds, at_seed, elsewhere, emit: str,
+               apply: str, max_rounds: int, dtype, collect: bool):
+        """Seeded monotone fixpoint shared by bfs, sssp, temporal
+        reachability and widest path."""
+        n_seed, it, done, secs = self._until_stable(
+            lambda: self._seeded(
+                f"{name}: no seed vertex present in the graph",
+                "seed_init", [int(x) for x in seeds], at_seed, elsewhere),
+            lambda r: self._all(emit), apply, max_rounds)
+        ids, vals = self._collect(dtype) if collect else (None, None)
+        return ids, vals, {"rounds": it, "converged": done,
+                           "seeds_found": n_seed, "iter_secs": secs}
 
     # -- algorithms ----------------------------------------------------
     def pagerank(self, damping: float = 0.85, tolerance: float = 1e-4,
@@ -1411,18 +1197,19 @@ class GraphEngine:
                 digest_size=8).hexdigest()
         self._pers_digest = pers_digest
 
-        def _apply_personalization():
-            seed_ref = ray.put(pers_sorted)
-            ray.get([s.pr_set_total.remote(self.n_total)
-                     for s in self.shards])
-            covered = sum(ray.get(
-                [s.pr_set_personalization.remote(seed_ref)
-                 for s in self.shards]))
+        def _set_restart():
+            """Install the restart vector (uniform when not
+            personalized) on every shard."""
+            if pers_sorted is None:
+                self._all("pr_set_personalization", None)
+                return
+            self._all("pr_set_total", self.n_total)
+            covered = sum(self._all("pr_set_personalization",
+                                    ray.put(pers_sorted)))
             if covered <= 0:
                 raise ValueError("no personalization seed is present in "
                                  "the graph")
-            ray.get([s.pr_rescale_personalization.remote(1.0 / covered)
-                     for s in self.shards])
+            self._all("pr_rescale_personalization", 1.0 / covered)
 
         start_iter = 0
         ck = read_manifest(checkpoint_dir) if (resume and checkpoint_dir) \
@@ -1444,40 +1231,26 @@ class GraphEngine:
                     f"{pers_digest} — resume a personalized run with the "
                     "same personalization it was started with")
             start_iter = ck["iteration"]
-            if pers_sorted is not None:
-                _apply_personalization()   # rebuild each shard's pvec
-            else:
-                ray.get([s.pr_set_personalization.remote(None)
-                         for s in self.shards])   # clear prior restart vec
+            _set_restart()      # rebuild (or clear) each shard's pvec
             # the checkpointed rank state overwrites the init above
-            ray.get([s.load_state.remote(f"{checkpoint_dir}/iter={start_iter}",
-                                         "f8") for s in self.shards])
-            ray.get([s.pr_set_total.remote(self.n_total) for s in self.shards])
+            self._all("load_state", f"{checkpoint_dir}/iter={start_iter}",
+                      "f8")
+            self._all("pr_set_total", self.n_total)
         elif warm_start is not None:
-            if pers_sorted is not None:
-                _apply_personalization()
-            else:
-                ray.get([s.pr_set_personalization.remote(None)
-                         for s in self.shards])
-            ray.get([s.pr_set_total.remote(self.n_total)
-                     for s in self.shards])
+            _set_restart()
+            self._all("pr_set_total", self.n_total)
             ids_w = np.asarray(warm_start[0], dtype=np.int64)
             sc_w = np.asarray(warm_start[1], dtype=np.float64)
             order = np.argsort(ids_w)
             wref = ray.put((ids_w[order], sc_w[order]))
             fill = 1.0 / self.n_total if self.n_total else 0.0
-            sums = ray.get([s.pr_warm_start.remote(wref, fill)
-                            for s in self.shards])
-            total = sum(sums)
+            total = sum(self._all("pr_warm_start", wref, fill))
             if total > 0:
-                ray.get([s.pr_scale_state.remote(1.0 / total)
-                         for s in self.shards])
-        elif pers_sorted is not None:
-            _apply_personalization()
+                self._all("pr_scale_state", 1.0 / total)
         else:
-            ray.get([s.pr_set_personalization.remote(None)
-                     for s in self.shards])
-            ray.get([s.pr_init.remote(self.n_total) for s in self.shards])
+            _set_restart()
+            if pers_sorted is None:
+                self._all("pr_init", self.n_total)
 
         if self.n_total == 0:
             return (np.empty(0, np.int64), np.empty(0, np.float64),
@@ -1487,17 +1260,12 @@ class GraphEngine:
         it = start_iter
         iter_secs: list[float] = []
         # bootstrap round: every shard emits its first message set
-        outs = ray.get([s.pr_messages.remote() for s in self.shards])
+        outs = self._all("pr_messages")
         dangling_total = sum(o[0] for o in outs)
         masses = [o[1] for o in outs]
         while delta > tolerance and it < max_iterations:
             _t = _time.time()
-            step = ray.get([
-                self.shards[q].pr_step.remote(
-                    [masses[p][q] for p in range(self.P)],
-                    dangling_total, damping)
-                for q in range(self.P)
-            ])
+            step = self._exchange(masses, "pr_step", dangling_total, damping)
             delta = float(sum(s_[0] for s_ in step))
             dangling_total = sum(s_[1] for s_ in step)
             masses = [s_[2] for s_ in step]
@@ -1533,25 +1301,21 @@ class GraphEngine:
         vertex no longer reachable) — rerun cold after removals."""
         import ray
 
-        if warm_start is not None:
+        def init():
+            if warm_start is None:
+                return self._all("label_init")
             ids_w = np.asarray(warm_start[0], dtype=np.int64)
             lb_w = np.asarray(warm_start[1], dtype=np.int64)
             order = np.argsort(ids_w)
-            wref = ray.put((ids_w[order], lb_w[order]))
-            ray.get([s.label_warm.remote(wref) for s in self.shards])
-        else:
-            ray.get([s.label_init.remote() for s in self.shards])
-        it, changed = 0, 1
-        while changed and it < max_iterations:
-            outs = ray.get([s.cc_messages.remote() for s in self.shards])
-            counts = ray.get([
-                self.shards[q].cc_apply.remote([outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            changed = sum(counts)
-            it += 1
+            return self._all("label_warm", ray.put((ids_w[order],
+                                                    lb_w[order])))
+
+        _, it, done, secs = self._until_stable(
+            init, lambda r: self._all("cc_messages"), "min_apply",
+            max_iterations)
         ids, labels = self._collect(np.int64) if collect else (None, None)
-        return ids, labels, {"iterations": it, "converged": changed == 0}
+        return ids, labels, {"iterations": it, "converged": done,
+                             "iter_secs": secs}
 
     def bfs(self, seeds, max_rounds: int = 10_000, collect: bool = True):
         """Unweighted hop distance from ``seeds`` (min-plus frontier
@@ -1559,26 +1323,8 @@ class GraphEngine:
         INT64_MAX — callers map those to their own sentinel). Supply
         symmetrized edges for undirected distance. Returns
         (vertex_ids, distances, info)."""
-        import ray
-
-        n_seed = sum(ray.get([
-            s.bfs_init.remote([int(x) for x in seeds])
-            for s in self.shards]))
-        if n_seed == 0:
-            raise ValueError("bfs: no seed vertex present in the graph")
-        it, changed = 0, 1
-        while changed and it < max_rounds:
-            outs = ray.get([s.bfs_messages.remote() for s in self.shards])
-            counts = ray.get([
-                self.shards[q].cc_apply.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            changed = sum(counts)
-            it += 1
-        ids, dist = self._collect(np.int64) if collect else (None, None)
-        return ids, dist, {"rounds": it, "converged": changed == 0,
-                           "seeds_found": n_seed}
+        return self._relax("bfs", seeds, 0, _INT64_MAX, "bfs_messages",
+                           "min_apply", max_rounds, np.int64, collect)
 
     def betweenness_sampled(self, seeds, max_rounds: int = 10_000,
                             collect: bool = True):
@@ -1588,43 +1334,25 @@ class GraphEngine:
         per-vertex result is the summed dependency score delta_s(v)
         over the pivots (the classic unbiased estimator scales it by
         n/k — callers needing absolute betweenness apply that). Every
-        round is two pre-combined exchanges; per-pivot cost is
+        round is one pre-combined exchange; per-pivot cost is
         O(2 * eccentricity) rounds. Returns (ids, scores, info)."""
-        import ray
-
-        ray.get([s.bc_begin.remote() for s in self.shards])
+        self._all("bc_begin")
         total_rounds = 0
         for s0 in seeds:
-            n_seed = sum(ray.get([
-                s.bc_fwd_init.remote([int(s0)]) for s in self.shards]))
-            if n_seed == 0:
-                raise ValueError(
-                    f"betweenness: pivot {s0} not in the graph")
-            level, changed = 0, 1
-            while changed and level < max_rounds:
-                outs = ray.get([s.bc_fwd_messages.remote(level)
-                                for s in self.shards])
-                counts = ray.get([
-                    self.shards[q].bc_fwd_apply.remote(
-                        [outs[p][q] for p in range(self.P)], level)
-                    for q in range(self.P)])
-                changed = sum(counts)
-                level += 1
-                total_rounds += 1
-            maxlev = max(ray.get([s.bc_max_level.remote()
-                                  for s in self.shards]))
-            ray.get([s.bc_bwd_init.remote() for s in self.shards])
+            _, rounds, _, _ = self._until_stable(
+                lambda: self._seeded(
+                    f"betweenness: pivot {s0} not in the graph",
+                    "bc_fwd_init", [int(s0)]),
+                lambda lev: self._all("bc_fwd_messages", lev),
+                "bc_fwd_apply", max_rounds)
+            maxlev = max(self._all("bc_max_level"))
+            self._all("bc_bwd_init")
             for lev in range(maxlev, 0, -1):
-                outs = ray.get([s.bc_bwd_messages.remote(lev)
-                                for s in self.shards])
-                ray.get([
-                    self.shards[q].bc_bwd_apply.remote(
-                        [outs[p][q] for p in range(self.P)], lev)
-                    for q in range(self.P)])
-                total_rounds += 1
-            ray.get([s.bc_accumulate.remote([int(s0)])
-                     for s in self.shards])
-        ray.get([s.bc_finish.remote() for s in self.shards])
+                self._exchange(self._all("bc_bwd_messages", lev),
+                               "bc_bwd_apply")
+            total_rounds += rounds + maxlev
+            self._all("bc_accumulate", [int(s0)])
+        self._all("bc_finish")
         ids, bc = self._collect(np.float64) if collect else (None, None)
         return ids, bc, {"rounds": total_rounds,
                          "pivots": len(list(seeds))}
@@ -1635,26 +1363,8 @@ class GraphEngine:
         negative edges are the caller's risk and the rounds cap the
         backstop). Unreached vertices keep +inf. Returns
         (vertex_ids, distances float64, info)."""
-        import ray
-
-        n_seed = sum(ray.get([
-            s.sssp_init.remote([int(x) for x in seeds])
-            for s in self.shards]))
-        if n_seed == 0:
-            raise ValueError("sssp: no seed vertex present in the graph")
-        it, changed = 0, 1
-        while changed and it < max_rounds:
-            outs = ray.get([s.sssp_messages.remote() for s in self.shards])
-            counts = ray.get([
-                self.shards[q].cc_apply.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            changed = sum(counts)
-            it += 1
-        ids, dist = self._collect(np.float64) if collect else (None, None)
-        return ids, dist, {"rounds": it, "converged": changed == 0,
-                           "seeds_found": n_seed}
+        return self._relax("sssp", seeds, 0.0, np.inf, "sssp_messages",
+                           "min_apply", max_rounds, np.float64, collect)
 
     def temporal_reachability(self, seeds, max_rounds: int = 10_000,
                               start_time: float = 0.0,
@@ -1665,34 +1375,15 @@ class GraphEngine:
         traversal arrives at its own tau — so arrival times along any
         valid path are non-decreasing. Seeds start at ``start_time``;
         unreached vertices keep +inf. Synchronous min-relaxation
-        rounds (temporal_messages + the cc_apply min merge); a finite
-        ``max_rounds`` gives the exact <=max_rounds-hop bounded form,
-        mirrored by the unrolled SQL oracle."""
-        import ray
-
-        n_seed = sum(ray.get([
-            s.sssp_init.remote([int(x) for x in seeds])
-            for s in self.shards]))
-        if n_seed == 0:
-            raise ValueError(
-                "temporal_reachability: no seed vertex in the graph")
+        rounds; a finite ``max_rounds`` gives the exact
+        <=max_rounds-hop bounded form, mirrored by the unrolled SQL
+        oracle."""
         if start_time != 0.0:
             raise NotImplementedError(
                 "non-zero start_time: shift timestamps instead")
-        it, changed = 0, 1
-        while changed and it < max_rounds:
-            outs = ray.get([s.temporal_messages.remote()
-                            for s in self.shards])
-            counts = ray.get([
-                self.shards[q].cc_apply.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            changed = sum(counts)
-            it += 1
-        ids, arr = self._collect(np.float64) if collect else (None, None)
-        return ids, arr, {"rounds": it, "converged": changed == 0,
-                          "seeds_found": n_seed}
+        return self._relax("temporal_reachability", seeds, 0.0, np.inf,
+                           "temporal_messages", "min_apply", max_rounds,
+                           np.float64, collect)
 
     def widest_path(self, seeds, max_rounds: int = 10_000,
                     collect: bool = True):
@@ -1703,45 +1394,19 @@ class GraphEngine:
         cap the result is the exact <=max_rounds-hop bounded widest
         path — bit-deterministic, which is what the unrolled SQL
         oracle mirrors. Seeds carry +inf, unreached stay -inf."""
-        import ray
-
-        n_seed = sum(ray.get([
-            s.widest_init.remote([int(x) for x in seeds])
-            for s in self.shards]))
-        if n_seed == 0:
-            raise ValueError("widest_path: no seed vertex in the graph")
-        it, changed = 0, 1
-        while changed and it < max_rounds:
-            outs = ray.get([s.widest_messages.remote()
-                            for s in self.shards])
-            counts = ray.get([
-                self.shards[q].max_apply.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            changed = sum(counts)
-            it += 1
-        ids, width = self._collect(np.float64) if collect else (None, None)
-        return ids, width, {"rounds": it, "converged": changed == 0,
-                            "seeds_found": n_seed}
+        return self._relax("widest_path", seeds, np.inf, -np.inf,
+                           "widest_messages", "max_apply", max_rounds,
+                           np.float64, collect)
 
     def label_propagation(self, max_rounds: int = 20, collect: bool = True):
         """Synchronous weighted LPA, smallest-label tie-break.
         Returns (vertex_ids, labels, info)."""
-        import ray
-
-        ray.get([s.lpa_init.remote() for s in self.shards])
-        it, changed = 0, 1
-        while changed and it < max_rounds:
-            outs = ray.get([s.lpa_messages.remote() for s in self.shards])
-            counts = ray.get([
-                self.shards[q].lpa_apply.remote([outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            changed = sum(counts)
-            it += 1
+        _, it, stable, secs = self._until_stable(
+            lambda: self._all("label_init"),
+            lambda r: self._all("lpa_messages"), "lpa_apply", max_rounds)
         ids, labels = self._collect(np.int64) if collect else (None, None)
-        return ids, labels, {"rounds": it, "stable": changed == 0}
+        return ids, labels, {"rounds": it, "stable": stable,
+                             "iter_secs": secs}
 
     def label_spread(self, seeds, max_rounds: int = 10,
                      collect: bool = True):
@@ -1755,28 +1420,16 @@ class GraphEngine:
         int64)."""
         import ray
 
-        ids = np.asarray(seeds[0], dtype=np.int64)
-        labs = np.asarray(seeds[1], dtype=np.int64)
-        sref = ray.put((ids, labs))
-        n_seed = sum(ray.get([s.lpa_seed_init.remote(sref)
-                              for s in self.shards]))
-        if n_seed == 0:
-            raise ValueError("label_spread: no seed vertex in graph")
-        it, changed = 0, 1
-        while changed and it < max_rounds:
-            outs = ray.get([s.lpa_seed_messages.remote()
-                            for s in self.shards])
-            counts = ray.get([
-                self.shards[q].lpa_seed_apply.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            changed = sum(counts)
-            it += 1
+        sref = ray.put((np.asarray(seeds[0], dtype=np.int64),
+                        np.asarray(seeds[1], dtype=np.int64)))
+        n_seed, it, stable, secs = self._until_stable(
+            lambda: self._seeded("label_spread: no seed vertex in graph",
+                                 "lpa_seed_init", sref),
+            lambda r: self._all("lpa_messages"), "lpa_apply", max_rounds)
         ids_out, labels = self._collect(np.int64) if collect \
             else (None, None)
-        return ids_out, labels, {"rounds": it, "stable": changed == 0,
-                                 "seeds_found": n_seed}
+        return ids_out, labels, {"rounds": it, "stable": stable,
+                                 "seeds_found": n_seed, "iter_secs": secs}
 
     def kcore(self, max_rounds: int = 1000):
         """Core numbers via the distributed H-index fixpoint: start at
@@ -1784,21 +1437,13 @@ class GraphEngine:
         the H-index of its neighbors' values — converges exactly to the
         k-core decomposition. Supply SYMMETRIZED, DEDUPED, weight-1
         edges. Returns (vertex_ids, core_numbers, info)."""
-        import ray
-
-        ray.get([s.kcore_init.remote() for s in self.shards])
-        it, changed = 0, 1
-        while changed and it < max_rounds:
-            outs = ray.get([s.kcore_messages.remote() for s in self.shards])
-            counts = ray.get([
-                self.shards[q].kcore_apply.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            changed = sum(counts)
-            it += 1
+        _, it, stable, secs = self._until_stable(
+            lambda: self._all("kcore_init"),
+            lambda r: self._all("kcore_messages"), "kcore_apply",
+            max_rounds)
         ids, cores = self._collect(np.int64)
-        return ids, cores, {"rounds": it, "stable": changed == 0}
+        return ids, cores, {"rounds": it, "stable": stable,
+                            "iter_secs": secs}
 
     def maximal_matching(self, max_rounds: int = 200,
                          collect: bool = True):
@@ -1812,28 +1457,18 @@ class GraphEngine:
         gives O(log n) expected rounds, and the whole trajectory is
         deterministic and SQL-mirrorable round for round. Returns
         (vertex_ids, partner int64 with -1 = unmatched, info)."""
-        import ray
+        def emit(r):
+            self._exchange(self._all("match_unmatched_messages", r + 1),
+                           "match_set_proposals")
+            return self._all("match_propose_messages")
 
-        ray.get([s.match_init.remote() for s in self.shards])
-        it, new = 0, 1
-        while new and it < max_rounds:
-            outs = ray.get([s.match_unmatched_messages.remote(it + 1)
-                            for s in self.shards])
-            ray.get([
-                self.shards[q].match_set_proposals.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)])
-            props = ray.get([s.match_propose_messages.remote()
-                             for s in self.shards])
-            counts = ray.get([
-                self.shards[q].match_resolve.remote(
-                    [props[p][q] for p in range(self.P)])
-                for q in range(self.P)])
-            new = sum(counts)
-            it += 1
+        _, it, stable, secs = self._until_stable(
+            lambda: self._all("undecided_init"), emit, "match_resolve",
+            max_rounds)
         ids, partner = self._collect(np.int64) if collect \
             else (None, None)
-        return ids, partner, {"rounds": it, "stable": new == 0}
+        return ids, partner, {"rounds": it, "stable": stable,
+                              "iter_secs": secs}
 
     def maximal_independent_set(self, max_rounds: int = 200,
                                 collect: bool = True):
@@ -1844,28 +1479,17 @@ class GraphEngine:
         pre-combined exchanges per round, O(log n) expected rounds,
         fully deterministic -> SQL-mirrorable. Returns (vertex_ids,
         membership 1/0, info)."""
-        import ray
+        def emit(r):
+            self._exchange(self._all("match_unmatched_messages", r + 1),
+                           "mis_decide", r + 1)
+            return self._all("mis_notify_messages")
 
-        ray.get([s.mis_init.remote() for s in self.shards])
-        it, remaining = 0, 1
-        while remaining and it < max_rounds:
-            outs = ray.get([s.match_unmatched_messages.remote(it + 1)
-                            for s in self.shards])
-            ray.get([
-                self.shards[q].mis_decide.remote(
-                    [outs[p][q] for p in range(self.P)], it + 1)
-                for q in range(self.P)])
-            notes = ray.get([s.mis_notify_messages.remote()
-                             for s in self.shards])
-            counts = ray.get([
-                self.shards[q].mis_exclude.remote(
-                    [notes[p][q] for p in range(self.P)])
-                for q in range(self.P)])
-            remaining = sum(counts)
-            it += 1
+        _, it, done, secs = self._until_stable(
+            lambda: self._all("undecided_init"), emit, "mis_exclude",
+            max_rounds)
         ids, member = self._collect(np.int64) if collect \
             else (None, None)
-        return ids, member, {"rounds": it, "done": remaining == 0}
+        return ids, member, {"rounds": it, "done": done, "iter_secs": secs}
 
     def greedy_coloring(self, max_rounds: int = 500,
                         collect: bool = True):
@@ -1876,28 +1500,17 @@ class GraphEngine:
         conflict). Two pre-combined exchanges per round; O(log n)
         expected rounds; deterministic -> SQL-mirrorable. Returns
         (vertex_ids, colors int64 >= 0, info)."""
-        import ray
+        def emit(r):
+            self._exchange(self._all("color_nbr_max_messages"),
+                           "color_decide")
+            return self._all("color_mask_messages")
 
-        ray.get([s.color_init.remote() for s in self.shards])
-        it, remaining = 0, 1
-        while remaining and it < max_rounds:
-            outs = ray.get([s.color_nbr_max_messages.remote()
-                            for s in self.shards])
-            ray.get([
-                self.shards[q].color_decide.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)])
-            masks = ray.get([s.color_mask_messages.remote()
-                             for s in self.shards])
-            counts = ray.get([
-                self.shards[q].color_assign.remote(
-                    [masks[p][q] for p in range(self.P)])
-                for q in range(self.P)])
-            remaining = sum(counts)
-            it += 1
+        _, it, done, secs = self._until_stable(
+            lambda: self._all("color_init"), emit, "color_assign",
+            max_rounds)
         ids, colors = self._collect(np.int64) if collect \
             else (None, None)
-        return ids, colors, {"rounds": it, "done": remaining == 0}
+        return ids, colors, {"rounds": it, "done": done, "iter_secs": secs}
 
     def eigenvector_centrality(self, tolerance: float = 1e-10,
                                max_iterations: int = 500,
@@ -1908,46 +1521,36 @@ class GraphEngine:
         one raw-weight SpMV exchange (same pre-combined per-partition
         masses and plasma-ref gating as PageRank) + one fused
         normalize-and-emit RPC; the driver only relays the scalar L2
-        factor. Scores are L2-normalized, all non-negative."""
+        factor. Scores are L2-normalized, all non-negative. An empty
+        graph is converged at once."""
         import math
 
-        import ray
-
-        ray.get([s.eig_init.remote() for s in self.shards])
-        res = ray.get([s.eig_scale_emit.remote(
-            1.0 / math.sqrt(max(self.n_total, 1)))
-            for s in self.shards])
-        outs = [r[1] for r in res]
-        it, converged = 0, False
-        while it < max_iterations:
-            ss = ray.get([
-                self.shards[q].eig_apply.remote(
-                    [outs[p][q] for p in range(self.P)])
-                for q in range(self.P)
-            ])
-            norm = math.sqrt(sum(ss))
-            if norm == 0.0:                    # edgeless graph
+        n = max(self.n_total, 1)
+        self._all("eig_init")
+        outs = [r[1] for r in self._all("eig_scale_emit",
+                                        1.0 / math.sqrt(n))]
+        it, converged, secs = 0, self.n_total == 0, []
+        while not converged and it < max_iterations:
+            t0 = _time.time()
+            norm = math.sqrt(sum(self._exchange(outs, "eig_apply")))
+            if norm == 0.0:
                 break
-            res = ray.get([s.eig_scale_emit.remote(1.0 / norm)
-                           for s in self.shards])
-            delta = sum(r[0] for r in res)
+            res = self._all("eig_scale_emit", 1.0 / norm)
             outs = [r[1] for r in res]
             it += 1
-            if delta < tolerance * max(self.n_total, 1):
-                converged = True
-                break
+            secs.append(round(_time.time() - t0, 4))
+            converged = sum(r[0] for r in res) < tolerance * n
         ids, scores = self._collect(np.float64) if collect \
             else (None, None)
-        return ids, scores, {"rounds": it, "converged": converged}
+        return ids, scores, {"rounds": it, "converged": converged,
+                             "iter_secs": secs}
 
     # -- plumbing ------------------------------------------------------
     def _checkpoint(self, checkpoint_dir: str, iteration: int, dtype: str):
-        import ray
-
         from tldr_ray.state import write_manifest
 
         d = f"{checkpoint_dir}/iter={iteration}"
-        counts = ray.get([s.write_state.remote(d, dtype) for s in self.shards])
+        counts = self._all("write_state", d, dtype)
         write_manifest(checkpoint_dir, {
             "iteration": iteration,
             "n_total": self.n_total,
@@ -1961,9 +1564,7 @@ class GraphEngine:
         })
 
     def _collect(self, dtype):
-        import ray
-
-        parts = ray.get([s.collect.remote() for s in self.shards])
+        parts = self._all("collect")
         ids = np.concatenate([p[0] for p in parts]) if parts else np.empty(0, np.int64)
         vals = np.concatenate([p[1] for p in parts]) if parts else np.empty(0, dtype)
         order = np.argsort(ids)
@@ -1980,34 +1581,43 @@ class GraphEngine:
         return rd.from_arrow_refs(refs)
 
     def shutdown(self):
+        """Kill the shard actors, and delete the shard directory if
+        ``from_edges`` created it."""
         import ray
 
         for s in self.shards:
             ray.kill(s)
         self.shards = []
+        if self._owned_dir is not None:
+            shutil.rmtree(self._owned_dir, ignore_errors=True)
+            self._owned_dir = None
 
 
 # -- convenience one-shots ---------------------------------------------
 
+def _run_once(edges, num_partitions, work_dir, symmetrize, method, *args,
+              **kwargs):
+    """Build an engine over ``edges``, run one algorithm, shut down."""
+    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
+                                 symmetrize=symmetrize)
+    try:
+        return getattr(eng, method)(*args, **kwargs)
+    finally:
+        eng.shutdown()
+
+
 def pagerank(edges, num_partitions: int = 8, damping: float = 0.85,
              tolerance: float = 1e-4, max_iterations: int = 200,
              work_dir: str | None = None, **ckpt):
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir)
-    try:
-        return eng.pagerank(damping, tolerance, max_iterations, **ckpt)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, False, "pagerank",
+                     damping, tolerance, max_iterations, **ckpt)
 
 
 def connected_components(edges, num_partitions: int = 8,
                          max_iterations: int = 200,
                          work_dir: str | None = None):
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.connected_components(max_iterations)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True,
+                     "connected_components", max_iterations)
 
 
 def sssp_distances(edges, seeds, num_partitions: int = 8,
@@ -2016,12 +1626,8 @@ def sssp_distances(edges, seeds, num_partitions: int = 8,
     """Weighted shortest-path distance from ``seeds`` over the DIRECTED
     edge set (pass symmetrize=True for undirected). Returns
     (vertex_ids, distances, info); unreached vertices carry +inf."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=symmetrize)
-    try:
-        return eng.sssp(seeds, max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, symmetrize, "sssp",
+                     seeds, max_rounds)
 
 
 def temporal_reach_times(edges, seeds, num_partitions: int = 8,
@@ -2030,11 +1636,8 @@ def temporal_reach_times(edges, seeds, num_partitions: int = 8,
     """Earliest time-respecting arrival from ``seeds`` over DIRECTED
     edges whose weight column carries the departure timestamp.
     Returns (vertex_ids, arrival float64, info); unreached +inf."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir)
-    try:
-        return eng.temporal_reachability(seeds, max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, False,
+                     "temporal_reachability", seeds, max_rounds)
 
 
 def widest_path_widths(edges, seeds, num_partitions: int = 8,
@@ -2045,12 +1648,8 @@ def widest_path_widths(edges, seeds, num_partitions: int = 8,
     finite ``max_rounds`` yields the exact <=max_rounds-hop bounded
     widest path. Returns (vertex_ids, widths float64, info); seeds
     carry +inf, unreached -inf."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=symmetrize)
-    try:
-        return eng.widest_path(seeds, max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, symmetrize,
+                     "widest_path", seeds, max_rounds)
 
 
 def bfs_hops(edges, seeds, num_partitions: int = 8,
@@ -2058,12 +1657,8 @@ def bfs_hops(edges, seeds, num_partitions: int = 8,
     """Undirected hop distance from ``seeds`` (edges are symmetrized
     like connected_components). Returns (vertex_ids, distances, info);
     unreached vertices carry INT64_MAX."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.bfs(seeds, max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True, "bfs", seeds,
+                     max_rounds)
 
 
 def betweenness_sampled(edges, seeds, num_partitions: int = 8,
@@ -2072,22 +1667,14 @@ def betweenness_sampled(edges, seeds, num_partitions: int = 8,
     """Sampled Brandes betweenness over the undirected simple graph
     underlying ``edges`` (symmetrized like connected_components).
     Returns (vertex_ids, dependency scores, info)."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.betweenness_sampled(seeds, max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True,
+                     "betweenness_sampled", seeds, max_rounds)
 
 
 def label_propagation(edges, num_partitions: int = 8, max_rounds: int = 20,
                       work_dir: str | None = None):
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.label_propagation(max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True,
+                     "label_propagation", max_rounds)
 
 
 def k_core(edges, num_partitions: int = 8, max_rounds: int = 1000,
@@ -2121,11 +1708,8 @@ def k_core(edges, num_partitions: int = 8, max_rounds: int = 1000,
         .groupby(["a", "b"]).count().select_columns(["a", "b"])
         .map_batches(both_dirs, batch_format="pyarrow")
     )
-    eng = GraphEngine.from_edges(simple, num_partitions, work_dir)
-    try:
-        return eng.kcore(max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(simple, num_partitions, work_dir, False, "kcore",
+                     max_rounds)
 
 
 def eigenvector_centrality(edges, num_partitions: int = 8,
@@ -2137,12 +1721,8 @@ def eigenvector_centrality(edges, num_partitions: int = 8,
     (vertex_ids, scores, info); scores are the L2-normalized principal
     eigenvector of (A + I) — same ranking as A's for connected
     non-negative graphs, convergent on bipartite ones."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.eigenvector_centrality(tolerance, max_iterations)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True,
+                     "eigenvector_centrality", tolerance, max_iterations)
 
 
 def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
@@ -2159,7 +1739,8 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
     shards own IDENTICAL sorted vertex arrays, so the per-iteration
     state handoff is P plasma refs moving actor-to-actor — the driver
     relays refs and scalars only. No +I shift needed: A^T A is PSD,
-    the alternation cannot oscillate.
+    the alternation cannot oscillate. An empty graph is converged at
+    once.
 
     Returns (vertex_ids, hubs, authorities, info); both vectors
     L2-normalized, non-negative."""
@@ -2171,62 +1752,48 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
         return pa.table({"src": batch["dst"], "dst": batch["src"],
                          "weight": batch["weight"]})
 
+    def half_step(eng):
+        """state = normalize(A^T state) on ``eng``'s pool; returns the
+        per-shard state refs, or None if the product is zero."""
+        norm = math.sqrt(sum(eng._exchange(eng._all("emit_state_messages"),
+                                           "hits_apply")))
+        return eng._all("scale_and_state_ref", 1.0 / norm) if norm else None
+
+    def hand_over(refs, eng):
+        """Same-index shards own the same vertices: install each state
+        ref on ``eng``'s twin shard; returns the summed L1 change."""
+        return sum(ray.get([s.set_state_with_delta.remote(ref)
+                            for s, ref in zip(eng.shards, refs)]))
+
     eng_f = GraphEngine.from_edges(edges, num_partitions, work_dir)
     eng_r = GraphEngine.from_edges(
         edges.map_batches(rev, batch_format="pyarrow"), num_partitions)
     try:
         n = max(eng_f.n_total, 1)
-        ray.get([s.eig_init.remote() for s in eng_f.shards])
-        ray.get([s.pr_scale_state.remote(1.0 / math.sqrt(n))
-                 for s in eng_f.shards])
-        it, converged = 0, False
-        while it < max_iterations:
-            outs = ray.get([s.emit_state_messages.remote()
-                            for s in eng_f.shards])
-            ss = ray.get([
-                eng_f.shards[q].hits_apply.remote(
-                    [outs[p][q] for p in range(eng_f.P)])
-                for q in range(eng_f.P)])
-            na = math.sqrt(sum(ss))
-            if na == 0.0:
+        eng_f._all("eig_init")
+        eng_f._all("pr_scale_state", 1.0 / math.sqrt(n))
+        it, converged, secs = 0, eng_f.n_total == 0, []
+        while not converged and it < max_iterations:
+            t0 = _time.time()
+            arefs = half_step(eng_f)
+            if arefs is None:
                 break
-            arefs = ray.get([s.scale_and_state_ref.remote(1.0 / na)
-                             for s in eng_f.shards])
-            ray.get([r.set_state_with_delta.remote(aref)
-                     for r, aref in zip(eng_r.shards, arefs)])
-            outs = ray.get([s.emit_state_messages.remote()
-                            for s in eng_r.shards])
-            ss = ray.get([
-                eng_r.shards[q].hits_apply.remote(
-                    [outs[p][q] for p in range(eng_r.P)])
-                for q in range(eng_r.P)])
-            nh = math.sqrt(sum(ss))
-            if nh == 0.0:
+            hand_over(arefs, eng_r)
+            hrefs = half_step(eng_r)
+            if hrefs is None:
                 break
-            hrefs = ray.get([s.scale_and_state_ref.remote(1.0 / nh)
-                             for s in eng_r.shards])
-            deltas = ray.get([f.set_state_with_delta.remote(href)
-                              for f, href in zip(eng_f.shards, hrefs)])
+            delta = hand_over(hrefs, eng_f)
             it += 1
-            if sum(deltas) < tolerance * n:
-                converged = True
-                break
+            secs.append(round(_time.time() - t0, 4))
+            converged = delta < tolerance * n
         # both pools hold h at loop exit (engR computed it, engF
         # received it) — collect hubs, then ONE extra half-step on
         # eng_f re-derives the authorities from the final hubs
         ids, hubs = eng_f._collect(np.float64)
-        outs = ray.get([s.emit_state_messages.remote()
-                        for s in eng_f.shards])
-        ss = ray.get([
-            eng_f.shards[q].hits_apply.remote(
-                [outs[p][q] for p in range(eng_f.P)])
-            for q in range(eng_f.P)])
-        na = math.sqrt(sum(ss))
-        if na > 0.0:
-            ray.get([s.pr_scale_state.remote(1.0 / na)
-                     for s in eng_f.shards])
+        half_step(eng_f)
         _, auth = eng_f._collect(np.float64)
-        return ids, hubs, auth, {"rounds": it, "converged": converged}
+        return ids, hubs, auth, {"rounds": it, "converged": converged,
+                                 "iter_secs": secs}
     finally:
         eng_f.shutdown()
         eng_r.shutdown()
@@ -2237,12 +1804,8 @@ def label_spread(edges, seeds, num_partitions: int = 8,
     """Seed-clamped label spreading over the symmetrized edge set —
     the semi-supervised node-classification op. Returns
     (vertex_ids, labels int64 with -1 = never reached, info)."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.label_spread(seeds, max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True, "label_spread",
+                     seeds, max_rounds)
 
 
 def maximal_matching(edges, num_partitions: int = 8,
@@ -2251,12 +1814,8 @@ def maximal_matching(edges, num_partitions: int = 8,
     """Deterministic distributed maximal matching over the symmetrized
     simple graph. Returns (vertex_ids, partner, info); partner = -1
     for unmatched vertices."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.maximal_matching(max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True,
+                     "maximal_matching", max_rounds)
 
 
 def maximal_independent_set(edges, num_partitions: int = 8,
@@ -2264,12 +1823,8 @@ def maximal_independent_set(edges, num_partitions: int = 8,
                             work_dir: str | None = None):
     """Luby MIS over the symmetrized simple graph. Returns
     (vertex_ids, membership 1/0, info)."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.maximal_independent_set(max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True,
+                     "maximal_independent_set", max_rounds)
 
 
 def greedy_coloring(edges, num_partitions: int = 8,
@@ -2278,9 +1833,5 @@ def greedy_coloring(edges, num_partitions: int = 8,
     """Jones-Plassmann coloring of the symmetrized simple graph.
     Returns (vertex_ids, colors, info); adjacent vertices always get
     distinct colors, color count <= maxdegree + 1."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=True)
-    try:
-        return eng.greedy_coloring(max_rounds)
-    finally:
-        eng.shutdown()
+    return _run_once(edges, num_partitions, work_dir, True,
+                     "greedy_coloring", max_rounds)
