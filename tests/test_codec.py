@@ -52,3 +52,12 @@ def test_dvb_empty_strings_and_runs():
     t = pa.table({"s": pa.array(["", "", "x", "x", "x", "", "y"],
                                 pa.string())})
     assert decode_dvb(encode_dvb(t)).equals(t)
+
+
+@pytest.mark.parametrize("col", [pa.array(["a", None, "b"], pa.string()),
+                                 pa.array([1, None, 3], pa.int64())])
+def test_dvb_refuses_nulls(col):
+    # the format has no validity bitmap: a null must not come back as
+    # the string 'None' or a made-up integer
+    with pytest.raises(ValueError, match="nulls"):
+        encode_dvb(pa.table({"c": col}))

@@ -511,3 +511,41 @@ def test_dp_budget_ledger_refusal_and_audit(tmp_path):
     assert list(aud["query"]) == ["a", "c"]
     with _p.raises(ValueError):
         led.spend("e", -1.0)
+
+
+def test_dp_budget_ledger_concurrent_spenders_never_overdraw(tmp_path):
+    """Eight spenders race for a budget of three spends; the budget check
+    is widened so that an unserialized check-then-append overdraws."""
+    import threading
+    import time as _time
+
+    from tldr_ray.state.dp_ledger import BudgetExceeded, DPBudgetLedger
+
+    class SlowLedger(DPBudgetLedger):
+        def spent(self):
+            used = super().spent()
+            _time.sleep(0.02)
+            return used
+
+    path = str(tmp_path / "l.jsonl")
+    start = threading.Barrier(8)
+    results = []
+
+    def spender(k):
+        led = SlowLedger(path, eps_budget=1.0)
+        start.wait(timeout=10)
+        try:
+            led.spend(f"q{k}", 0.3)
+            results.append("ok")
+        except BudgetExceeded:
+            results.append("refused")
+
+    threads = [threading.Thread(target=spender, args=(k,))
+               for k in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == ["ok"] * 3 + ["refused"] * 5
+    assert DPBudgetLedger(path, 1.0).spent() <= 1.0

@@ -9,6 +9,26 @@ Reproduces the *rejection decisions* of /root/reference/util.go:159-221:
 2. CSIS pass: for surviving i < j, reject i when msens[i] is a substring
    of msens[j] (break), reject j when msens[j] is a substring of msens[i].
 
+Both passes are filter-then-verify with exact filters (the pattern of
+the similarity-join papers in PAPERS.md):
+
+- Jaro filter: ``_pairwise_jaro_bound`` is an exact upper bound on
+  ``distance``, so a pair below the threshold can never reject.
+- Jaro verify: ``distance_pairs`` scores every surviving pair of a whole
+  batch of documents in one call, bit for bit equal to ``distance``. It
+  is vectorized for pairs whose byte-shorter lowered sentence is ASCII
+  and calls the scalar ``distance`` for the rest. The reject walk is
+  then replayed in (i, j) order over the pairs that reach the threshold,
+  so the reject set evolves exactly as in the double loop.
+- CSIS filter: ``a in b`` implies hist(a) <= hist(b) over the UTF-8
+  bytes, so the substring pass only visits pairs where that holds in
+  one direction, again in (i, j) order.
+
+``uniq_sentence_indices`` is the one-document case of
+``uniq_sentence_indices_many``; there is one dedup path. The plain
+double loops are kept as the frozen oracle in tests/test_dedup_batch.py,
+which checks both functions against them.
+
 DOCUMENTED DIVERGENCE (quirk Q4, SURVEY.md §2.5): the reference's
 write-back reassigns a local slice header (util.go:214-220), so the
 caller's list keeps its original length with a stale tail, desyncing
@@ -23,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from tldr_ray.kernel.distance import distance, distance_upper_bound
+from tldr_ray.kernel.distance import distance_pairs
 
 
 def _pairwise_jaro_bound(msens: list[str]) -> np.ndarray:
@@ -73,36 +93,74 @@ def _pairwise_jaro_bound(msens: list[str]) -> np.ndarray:
     return np.where(usable, bound, np.where(lmax > 0, ratio_bound, 1.0))
 
 
-def uniq_sentence_indices(token_lists: list[list[str]], threshold: float) -> list[int]:
-    """Return kept original indices after the two rejection passes."""
-    msens = [" ".join(toks) for toks in token_lists]
-    n = len(msens)
+def uniq_sentence_indices_many(docs: list[list[list[str]]],
+                               threshold: float) -> list[list[int]]:
+    """Kept original indices of every document (each a list of token
+    lists) after the two rejection passes."""
+    msens = [[" ".join(toks) for toks in doc] for doc in docs]
+    flat = [s for doc in msens for s in doc]
+    offs = np.cumsum([0] + [len(doc) for doc in msens])
+    I, J = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for off, doc in zip(offs.tolist(), msens):
+        if len(doc) > 1:
+            # filter: pairs whose bound is below the threshold never reject
+            i, j = np.nonzero(np.triu(
+                ~(_pairwise_jaro_bound(doc) < threshold), 1))
+            I.append(i + off)
+            J.append(j + off)
+    I, J = np.concatenate(I), np.concatenate(J)
+    # verify: score every candidate at once, then replay the Jaro pass in
+    # (i, j) order; only pairs at or above the threshold can reject j
+    close = distance_pairs(flat, I, J) >= threshold
     reject: set[int] = set()
+    for i, j in zip(I[close].tolist(), J[close].tolist()):
+        if i not in reject:
+            reject.add(j)
 
-    # exact upper bounds prune most of the O(n^2) Jaro pass
-    bound = _pairwise_jaro_bound(msens) if n > 1 else None
-
-    for i in range(n - 1):
-        if i in reject:
-            continue
-        sen = msens[i]
-        for j in range(i + 1, n):
-            if j in reject or bound[i, j] < threshold:
+    kept = []
+    for off, doc in zip(offs.tolist(), msens):
+        for i, j in _containment_pairs(doc):
+            i, j = i + off, j + off
+            if i in reject or j in reject:
                 continue
-            if distance(sen, msens[j]) >= threshold:
+            if flat[i] in flat[j]:      # i subset of j -> reject i
+                reject.add(i)
+            elif flat[j] in flat[i]:    # j subset of i -> reject j
                 reject.add(j)
+        kept.append([i for i in range(len(doc)) if i + off not in reject])
+    return kept
 
-    for i in range(n - 1):
-        if i in reject:
-            continue
-        psen = msens[i]
-        for j in range(i + 1, n):
-            if j not in reject:
-                nsen = msens[j]
-                if psen in nsen:      # i subset of j -> reject i
-                    reject.add(i)
-                    break
-                if nsen in psen:      # j subset of i -> reject j
-                    reject.add(j)
 
-    return [i for i in range(n) if i not in reject]
+def _containment_pairs(msens: list[str]) -> list[tuple[int, int]]:
+    """The pairs i < j, in (i, j) order, where one sentence may contain the
+    other: ``a in b`` implies hist(a) <= hist(b) over the UTF-8 bytes, so
+    the substring pass skips every other pair without a change."""
+    n = len(msens)
+    if n < 2:
+        return []
+    enc = [s.encode("utf-8") for s in msens]
+    lens = np.fromiter(map(len, enc), np.int64, n)
+    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
+    hist = np.bincount(rows * 256 + np.frombuffer(b"".join(enc), np.uint8),
+                       minlength=n * 256).reshape(n, 256)
+    hist = hist[:, hist.any(axis=0)].astype(np.int32)
+    # byte sets first: a matrix product counts the byte values two
+    # sentences share; the shorter one's set must lie inside the longer's
+    present = (hist > 0).astype(np.float32)
+    inside = present @ present.T == present.sum(axis=1)[:, None]
+    shorter_first = lens[:, None] <= lens[None, :]
+    i, j = np.nonzero(np.triu(np.where(shorter_first, inside, inside.T), 1))
+    a = np.where(lens[i] <= lens[j], i, j)
+    b = i + j - a
+    ok = np.zeros(i.size, bool)
+    for lo in range(0, i.size, 4096):   # blocks cap the pairs*K gather
+        blk = slice(lo, lo + 4096)
+        ok[blk] = (hist[a[blk]] <= hist[b[blk]]).all(axis=1)
+    return list(zip(i[ok].tolist(), j[ok].tolist()))
+
+
+def uniq_sentence_indices(token_lists: list[list[str]],
+                          threshold: float) -> list[int]:
+    """Kept original indices of one document after the two rejection
+    passes."""
+    return uniq_sentence_indices_many([token_lists], threshold)[0]

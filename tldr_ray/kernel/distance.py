@@ -9,6 +9,9 @@ single byte) — the transliteration preserves that behavior exactly, so
 it operates on UTF-8 byte offsets, not character offsets. For ASCII
 inputs the two coincide.
 
+``distance_pairs`` scores many pairs at once with the same result, bit
+for bit, as ``distance`` on each pair.
+
 ``symmetric_difference`` / ``intersection`` are the exported positional
 helpers of util.go:137-157 (unused by the pipeline, kept for API
 parity).
@@ -17,6 +20,12 @@ parity).
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+# (pair, position) rows plus s2 cells scored per vectorized step: bounds
+# the per-step temporaries to a few tens of MiB whatever the batch size
+_CHUNK = 1 << 16
 
 
 def _runes_with_byte_offsets(s: str):
@@ -98,6 +107,156 @@ def distance(str1: str, str2: str) -> float:
     x1 = m / n1
     x2 = m / n2
     return (x1 + x2 + ((m - t) / m)) / 3
+
+
+def distance_pairs(sents: list[str], I, J) -> np.ndarray:
+    """``distance(sents[I[k]], sents[J[k]])`` for every k, bit for bit.
+
+    Pairs whose byte-shorter lowered string (s1) is ASCII are scored in
+    vectorized chunks; the others call ``distance``. The vectorized form
+    restates the scan of ``distance`` over all (pair, s1 position) rows
+    at once. It rests on these facts about the scan:
+
+    - The hit of row i, the first occurrence p of s1[i] in
+      s2[klo_i : bound), does not depend on the flags, so one
+      ``searchsorted`` over (sentence, byte, position) keys finds every
+      hit.
+    - m counts the diagonal rows (s1[i] == s2[i]) plus each hit row
+      that is the first row to hit its p, whose p was not flagged by
+      the diagonal row p < i, and that has no earlier row with the same
+      byte that flooded. A row floods when its hit lies at or past
+      i + window: the scan does not stop there and flags every later
+      occurrence of the byte below bound. Within one (pair, byte), p
+      never decreases as i grows.
+    - The transposition walk pairs the j-th s1 byte with the j-th
+      flagged s2 position and stops for good at the first unflagged s1
+      position it lands on.
+    """
+    I = np.asarray(I, np.int64)
+    J = np.asarray(J, np.int64)
+    out = np.zeros(I.size)
+    if I.size == 0:
+        return out
+    lowered = [s.lower() for s in sents]
+    enc = [s.encode("utf-8") for s in lowered]
+    lens = np.fromiter(map(len, enc), np.int64, len(enc))
+    is_ascii = np.fromiter(map(str.isascii, lowered), bool, len(enc))
+    interned: dict[str, int] = {}
+    uid = np.fromiter((interned.setdefault(s, len(interned)) for s in sents),
+                      np.int64, len(sents))
+
+    same = uid[I] == uid[J]
+    out[same & (lens[I] > 0)] = 1.0
+    swap = lens[J] < lens[I]            # s1 is str1 unless str2 is shorter
+    a = np.where(swap, J, I)
+    b = np.where(swap, I, J)
+    scan = ~same & (lens[a] > 0)        # an empty s1 scores 0.0
+    for k in np.flatnonzero(scan & ~is_ascii[a]):
+        out[k] = distance(sents[I[k]], sents[J[k]])
+    vec = np.flatnonzero(scan & is_ascii[a])
+    if vec.size == 0:
+        return out
+
+    flat = np.frombuffer(b"".join(enc), np.uint8)
+    start = np.cumsum(lens) - lens
+    # every byte of the batch keyed by (sentence, byte, position),
+    # ascending: the searches of one pair stay inside one sentence's run
+    width = int(lens.max()) + 1
+    keys = flat.astype(np.int64)
+    keys *= width
+    keys += np.repeat(np.arange(lens.size) * (256 * width) - start, lens)
+    keys += np.arange(flat.size)
+    keys.sort()
+    a, b = a[vec], b[vec]
+    weight = lens[a] + lens[b]          # rows + s2 cells of each pair
+    chunk = (np.cumsum(weight) - weight) // _CHUNK
+    cuts = [0, *(np.flatnonzero(np.diff(chunk)) + 1).tolist(), vec.size]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        out[vec[lo:hi]] = _score_ascii(flat, start, lens, keys, width,
+                                       a[lo:hi], b[lo:hi])
+    return out
+
+
+def _lookup(uk: np.ndarray, vals: np.ndarray, q: np.ndarray, missing):
+    """``vals`` at the position of each ``q`` in sorted distinct ``uk``,
+    else ``missing``."""
+    if uk.size == 0:
+        return np.full(q.size, missing)
+    at = np.minimum(np.searchsorted(uk, q), uk.size - 1)
+    return np.where(uk[at] == q, vals[at], missing)
+
+
+def _score_ascii(flat, start, lens, keys, width, a, b) -> np.ndarray:
+    """``distance`` of the pairs (s1 = sentence a, s2 = sentence b) with
+    0 < len(s1) <= len(s2), s1 ASCII and the two strings unequal."""
+    P = a.size
+    n1, n2 = lens[a], lens[b]
+    R, C = int(n1.sum()), int(n2.sum())
+    roff = np.cumsum(n1) - n1
+    coff = np.cumsum(n2) - n2
+
+    # rows: one per (pair, s1 position i)
+    pr = np.repeat(np.arange(P), n1)
+    i = np.arange(R) - roff[pr]
+    v = flat[start[a][pr] + i]
+    sb = start[b][pr]
+    diag = v == flat[sb + i]
+    window = (n2 // 2 - 1)[pr]
+    bound_p = np.where(n2 - n1 < 2, n2, n1 + 2)
+    bound = bound_p[pr]
+    q = (b[pr] * 256 + v) * width
+    klo = np.where(i <= window, 0, i - window)
+    at = np.searchsorted(keys, q + klo)
+    p = keys[np.minimum(at, keys.size - 1)] - q
+    hit = ~diag & (at < keys.size) & (p < bound)
+    m1 = diag | hit
+
+    h = np.flatnonzero(hit)
+    ph, ih, prh = p[h], i[h], pr[h]
+    cell = coff[prh] + ph
+    first_hit = np.full(C, R)
+    np.minimum.at(first_hit, cell, h)
+    flood = ph >= ih + window[h]
+    byte_key = prh * 256 + v[h]
+    # the first flooding row of each (pair, byte), and its hit
+    uk, first = np.unique(byte_key[flood], return_index=True)
+    flood_row, flood_p = h[flood][first], ph[flood][first]
+    counted = ((first_hit[cell] == h)
+               & ~((ph < ih) & diag[roff[prh] + np.minimum(ph, ih)])
+               & (_lookup(uk, flood_row, byte_key, R) >= h))
+    m = (np.bincount(pr, diag, P)
+         + np.bincount(prh, counted, P))
+
+    # s2 cells: one per (pair, s2 position c); flagged as the scan leaves
+    # them
+    cp = np.repeat(np.arange(P), n2)
+    c = np.arange(C) - coff[cp]
+    w = flat[start[b][cp] + c]
+    n1c = n1[cp]
+    flagged = ((c < n1c) & diag[roff[cp] + np.minimum(c, n1c - 1)]) \
+        | (first_hit < R) \
+        | ((c < bound_p[cp])
+           & (c > _lookup(uk, flood_p, cp * 256 + w, C)))
+
+    # transpositions: the j-th flagged cell against s1[j], while the walk
+    # lasts
+    fc = np.flatnonzero(flagged)
+    fp = cp[fc]
+    n_flagged = np.bincount(fp, minlength=P)
+    foff = np.cumsum(n_flagged) - n_flagged
+    j = np.arange(fc.size) - foff[fp]
+    n1f = n1[fp]
+    nxt = c[fc] + 1
+    fails = ~((nxt < n1f - 1) & m1[roff[fp] + np.minimum(nxt, n1f - 1)])
+    before = np.cumsum(fails) - fails
+    walked = ((n1f > 1) & m1[roff[fp]]
+              & (before == before[foff[fp]]))
+    s1j = flat[start[a][fp] + np.minimum(j, n1f - 1)]
+    t = np.bincount(fp, walked & (s1j != w[fc]), P) / 2.0
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = (m / n1 + m / n2 + (m - t) / m) / 3
+    return np.where(m > 0, score, 0.0)
 
 
 def distance_upper_bound(len1: int, len2: int) -> float:

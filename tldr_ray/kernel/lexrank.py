@@ -22,7 +22,7 @@ oracle for the distributed graph layer. Stage-by-stage citations:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from tldr_ray.kernel.text import (
     default_word_tokenizer,
     build_dictionary,
 )
-from tldr_ray.kernel.dedup import uniq_sentence_indices
+from tldr_ray.kernel.dedup import uniq_sentence_indices_many
 from tldr_ray.kernel.go_sort import go_sort
 from tldr_ray.kernel.pagerank_ref import pagerank_ref
 
@@ -71,7 +71,8 @@ def pairwise_weights(mat: np.ndarray, weighing: str, custom=None) -> np.ndarray:
                 if i != j:
                     w[i, j] = custom(vecs[i], vecs[j])
         return w
-    m = mat.astype(np.int32)
+    # float64 (BLAS) products of 0/1 rows are integer counts <= v, exact
+    m = mat.astype(np.float64)
     dot = m @ m.T
     pop = m.sum(axis=1)
     hamming = pop[:, None] + pop[None, :] - 2 * dot
@@ -137,37 +138,47 @@ def centrality_rank(src, dst, weight, exact_tie_order: bool = True) -> np.ndarra
     return uniq[rank_order]
 
 
-def _prepare(
-    text: str,
-    cfg: SummarizeConfig,
-    presplit: Optional[list[str]] = None,
-):
-    """Shared front half: sentences, dedup, dictionary, vectors, edges.
+Doc = tuple[str, Optional[list[str]]]     # (text, presplit sentences)
 
-    Returns (sentences, kept_idx, src, dst, weight) where vertex ids are
-    positions in the KEPT list; ``kept_idx[v]`` maps back to the original
-    sentence index.
+
+def _prepare_many(docs: list[Doc], cfg: SummarizeConfig) -> Iterator:
+    """Shared front half of many documents: sentences, dedup, dictionary,
+    vectors, edges. The dedup of all documents runs as one batch before
+    the first document is yielded; the rest runs one document at a time,
+    so only one document's dense weights and edges are alive at once.
+
+    Yields, per document, None for an empty document, else (sentences,
+    kept_idx, src, dst, weight) where vertex ids are positions in the
+    KEPT list; ``kept_idx[v]`` maps back to the original sentence index.
     """
-    text = text.strip()
-    if not text and not presplit:
-        return None
-    sentences = list(presplit) if presplit else tokenize_sentences(text)
     tokenizer = cfg.word_tokenizer or default_word_tokenizer
-    bags = [tokenizer(s) for s in sentences]
-    kept_idx = uniq_sentence_indices(bags, cfg.sentences_distance_threshold)
+    parsed = []                 # (text, sentences, bags), None if empty
+    for text, presplit in docs:
+        text = text.strip()
+        if not text and not presplit:
+            parsed.append(None)
+            continue
+        sentences = list(presplit) if presplit else tokenize_sentences(text)
+        parsed.append((text, sentences, [tokenizer(s) for s in sentences]))
+    kept_all = iter(uniq_sentence_indices_many(
+        [p[2] for p in parsed if p], cfg.sentences_distance_threshold))
 
-    if cfg.dictionary is not None and len(cfg.dictionary) > 0:
-        dictionary = cfg.dictionary
-    else:
-        if not text:
-            text = " ".join(sentences).strip()
-        dictionary = build_dictionary(text)
-
-    kept_bags = [bags[i] for i in kept_idx]
-    mat = build_vectors(kept_bags, dictionary)
-    w = pairwise_weights(mat, cfg.weighing, cfg.custom_weighing)
-    src, dst, weight = edges_above_threshold(w, cfg.threshold)
-    return sentences, kept_idx, src, dst, weight
+    for p in parsed:
+        if p is None:
+            yield None
+            continue
+        text, sentences, bags = p
+        kept_idx = next(kept_all)
+        if cfg.dictionary is not None and len(cfg.dictionary) > 0:
+            dictionary = cfg.dictionary
+        else:
+            if not text:
+                text = " ".join(sentences).strip()
+            dictionary = build_dictionary(text)
+        mat = build_vectors([bags[i] for i in kept_idx], dictionary)
+        w = pairwise_weights(mat, cfg.weighing, cfg.custom_weighing)
+        src, dst, weight = edges_above_threshold(w, cfg.threshold)
+        yield sentences, kept_idx, src, dst, weight
 
 
 def _ranks(src, dst, weight, cfg: SummarizeConfig) -> np.ndarray:
@@ -201,19 +212,13 @@ def _concat(sentences: list[str], idx: list[int], max_characters: int) -> list[s
     return res
 
 
-def summarize(
-    text: str,
-    num: int,
-    cfg: Optional[SummarizeConfig] = None,
-    presplit: Optional[list[str]] = None,
-) -> list[str]:
-    """Full reference pipeline: text + k -> top-k sentences in original order.
+def _pick(prep, num: int, cfg: SummarizeConfig) -> list[tuple[int, str]]:
+    """Rank one prepared document and pick its top-k sentences as
+    ``(original_sentence_idx, text)`` pairs in original appearance order.
 
     Mirrors Summarize (/root/reference/tldr.go:110-158) including the
     empty-input and no-ranks guards (Q2) and the num clamp (Q3).
     """
-    cfg = cfg or SummarizeConfig()
-    prep = _prepare(text, cfg, presplit)
     if prep is None:
         return []
     sentences, kept_idx, src, dst, weight = prep
@@ -224,7 +229,18 @@ def summarize(
         num = 1
     top = sorted(ranks[:num].tolist())  # restore original appearance order
     original = [kept_idx[v] for v in top]
-    return _concat(sentences, original, cfg.max_characters)
+    texts = _concat(sentences, original, cfg.max_characters)
+    return list(zip(original[: len(texts)], texts))
+
+
+def summarize(
+    text: str,
+    num: int,
+    cfg: Optional[SummarizeConfig] = None,
+    presplit: Optional[list[str]] = None,
+) -> list[str]:
+    """Full reference pipeline: text + k -> top-k sentences in original order."""
+    return [t for _, t in summarize_with_indices(text, num, cfg, presplit)]
 
 
 def summarize_with_indices(
@@ -237,20 +253,18 @@ def summarize_with_indices(
     (in original appearance order) — the structured form the Ray pipelines
     emit. MaxCharacters truncation applies to the text exactly as in
     ``summarize``."""
+    return summarize_with_indices_many([(text, presplit)], num, cfg)[0]
+
+
+def summarize_with_indices_many(
+    docs: list[Doc],
+    num: int,
+    cfg: Optional[SummarizeConfig] = None,
+) -> list[list[tuple[int, str]]]:
+    """``summarize_with_indices`` of every ``(text, presplit)`` document,
+    with one batched dedup."""
     cfg = cfg or SummarizeConfig()
-    prep = _prepare(text, cfg, presplit)
-    if prep is None:
-        return []
-    sentences, kept_idx, src, dst, weight = prep
-    ranks = _ranks(src, dst, weight, cfg)
-    if ranks.size == 0:
-        return []
-    if num > ranks.size or num < 1:
-        num = 1
-    top = sorted(ranks[:num].tolist())
-    original = [kept_idx[v] for v in top]
-    texts = _concat(sentences, original, cfg.max_characters)
-    return list(zip(original[: len(texts)], texts))
+    return [_pick(prep, num, cfg) for prep in _prepare_many(docs, cfg)]
 
 
 def summarize_to_edges(
@@ -264,8 +278,16 @@ def summarize_to_edges(
     positions in the kept list — the edge-materialization path used to
     build the global graph (SURVEY.md §7.1 step 4).
     """
+    return next(summarize_to_edges_many([(text, presplit)], cfg))
+
+
+def summarize_to_edges_many(docs: list[Doc],
+                            cfg: Optional[SummarizeConfig] = None
+                            ) -> Iterator:
+    """``summarize_to_edges`` of every ``(text, presplit)`` document, in
+    order, with one batched dedup; an iterator, so a caller that consumes
+    each document's edges keeps only one document's arrays alive."""
     cfg = cfg or SummarizeConfig()
-    prep = _prepare(text, cfg, presplit)
-    if prep is None:
-        return [], [], np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0, np.float64)
-    return prep
+    for prep in _prepare_many(docs, cfg):
+        yield prep or ([], [], np.empty(0, np.int64), np.empty(0, np.int64),
+                       np.empty(0, np.float64))

@@ -46,6 +46,17 @@ def tokenize_sentences(text: str) -> list[str]:
     return tokens
 
 
+def pseudo_sentences(text: str, words: "int | None") -> "list[str] | None":
+    """Chunks of ``words`` words for a text in which ``tokenize_sentences``
+    finds no sentence (fed through the reference's pre-split entry point,
+    O28, reference tldr.go:116,354-359); None when ``words`` is unset
+    or the text has a sentence."""
+    if words and not tokenize_sentences(text):
+        ws = text.split()
+        return [" ".join(ws[j : j + words]) for j in range(0, len(ws), words)]
+    return None
+
+
 def sanitize_word(word: str) -> str:
     """Lowercase + strip runs of >=2 non-alnum or single non-``[L 0-9 _'-]``.
 

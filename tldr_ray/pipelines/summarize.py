@@ -30,8 +30,8 @@ import pandas as pd
 import pyarrow as pa
 
 from tldr_ray.config import SummarizeConfig
-from tldr_ray.kernel.lexrank import summarize_with_indices
-from tldr_ray.kernel.text import tokenize_sentences
+from tldr_ray.kernel.lexrank import summarize_with_indices_many
+from tldr_ray.kernel.text import pseudo_sentences
 
 
 def _with_conv_part(ds, num_parts: int = 64):
@@ -48,31 +48,18 @@ def _with_conv_part(ds, num_parts: int = 64):
     return ds.map_batches(assign, batch_format="pyarrow")
 
 
-def _summarize_group_fn(num: int, cfg: Optional[SummarizeConfig],
-                        id_col: str = "conv_id",
-                        presplit_words: Optional[int] = None):
-    cfg = cfg or SummarizeConfig()
-
-    def fn(group: pd.DataFrame) -> pd.DataFrame:
-        group = group.sort_values("turn_idx")
-        conv_id = group[id_col].iloc[0]
-        text = " ".join(t for t in group["text"].tolist() if t).strip()
-        presplit = None
-        if presplit_words and not tokenize_sentences(text):
-            words = text.split()
-            presplit = [" ".join(words[j : j + presplit_words])
-                        for j in range(0, len(words), presplit_words)] or None
-        picked = summarize_with_indices(text, num, cfg, presplit=presplit)
-        return pd.DataFrame(
-            {
-                id_col: [conv_id] * len(picked),
-                "rank": pd.array(range(len(picked)), dtype="int32"),
-                "local_idx": pd.array([p[0] for p in picked], dtype="int32"),
-                "text": [p[1] for p in picked],
-            }
-        )
-
-    return fn
+def _summary_frame(ids: list, picks: list, id_col: str) -> pd.DataFrame:
+    """(id, rank, local_idx, text) rows of each document's picks."""
+    rows = [(i, r, li, t) for i, picked in zip(ids, picks)
+            for r, (li, t) in enumerate(picked)]
+    return pd.DataFrame(
+        {
+            id_col: [row[0] for row in rows],
+            "rank": pd.array([row[1] for row in rows], dtype="int32"),
+            "local_idx": pd.array([row[2] for row in rows], dtype="int32"),
+            "text": [row[3] for row in rows],
+        }
+    )
 
 
 def summarize_transcripts(transcripts, num: int = 3,
@@ -80,17 +67,19 @@ def summarize_transcripts(transcripts, num: int = 3,
                           presplit_words: Optional[int] = None,
                           num_parts: int = 64):
     """transcripts Dataset -> summary Dataset (conv_id, rank, local_idx,
-    text); one coarse shuffle, conversations swept per partition."""
-    per_conv = _summarize_group_fn(num, cfg, presplit_words=presplit_words)
+    text); one coarse shuffle, conversations of a partition summarized
+    as one batch."""
+    cfg = cfg or SummarizeConfig()
 
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
-        outs = [per_conv(g) for _, g in group.groupby("conv_id", sort=False)]
-        if not outs:
-            return pd.DataFrame({"conv_id": pd.array([], dtype=object),
-                                 "rank": pd.array([], dtype="int32"),
-                                 "local_idx": pd.array([], dtype="int32"),
-                                 "text": pd.array([], dtype=object)})
-        return pd.concat(outs, ignore_index=True)
+        ids, docs = [], []
+        for conv_id, g in group.groupby("conv_id", sort=False):
+            g = g.sort_values("turn_idx")
+            text = " ".join(t for t in g["text"].tolist() if t).strip()
+            ids.append(conv_id)
+            docs.append((text, pseudo_sentences(text, presplit_words) or None))
+        return _summary_frame(ids, summarize_with_indices_many(docs, num, cfg),
+                              "conv_id")
 
     return (
         _with_conv_part(
@@ -134,9 +123,10 @@ def summarize_documents(documents, num: int = 3,
     """documents Dataset (id, text) -> summary (id, rank, local_idx, text).
 
     Documents are independent rows, so NO shuffle is needed at all: a
-    stateless ``map_batches`` runs the kernel per row — the
-    embarrassingly-parallel fast path (each batch is a few hundred docs;
-    the kernel is O(n_sentences^2) per doc, still micro-scale).
+    stateless ``map_batches`` runs the kernel once per batch (one
+    batched dedup, then each document) — the embarrassingly-parallel
+    fast path (each batch is a few hundred docs; the kernel is
+    O(n_sentences^2) per doc, still micro-scale).
 
     ``presplit_words``: for corpora without sentence punctuation (where
     the reference splitter's Q1 tail-drop would discard everything),
@@ -147,30 +137,16 @@ def summarize_documents(documents, num: int = 3,
     cfg = cfg or SummarizeConfig()
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        ids, ranks, locals_, texts = [], [], [], []
+        ids, docs = [], []
         for i, text in zip(batch[id_col].tolist(), batch[text_col].tolist()):
             text = text or ""
-            presplit = None
-            if presplit_words and not tokenize_sentences(text):
-                words = text.split()
-                presplit = [" ".join(words[j : j + presplit_words])
-                            for j in range(0, len(words), presplit_words)]
-                if not presplit:
-                    continue
-            for r, (li, t) in enumerate(
-                    summarize_with_indices(text, num, cfg, presplit=presplit)):
-                ids.append(i)
-                ranks.append(r)
-                locals_.append(li)
-                texts.append(t)
-        return pd.DataFrame(
-            {
-                id_col: ids,
-                "rank": pd.array(ranks, dtype="int32"),
-                "local_idx": pd.array(locals_, dtype="int32"),
-                "text": texts,
-            }
-        )
+            presplit = pseudo_sentences(text, presplit_words)
+            if presplit == []:
+                continue
+            ids.append(i)
+            docs.append((text, presplit))
+        return _summary_frame(ids, summarize_with_indices_many(docs, num, cfg),
+                              id_col)
 
     return (
         documents.select_columns([id_col, text_col])

@@ -154,10 +154,16 @@ def _decode_str_rle(buf: memoryview, off: int) -> tuple[pa.Array, int]:
 # ------------------------------------------------------------ blob APIs
 
 def encode_dvb(table: pa.Table) -> bytes:
-    """Arrow table -> one DVB blob. int64 and string columns only."""
+    """Arrow table -> one DVB blob. int64 and string columns only, without
+    nulls: the format has no validity bitmap, so a null column raises
+    instead of being written as a made-up value."""
     parts = [_MAGIC, struct.pack("<I", table.num_columns)]
     for name in table.column_names:
         col = table[name]
+        if col.null_count:
+            raise ValueError(
+                f"DVB cannot store nulls; column {name!r} has "
+                f"{col.null_count} (fill or drop them before writing)")
         nb = name.encode("utf-8")
         if pa.types.is_int64(col.type):
             parts.append(struct.pack("<H", len(nb)) + nb

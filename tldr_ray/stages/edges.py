@@ -31,7 +31,8 @@ import pandas as pd
 import pyarrow as pa
 
 from tldr_ray.config import SummarizeConfig
-from tldr_ray.kernel.lexrank import summarize_to_edges
+from tldr_ray.kernel.lexrank import summarize_to_edges_many
+from tldr_ray.kernel.text import pseudo_sentences
 
 
 def conv_vertex_base(conv_id: str) -> int:
@@ -49,21 +50,15 @@ def _convs_edges_table(group: pd.DataFrame, cfg: SummarizeConfig,
                        presplit_words: Optional[int]) -> pa.Table:
     """Conversations (pandas rows with conv_id/turn_idx/text) -> edge
     table via the kernel; shared by the shuffle and contiguous paths."""
-    srcs, dsts, ws, etypes, convs = [], [], [], [], []
+    ids, docs = [], []
     for conv_id, g in group.groupby("conv_id", sort=False):
         g = g.sort_values("turn_idx")
         text = " ".join(t for t in g["text"].tolist() if t).strip()
-        presplit = None
-        if presplit_words:
-            from tldr_ray.kernel import tokenize_sentences
-
-            if not tokenize_sentences(text):
-                words = text.split()
-                presplit = [" ".join(words[j : j + presplit_words])
-                            for j in range(0, len(words), presplit_words)] \
-                    or None
-        _, kept_idx, src, dst, w = summarize_to_edges(
-            text, cfg, presplit=presplit)
+        ids.append(conv_id)
+        docs.append((text, pseudo_sentences(text, presplit_words) or None))
+    srcs, dsts, ws, etypes, convs = [], [], [], [], []
+    for conv_id, (_, kept_idx, src, dst, w) in zip(
+            ids, summarize_to_edges_many(docs, cfg)):
         if len(src) == 0:
             continue
         base = conv_vertex_base(conv_id)

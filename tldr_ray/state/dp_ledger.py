@@ -2,10 +2,14 @@
 DP query ops (dp_noisy_type_counts, ldp_event_type_counts): every
 released query SPENDS epsilon, basic composition sums the spends, and
 the ledger refuses releases past the budget. Durable as append-only
-JSONL (the txlog discipline: blind append, re-read to audit)."""
+JSONL (the txlog discipline: blind append, re-read to audit). Spends from
+any number of processes are serialized by an exclusive ``flock`` on a
+sidecar ``<path>.lock`` file held across the budget check and the
+append."""
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 
@@ -34,14 +38,18 @@ class DPBudgetLedger:
         eps = float(eps)
         if eps <= 0:
             raise ValueError("eps must be positive")
-        used = self.spent()
-        if used + eps > self.eps_budget + 1e-12:
-            raise BudgetExceeded(
-                f"release {query!r} needs eps={eps}, only "
-                f"{self.eps_budget - used:.6g} of {self.eps_budget} left")
-        with open(self.path, "a") as f:
-            f.write(json.dumps({"query": query, "eps": eps},
-                               sort_keys=True) + "\n")
+        with open(self.path + ".lock", "a") as lock:
+            # check-then-append is one step for every spender
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            used = self.spent()
+            if used + eps > self.eps_budget + 1e-12:
+                raise BudgetExceeded(
+                    f"release {query!r} needs eps={eps}, only "
+                    f"{self.eps_budget - used:.6g} of {self.eps_budget} "
+                    f"left")
+            with open(self.path, "a") as f:
+                f.write(json.dumps({"query": query, "eps": eps},
+                                   sort_keys=True) + "\n")
         return self.eps_budget - used - eps
 
     def audit(self):
