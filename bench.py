@@ -1,6 +1,7 @@
 """Benchmark driver. Prints ONE JSON line.
 
-  python bench.py             # full suite at $RAY_GRAFT_CPUS (default 32)
+  python bench.py             # full suite at $RAY_GRAFT_CPUS (default:
+                              # the machine's CPU count)
   python bench.py --scaling   # headline pipeline at N vs 4N CPUs in
                               # fresh processes + scaling efficiency
                               # (default 4 vs 16; see run_scaling)
@@ -27,18 +28,12 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NCPU = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NCPU = int(os.environ.get("RAY_GRAFT_CPUS", str(os.cpu_count() or 1)))
 # graph partition count: a property of the JOB (like a real deployment's
 # shard layout), not of the cluster size — the scaling runs pin it so both
 # legs execute the identical partitioned job
 NPARTS = int(os.environ.get("RAY_GRAFT_PARTITIONS", str(NCPU)))
 N_CONVS = int(os.environ.get("RAY_GRAFT_CONVS", "20000"))
-# shard build strategy: "streaming" (push shuffle into actors — fastest
-# absolute), "scatter" (map-side shuffle-to-disk, re-loadable layout) or
-# "sort" (classic groupby shuffle — slowest absolute but compute-bound,
-# used for the scaling criterion where DRAM-bandwidth-bound phases of
-# the faster modes would measure the memory bus, not the engine)
-BUILD_METHOD = os.environ.get("RAY_GRAFT_BUILD_METHOD", "streaming")
 SEED = 42
 
 
@@ -91,10 +86,8 @@ def ensure_transcripts():
 def bench_headline(results: dict, meta: dict):
     """transcripts -> edge table -> distributed PageRank (the north star).
 
-    Uses the push-based streaming shuffle (scatter slices shipped
-    directly into the shard actor pool — no disk round-trip); the
-    re-loadable on-disk layout path is benchmarked via --synth-graph and
-    exercised by tests."""
+    ``GraphEngine.from_edges`` ships the scatter slices directly into
+    the shard actor pool (no disk round-trip)."""
     import ray.data as rd
     from tldr_ray.stages.edges import transcript_graph
     from tldr_ray.graph import GraphEngine
@@ -120,24 +113,8 @@ def bench_headline(results: dict, meta: dict):
     edges = transcript_graph(read_table(path),
                              contiguous=contiguous).select_columns(
         ["src", "dst", "weight"])
-    if BUILD_METHOD == "streaming":
-        eng = GraphEngine.from_edges_streaming(edges, NPARTS)
-    else:
-        import shutil
-
-        from tldr_ray.graph.engine import _shard_actor_cls
-        from tldr_ray.graph.partition import build_shards
-
-        shard_dir = f"/tmp/tldr_ray/bench_shards_{BUILD_METHOD}_{NPARTS}_{NCPU}"
-        shutil.rmtree(shard_dir, ignore_errors=True)
-        actor_cls = _shard_actor_cls()
-        prestarted = [actor_cls.remote(p, NPARTS) for p in range(NPARTS)]
-        build_shards(edges, NPARTS, shard_dir, method=BUILD_METHOD)
-        import ray
-
-        eng = GraphEngine(shard_dir, NPARTS, _prestarted=prestarted)
+    eng = GraphEngine.from_edges(edges, NPARTS)
     results["edges_build"] = round(time.time() - t0, 3)
-    meta["build_method"] = BUILD_METHOD
     n_edges = eng.manifest["n_edges"]
     meta["n_edges"] = n_edges
     meta["n_vertices"] = eng.n_total
@@ -218,12 +195,9 @@ def bench_synth_graph(n_edges: int) -> dict:
     """
     import numpy as np
     import pyarrow as pa
-    import ray
     import ray.data as rd
 
     from tldr_ray.graph import GraphEngine
-    from tldr_ray.graph.partition import build_shards
-    from tldr_ray.graph.engine import _shard_actor_cls
 
     n_vertices = max(1000, n_edges // 16)
     blocks = max(NCPU, 16)
@@ -239,20 +213,12 @@ def bench_synth_graph(n_edges: int) -> dict:
             out.append(pa.table({"src": src, "dst": dst, "weight": w}))
         return pa.concat_tables(out)
 
-    shard_dir = f"/tmp/tldr_ray/synth_shards_{n_edges}_{NPARTS}"
-    import shutil
-
-    shutil.rmtree(shard_dir, ignore_errors=True)
     t0 = time.time()
-    actor_cls = _shard_actor_cls()
-    prestarted = [actor_cls.remote(p, NPARTS) for p in range(NPARTS)]
     edges = rd.range(blocks, override_num_blocks=blocks).map_batches(
         gen, batch_format="numpy")
-    manifest = build_shards(edges, NPARTS, shard_dir)
+    eng = GraphEngine.from_edges(edges, NPARTS)
     build = time.time() - t0
-    t0 = time.time()
-    eng = GraphEngine(shard_dir, NPARTS, _prestarted=prestarted)
-    setup = time.time() - t0
+    n_built = eng.manifest["n_edges"]
     t0 = time.time()
     _, _, info = eng.pagerank(tolerance=1e-9, max_iterations=20)
     loop = time.time() - t0
@@ -261,13 +227,12 @@ def bench_synth_graph(n_edges: int) -> dict:
         "metric": "synthetic_graph_spmv",
         "value": round(loop, 3),
         "unit": "sec",
-        "n_edges": manifest["n_edges"],
-        "n_vertices": manifest["n_vertices"],
+        "n_edges": n_built,
+        "n_vertices": eng.n_total,
         "build_sec": round(build, 3),
-        "setup_sec": round(setup, 3),
         "iterations": info["iterations"],
         "sec_per_iteration": info["sec_per_iteration"],
-        "edges_processed_per_sec": int(manifest["n_edges"] /
+        "edges_processed_per_sec": int(n_built /
                                        info["sec_per_iteration"])
         if info["sec_per_iteration"] else 0,
         "num_cpus": NCPU,
@@ -348,11 +313,6 @@ def run_scaling() -> dict:
     worker), because Ray's logical num_cpus does not stop oversubscribed
     actors from using all physical cores."""
     hi = int(os.environ.get("RAY_GRAFT_SCALING_HI", "16"))
-    # the scaling legs run the compute-bound sort-shuffle configuration:
-    # the faster scatter/streaming modes are DRAM-bandwidth-bound on a
-    # single box, where adding cores cannot add memory bandwidth (on a
-    # real N -> 4N cluster each node brings its own DRAM + NVMe, so
-    # those phases scale with nodes — unmeasurable in one machine).
     # RAY_GRAFT_SCALING_LO/HI pick the N and 4N levels; the default is
     # 4 vs 16 on a 40 K-conv corpus: the job is long enough to amortize
     # the box's fixed ~4 s executor/shuffle floor the way a real
@@ -360,7 +320,6 @@ def run_scaling() -> dict:
     # the single-box DRAM-bandwidth wall that a 32-core leg hits
     # (BASELINE.md records both pairings).
     scaling_convs = os.environ.get("RAY_GRAFT_SCALING_CONVS", "40000")
-    scaling_method = os.environ.get("RAY_GRAFT_SCALING_METHOD", "sort")
     # the shard layout is a property of the JOB (both legs run the
     # identical partitioned job); default = the hi leg's core count
     scaling_parts = os.environ.get("RAY_GRAFT_SCALING_PARTITIONS", str(hi))
@@ -369,7 +328,6 @@ def run_scaling() -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    RAY_GRAFT_HEADLINE_ONLY="1",
                    RAY_GRAFT_CONVS=scaling_convs,
-                   RAY_GRAFT_BUILD_METHOD=scaling_method,
                    RAY_GRAFT_PARTITIONS=scaling_parts)
         if ensure_only:
             env["RAY_GRAFT_ENSURE_ONLY"] = "1"

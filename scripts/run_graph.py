@@ -100,8 +100,6 @@ def main() -> None:
                                      symmetrize=symmetrize)
         metrics["build_sec"] = round(time.time() - t0, 2)
         metrics["n_edges"] = eng.manifest["n_edges"]
-        # the sort layout derives the vertex count at shard load (the
-        # manifest carries None); eng.n_total is always the real count
         metrics["n_vertices"] = eng.n_total
         t0 = time.time()
         try:

@@ -78,7 +78,7 @@ def main():
     t0 = time.time()
     edges = transcript_graph(read_table(cache)).select_columns(
         ["src", "dst", "weight"])
-    eng = GraphEngine.from_edges_streaming(edges, nparts)
+    eng = GraphEngine.from_edges(edges, nparts)
     build_sec = round(time.time() - t0, 1)
 
     t0 = time.time()

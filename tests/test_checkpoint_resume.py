@@ -1,6 +1,8 @@
 """Checkpoint / resume: a killed-and-restarted PageRank run must land on
 the bit-identical fixpoint of an uninterrupted run (state is exactly the
-rank vector; updates are deterministic)."""
+rank vector; updates are deterministic). Each "restart" rebuilds the
+shards from the same multi-block edge Dataset, which gives the same
+CSR bits every time."""
 
 import os
 
@@ -10,6 +12,7 @@ import pytest
 
 @pytest.fixture
 def star_edges(ray_session):
+    """A factory of the same 8-block edge Dataset, one per build."""
     import ray.data as rd
     import pyarrow as pa
 
@@ -17,27 +20,27 @@ def star_edges(ray_session):
     src = rng.integers(0, 40, 400)
     dst = rng.integers(0, 40, 400)
     w = rng.random(400) + 0.05
-    return rd.from_arrow(pa.table({"src": pa.array(src, pa.int64()),
-                                   "dst": pa.array(dst, pa.int64()),
-                                   "weight": pa.array(w, pa.float64())}))
+    table = pa.table({"src": pa.array(src, pa.int64()),
+                      "dst": pa.array(dst, pa.int64()),
+                      "weight": pa.array(w, pa.float64())})
+    return lambda: rd.from_arrow(table).repartition(8)
 
 
 @pytest.mark.usefixtures("ray_session")
 def test_resume_bit_identical(star_edges, tmp_path):
     from tldr_ray.graph import GraphEngine
-    from tldr_ray.graph.partition import build_shards
 
-    shard_dir = str(tmp_path / "shards")
     ckpt = str(tmp_path / "ckpt")
-    build_shards(star_edges, 3, shard_dir)
 
     # uninterrupted run
-    eng = GraphEngine(shard_dir)
+    eng = GraphEngine.from_edges(star_edges(), 3)
+    assert eng.manifest["n_edges"] == 400
+    assert eng.n_total == 40
     ids_a, scores_a, info_a = eng.pagerank(tolerance=1e-10, max_iterations=50)
     eng.shutdown()
 
     # interrupted run: stop after 5 iterations, checkpointing each one
-    eng = GraphEngine(shard_dir)
+    eng = GraphEngine.from_edges(star_edges(), 3)
     eng.pagerank(tolerance=1e-10, max_iterations=5,
                  checkpoint_every=1, checkpoint_dir=ckpt)
     eng.shutdown()
@@ -45,7 +48,7 @@ def test_resume_bit_identical(star_edges, tmp_path):
     assert os.path.exists(f"{ckpt}/iter=5/part=0.parquet")
 
     # fresh engine (simulated restart) resumes from iteration 5
-    eng = GraphEngine(shard_dir)
+    eng = GraphEngine.from_edges(star_edges(), 3)
     ids_b, scores_b, info_b = eng.pagerank(tolerance=1e-10, max_iterations=50,
                                            checkpoint_dir=ckpt, resume=True)
     eng.shutdown()
@@ -62,25 +65,22 @@ def test_personalized_resume_bit_identical(star_edges, tmp_path):
     runs resume too — with the same seeds, bit-identical; with different
     seeds (or none), the engine refuses loudly."""
     from tldr_ray.graph import GraphEngine
-    from tldr_ray.graph.partition import build_shards
 
-    shard_dir = str(tmp_path / "shards")
     ckpt = str(tmp_path / "ckpt")
-    build_shards(star_edges, 3, shard_dir)
     seeds = (np.array([0, 3, 7]), np.array([0.5, 0.3, 0.2]))
 
-    eng = GraphEngine(shard_dir)
+    eng = GraphEngine.from_edges(star_edges(), 3)
     ids_a, scores_a, info_a = eng.pagerank(tolerance=1e-10,
                                            max_iterations=50,
                                            personalization=seeds)
     eng.shutdown()
 
-    eng = GraphEngine(shard_dir)
+    eng = GraphEngine.from_edges(star_edges(), 3)
     eng.pagerank(tolerance=1e-10, max_iterations=4, personalization=seeds,
                  checkpoint_every=1, checkpoint_dir=ckpt)
     eng.shutdown()
 
-    eng = GraphEngine(shard_dir)
+    eng = GraphEngine.from_edges(star_edges(), 3)
     with pytest.raises(ValueError, match="restart-vector mismatch"):
         eng.pagerank(checkpoint_dir=ckpt, resume=True)  # missing seeds
     with pytest.raises(ValueError, match="restart-vector mismatch"):
@@ -95,56 +95,3 @@ def test_personalized_resume_bit_identical(star_edges, tmp_path):
     assert np.array_equal(ids_a, ids_b)
     assert np.array_equal(scores_a, scores_b)   # bitwise, not allclose
     assert info_b["iterations"] == info_a["iterations"]
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_shard_build_is_resumable_layout(star_edges, tmp_path):
-    """Both shard layouts write atomic per-partition output + a manifest
-    — the resumable-output contract (no giant single file)."""
-    from tldr_ray.graph.partition import build_shards
-    import json
-
-    d = str(tmp_path / "scatter")
-    man = build_shards(star_edges, 4, d)   # default: map-side scatter
-    assert sorted(os.listdir(f"{d}/edges")) == [f"part={p}" for p in range(4)]
-    assert all(f.endswith(".parquet")
-               for f in os.listdir(f"{d}/edges/part=0"))
-    with open(f"{d}/manifest.json") as f:
-        on_disk = json.load(f)
-    assert on_disk["n_edges"] == 400
-    assert on_disk["layout"] == "scatter"
-    assert man["num_partitions"] == 4
-
-    d2 = str(tmp_path / "sort")
-    man2 = build_shards(star_edges, 4, d2, method="sort")
-    assert sorted(os.listdir(f"{d2}/edges")) == [f"part={p}.parquet"
-                                                 for p in range(4)]
-    assert man2["n_edges"] == 400
-    # vertex candidates scatter from the edge writers (one all-to-all
-    # total); the exact vertex count is derived at shard load
-    assert man2["n_vertices"] is None
-    from tldr_ray.graph import GraphEngine
-    eng = GraphEngine(d2)
-    assert eng.n_total == 40
-    eng.shutdown()
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_scatter_and_sort_layouts_agree(star_edges, tmp_path):
-    """The two physical shuffles produce the same logical graph."""
-    import numpy as np
-    from tldr_ray.graph import GraphEngine
-    from tldr_ray.graph.partition import build_shards
-
-    a = str(tmp_path / "a")
-    b = str(tmp_path / "b")
-    build_shards(star_edges, 3, a, method="scatter")
-    build_shards(star_edges, 3, b, method="sort")
-    ea = GraphEngine(a)
-    ra = ea.pagerank(tolerance=1e-10)
-    ea.shutdown()
-    eb = GraphEngine(b)
-    rb = eb.pagerank(tolerance=1e-10)
-    eb.shutdown()
-    assert np.array_equal(ra[0], rb[0])
-    np.testing.assert_allclose(ra[1], rb[1], atol=1e-12)

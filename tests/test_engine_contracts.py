@@ -1,4 +1,4 @@
-"""GraphEngine contracts: bit-exact outputs, empty graphs, temp cleanup.
+"""GraphEngine contracts: bit-exact outputs, empty graphs, no temp state.
 
 The digests below pin every engine algorithm bit-for-bit on one seeded
 random weighted graph at P=3. The other engine tests compare floats with
@@ -8,7 +8,6 @@ unnoticed. A digest changes only when an algorithm's output does.
 
 import glob
 import hashlib
-import os
 
 import numpy as np
 import pyarrow as pa
@@ -53,14 +52,13 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def _run_all(tmp_path, msg_ref_bytes):
+def _run_all(msg_ref_bytes):
     from tldr_ray.graph import GraphEngine
 
     ids, src, dst, w = _graph()
     seeds = [int(ids[0]), int(ids[7])]
     out = {}
     eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P,
-                                 work_dir=str(tmp_path / "directed"),
                                  msg_ref_bytes=msg_ref_bytes)
     try:
         runs = {
@@ -79,7 +77,6 @@ def _run_all(tmp_path, msg_ref_bytes):
     finally:
         eng.shutdown()
     eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P,
-                                 work_dir=str(tmp_path / "symmetric"),
                                  symmetrize=True,
                                  msg_ref_bytes=msg_ref_bytes)
     try:
@@ -129,8 +126,8 @@ EXPECTED_HITS = "be3f6a4e2f4621188a8775c6"
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("msg_ref_bytes", [None, 1],
                          ids=["by-value", "by-ref"])
-def test_engine_outputs_bit_identical(tmp_path, msg_ref_bytes):
-    got = _run_all(tmp_path, msg_ref_bytes)
+def test_engine_outputs_bit_identical(msg_ref_bytes):
+    got = _run_all(msg_ref_bytes)
     assert got == EXPECTED
 
 
@@ -169,12 +166,13 @@ def _empty_ds():
 
 
 @pytest.fixture(scope="module")
-def empty_engines(ray_session, tmp_path_factory):
+def empty_engines(ray_session):
+    """One engine per public constructor name: ``from_edges_streaming``
+    is an alias that external callers still use."""
     from tldr_ray.graph import GraphEngine
 
     engines = {
-        "from_edges": GraphEngine.from_edges(
-            _empty_ds(), P, work_dir=str(tmp_path_factory.mktemp("empty"))),
+        "from_edges": GraphEngine.from_edges(_empty_ds(), P),
         "from_edges_streaming": GraphEngine.from_edges_streaming(
             _empty_ds(), P),
     }
@@ -207,21 +205,14 @@ def test_hits_empty_graph_converged():
 # -- temporary state -----------------------------------------------------
 
 @pytest.mark.usefixtures("ray_session")
-def test_shutdown_removes_only_its_own_work_dir(tmp_path):
-    """A work dir that from_edges made up is deleted at shutdown; a
-    caller's work dir stays (a later resume re-reads it)."""
+def test_build_and_run_leave_nothing_in_tmp():
+    """The build pushes edges straight into the shard actors, so a
+    build, a run and a shutdown create nothing under /tmp/tldr_ray."""
     from tldr_ray.graph import GraphEngine
 
     _, src, dst, w = _graph()
-    before = set(glob.glob("/tmp/tldr_ray/graph-*"))
+    before = set(glob.glob("/tmp/tldr_ray/**", recursive=True))
     eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P)
-    assert os.path.isdir(eng.shard_dir)
+    eng.pagerank()
     eng.shutdown()
-    assert not os.path.exists(eng.shard_dir)
-    assert set(glob.glob("/tmp/tldr_ray/graph-*")) - before == set()
-
-    kept = tmp_path / "shards"
-    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P,
-                                 work_dir=str(kept))
-    eng.shutdown()
-    assert (kept / "manifest.json").is_file()
+    assert set(glob.glob("/tmp/tldr_ray/**", recursive=True)) == before

@@ -1,4 +1,4 @@
-from tldr_ray.graph.partition import vhash, build_shards
+from tldr_ray.graph.partition import vhash
 from tldr_ray.graph.engine import (GraphEngine, pagerank,
                                    connected_components, label_propagation,
                                    k_core, bfs_hops, sssp_distances,
@@ -15,7 +15,6 @@ from tldr_ray.graph.centrality import centrality_ranks
 __all__ = [
     "centrality_ranks",
     "vhash",
-    "build_shards",
     "GraphEngine",
     "pagerank",
     "connected_components",

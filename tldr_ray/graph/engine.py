@@ -16,8 +16,9 @@ pipeline per iteration would re-ship the static CSR every round. The
 CSR is pinned once per actor (``__init__``), and each round ships only
 the frontier (rank slices / label deltas) through the object store —
 exactly the "actor pools for stateful stages" carve-out in the build
-brief. The shard build itself (partition.build_shards) IS a Ray Data
-shuffle, and results are re-exposed as a Dataset.
+brief. The shard build itself (``GraphEngine.from_edges``) IS a Ray Data
+stage — its tasks push each block's slices straight into the actors —
+and results are re-exposed as a Dataset.
 
 Message plumbing: at setup each shard publishes, per destination
 partition q, the sorted vocabulary of destination vertices it ever
@@ -55,9 +56,10 @@ emit, how they merge and when they stop:
   betweenness_sampled      sigma, then dependency      add                     frontier empty,
                            (sum)                                               then level 1
 
-Float sums are bit-deterministic for a given shard layout: every fold
-runs in edge order on the emitting side and in sender order on the
-receiving side.
+Float sums are bit-deterministic for a given input block set: each
+shard joins the pushed slices in the order of their blocks' content
+keys, not in arrival order, and every fold then runs in edge order on
+the emitting side and in sender order on the receiving side.
 
 Checkpoint/resume: every ``checkpoint_every`` iterations each shard
 writes its state slice ``part=<p>.parquet`` (atomic rename) and the
@@ -70,9 +72,7 @@ rank/label vector; updates are deterministic).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import shutil
 import time as _time
 import uuid
 
@@ -80,7 +80,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from tldr_ray.graph.partition import build_shards, vhash
+from tldr_ray.graph.partition import vhash
 
 # Per-object actor-to-actor shipping gate (see CsrShard._ship). Each
 # plasma ref carries ~1-5 ms of fixed ownership/refcount bookkeeping
@@ -139,78 +139,39 @@ def _shard_actor_cls():
     @ray.remote(num_cpus=0)
     class CsrShard:
         def __init__(self, part: int, num_partitions: int,
-                     shard_dir: str | None = None,
                      msg_ref_bytes: int | None = None):
-            """Cheap construction; ``load`` does the heavy lifting so actor
-            process spawn can overlap the Ray Data shard build."""
+            """Cheap construction, so actor process spawn overlaps the
+            Ray Data build that pushes the edges in (``ingest``)."""
             self.part = part
             self.P = num_partitions
             self.msg_ref_bytes = msg_ref_bytes if msg_ref_bytes is not None \
                 else _MSG_REF_BYTES_DEFAULT
-            if shard_dir is not None:
-                self.load(shard_dir)
+            self._chunks = []           # (key, src, dst, w) per slice
+            self._vchunks = []          # vertex candidates per slice
+            self._seen_digests = set()
+            self._dup_drops = 0
 
-        @staticmethod
-        def _read_part(base: str):
-            """Read a partition written by either shard layout: a single
-            ``part=<p>.parquet`` file (sort) or a ``part=<p>/`` directory
-            of scatter files. Single-threaded reads: P actors already
-            saturate the node; per-actor Arrow thread pools (default =
-            all cores) thrash."""
-            f = f"{base}.parquet"
-            if os.path.isfile(f):
-                return pq.read_table(f, use_threads=False)
-            files = sorted(os.listdir(base)) if os.path.isdir(base) else []
-            tabs = [pq.read_table(f"{base}/{name}", use_threads=False)
-                    for name in files if name.endswith(".parquet")]
-            if not tabs:
-                return None
-            return pa.concat_tables(tabs)
-
-        def load(self, shard_dir: str):
-            part = self.part
-            et = self._read_part(f"{shard_dir}/edges/part={part}")
-            vt = self._read_part(f"{shard_dir}/vertices/part={part}")
-            if vt is None:
-                verts = np.zeros(0, dtype=np.int64)
-            else:
-                # scatter layout carries per-batch duplicates; dedup+sort
-                verts = np.unique(np.asarray(vt["vertex"], dtype=np.int64))
-            if et is None:
-                src = dst = np.zeros(0, dtype=np.int64)
-                w = np.zeros(0, dtype=np.float64)
-            else:
-                # edge order within the shard is whatever the (sorted)
-                # file listing yields — the SpMV kernels are order-free
-                # (bincount scatter), and determinism per shard_dir holds
-                # because the listing is sorted; no O(E log E) sort here
-                src = np.asarray(et["src"], dtype=np.int64)
-                dst = np.asarray(et["dst"], dtype=np.int64)
-                w = np.asarray(et["weight"], dtype=np.float64)
-            self._build(src, dst, w, verts)
-
-        # -- push-based streaming ingest (no disk round-trip) ----------
-        def ingest(self, src, dst, w, vert_candidates,
+        # -- push-based ingest -----------------------------------------
+        def ingest(self, key: bytes, src, dst, w, vert_candidates,
                    digest: bytes | None = None) -> int:
             """Accumulate a scatter slice shipped directly from a build
             task (push shuffle). Arrays arrive as zero-copy NumPy views
             over plasma.
 
+            ``key`` is a content digest of the slice's whole block (after
+            symmetrizing); ``finalize`` joins the slices in key order,
+            so the CSR — and every float fold over it — does not depend
+            on which push task finished first.
+
             ``digest`` is a content digest of the WHOLE source batch the
             slice came from: if Ray retries a push task after some of its
             ingest() calls already landed (worker died mid-task), the
             retried calls carry the same digest and are dropped here, so
-            retries are idempotent — mirroring the scatter layout, whose
-            content-digest filenames make file re-writes idempotent. Two
-            *byte-identical distinct* input blocks would collide, but the
-            builder digests the full pre-split batch (src+dst+w bytes),
-            so that requires two entire blocks to be byte-equal.
+            retries are idempotent. Two *byte-identical distinct* input
+            blocks would collide, but the builder digests the full
+            pre-split batch (src+dst+w bytes), so that requires two
+            entire blocks to be byte-equal.
             """
-            if not hasattr(self, "_chunks"):
-                self._chunks = []
-                self._vchunks = []
-                self._seen_digests = set()
-                self._dup_drops = 0
             if digest is not None:
                 if digest in self._seen_digests:
                     # duplicate delivery of the same batch slice (task
@@ -222,16 +183,13 @@ def _shard_actor_cls():
                     self._dup_drops += 1
                     return len(src)
                 self._seen_digests.add(digest)
-            self._chunks.append((np.asarray(src), np.asarray(dst),
+            self._chunks.append((key, np.asarray(src), np.asarray(dst),
                                  np.asarray(w)))
             self._vchunks.append(np.asarray(vert_candidates))
             return len(src)
 
         def finalize(self) -> int:
-            chunks = getattr(self, "_chunks", [])
-            vchunks = getattr(self, "_vchunks", [])
-            dup_drops = getattr(self, "_dup_drops", 0)
-            if dup_drops:
+            if self._dup_drops:
                 # loud: a dropped duplicate-content block is either a
                 # harmless task retry or (rarely) a DISTINCT
                 # byte-identical input block whose edges were lost —
@@ -243,20 +201,18 @@ def _shard_actor_cls():
                     "deliveries (task retries are idempotent; if the "
                     "edge source can emit byte-identical distinct "
                     "blocks, verify the built n_edges against the "
-                    "source count)", self.part, dup_drops)
-            self._dup_drops = 0
-            self._seen_digests = set()
+                    "source count)", self.part, self._dup_drops)
+            chunks = sorted(self._chunks, key=lambda c: c[0])
             if chunks:
-                src = np.concatenate([c[0] for c in chunks])
-                dst = np.concatenate([c[1] for c in chunks])
-                w = np.concatenate([c[2] for c in chunks])
+                src, dst, w = (np.concatenate([c[i] for c in chunks])
+                               for i in (1, 2, 3))
             else:
                 src = dst = np.zeros(0, dtype=np.int64)
                 w = np.zeros(0, dtype=np.float64)
-            verts = np.unique(np.concatenate(vchunks)) if vchunks \
-                else np.zeros(0, dtype=np.int64)
-            self._chunks = []
-            self._vchunks = []
+            verts = np.unique(np.concatenate(self._vchunks)) \
+                if self._vchunks else np.zeros(0, dtype=np.int64)
+            self._chunks, self._vchunks = [], []
+            self._seen_digests, self._dup_drops = set(), 0
             self._build(src, dst, w, verts)
             return int(verts.size)
 
@@ -565,7 +521,7 @@ def _shard_actor_cls():
         #    EXACT: path counts are integer-valued float64 sums (exact
         #    to 2^53); only delta is genuinely float, and its fixed
         #    edge-order combine + sender-order merge make the fixpoint
-        #    deterministic for a given layout. -------------------------
+        #    deterministic for a given input. -------------------------
         def bc_begin(self):
             self.bc_acc = np.zeros(self.verts.size)
 
@@ -972,42 +928,30 @@ def _shard_actor_cls():
 
 
 class GraphEngine:
-    """Actor pool over the shard layout of ``build_shards``."""
+    """Actor pool of CSR shards; build one with ``from_edges``."""
 
-    # shard directory this engine created itself; shutdown() deletes it
-    _owned_dir: str | None = None
-
-    def __init__(self, shard_dir: str, num_partitions: int | None = None,
-                 _prestarted=None, msg_ref_bytes: int | None = None):
-        import ray
-
-        with open(f"{shard_dir}/manifest.json") as f:
-            self.manifest = json.load(f)
-        self.P = num_partitions or self.manifest["num_partitions"]
-        self.shard_dir = shard_dir
-        if _prestarted is not None:
-            self.shards = _prestarted
-            ray.get([s.load.remote(shard_dir) for s in self.shards])
-        else:
-            cls = _shard_actor_cls()
-            self.shards = [cls.remote(p, self.P, shard_dir,
-                                      msg_ref_bytes=msg_ref_bytes)
-                           for p in range(self.P)]
-        self._exchange_vocabs()
+    def __init__(self, shards: list, manifest: dict):
+        self.shards = shards
+        self.manifest = manifest
+        self.P = len(shards)
+        vocabs = self._all("publish_vocabs")
+        self._exchange(vocabs, "register_incoming")
+        self.n_total = sum(self._all("n_local"))
 
     @classmethod
-    def from_edges_streaming(cls, edges, num_partitions: int = 8,
-                             symmetrize: bool = False,
-                             msg_ref_bytes: int | None = None):
-        """Push-based shuffle straight into the actor pool: the Ray Data
-        build tasks scatter each batch by destination partition and ship
-        the slices to the shard actors as they stream through — no
-        parquet write + reload round-trip, no all-to-all sort. The
-        ``ray.get`` on the pushes inside each task is the backpressure.
-        Use ``build_shards`` + ``GraphEngine(shard_dir)`` instead when a
-        re-loadable on-disk graph layout is wanted (resume across driver
-        restarts); iterative-state checkpointing works identically in
-        both modes."""
+    def from_edges(cls, edges, num_partitions: int = 8,
+                   symmetrize: bool = False,
+                   msg_ref_bytes: int | None = None):
+        """Push-based shuffle straight into the actor pool: the actors
+        are spawned first, so their start-up overlaps the Ray Data
+        build, whose tasks scatter each block by source partition and
+        ship the slices to the shard actors as they stream through — no
+        disk round-trip, no all-to-all sort. The ``ray.get`` on the
+        pushes inside each task is the backpressure. Each slice carries
+        its block's content key, and the shards join slices in key
+        order, so the same input blocks always give the same bits.
+        ``symmetrize=True`` adds the reverse of every edge (connected
+        components / LPA treat the graph as undirected)."""
         import ray
 
         P = num_partitions
@@ -1030,6 +974,9 @@ class GraphEngine:
             if symmetrize:
                 src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
                 w = np.concatenate([w, w])
+            # the shards' join order (see ingest())
+            key = hashlib.blake2b(src.tobytes() + dst.tobytes() + w.tobytes(),
+                                  digest_size=10).digest()
             part = (vhash(src) % np.uint64(P)).astype(np.int64)
             order = np.argsort(part, kind="stable")
             src, dst, w, part = src[order], dst[order], w[order], part[order]
@@ -1047,7 +994,7 @@ class GraphEngine:
                     continue
                 sl = slice(lo[p], hi[p])
                 futures.append(shards[p].ingest.remote(
-                    src[sl], dst[sl], w[sl], v[vlo[p]:vhi[p]],
+                    key, src[sl], dst[sl], w[sl], v[vlo[p]:vhi[p]],
                     digest=batch_digest))
             n = np.int64(sum(ray.get(futures))) if futures else np.int64(0)
             return pa.table({"n": pa.array([n], pa.int64())})
@@ -1056,42 +1003,11 @@ class GraphEngine:
                                    batch_size=None).to_pandas()
         n_edges = int(counts["n"].sum()) if len(counts) else 0
         ray.get([s.finalize.remote() for s in shards])
+        return cls(shards, {"num_partitions": P, "symmetrized": symmetrize,
+                            "n_edges": n_edges})
 
-        eng = cls.__new__(cls)
-        eng.P = P
-        eng.shard_dir = None
-        eng.manifest = {"num_partitions": P, "layout": "streaming",
-                        "symmetrized": symmetrize, "n_edges": n_edges}
-        eng.shards = shards
-        eng._exchange_vocabs()
-        return eng
-
-    def _exchange_vocabs(self):
-        vocabs = self._all("publish_vocabs")
-        self._exchange(vocabs, "register_incoming")
-        self.n_total = sum(self._all("n_local"))
-
-    @classmethod
-    def from_edges(cls, edges, num_partitions: int = 8,
-                   work_dir: str | None = None, symmetrize: bool = False,
-                   msg_ref_bytes: int | None = None):
-        """Build shards and the actor pool; actor processes are spawned
-        BEFORE the Ray Data shard build so interpreter startup overlaps
-        the shuffle. Without ``work_dir`` the shards go to a fresh
-        temporary directory that ``shutdown`` deletes; a caller's
-        ``work_dir`` is kept (a later resume re-reads it)."""
-        owned = work_dir is None
-        if owned:
-            work_dir = f"/tmp/tldr_ray/graph-{uuid.uuid4().hex[:8]}"
-        actor_cls = _shard_actor_cls()
-        prestarted = [actor_cls.remote(p, num_partitions,
-                                       msg_ref_bytes=msg_ref_bytes)
-                      for p in range(num_partitions)]
-        build_shards(edges, num_partitions, work_dir, symmetrize=symmetrize)
-        eng = cls(work_dir, num_partitions, _prestarted=prestarted)
-        if owned:
-            eng._owned_dir = work_dir
-        return eng
+    # alias for callers of the old name (perfbench/workloads.py)
+    from_edges_streaming = from_edges
 
     # -- the superstep -------------------------------------------------
     def _all(self, method: str, *args) -> list:
@@ -1556,7 +1472,6 @@ class GraphEngine:
             "n_total": self.n_total,
             "num_partitions": self.P,
             "rows_per_part": counts,
-            "shard_dir": self.shard_dir,
             "n_edges": self.manifest.get("n_edges"),
             # restart-vector lineage: None for uniform PageRank, the
             # seed digest for personalized runs (resume digest-checks it)
@@ -1581,25 +1496,19 @@ class GraphEngine:
         return rd.from_arrow_refs(refs)
 
     def shutdown(self):
-        """Kill the shard actors, and delete the shard directory if
-        ``from_edges`` created it."""
+        """Kill the shard actors."""
         import ray
 
         for s in self.shards:
             ray.kill(s)
         self.shards = []
-        if self._owned_dir is not None:
-            shutil.rmtree(self._owned_dir, ignore_errors=True)
-            self._owned_dir = None
 
 
 # -- convenience one-shots ---------------------------------------------
 
-def _run_once(edges, num_partitions, work_dir, symmetrize, method, *args,
-              **kwargs):
+def _run_once(edges, num_partitions, symmetrize, method, *args, **kwargs):
     """Build an engine over ``edges``, run one algorithm, shut down."""
-    eng = GraphEngine.from_edges(edges, num_partitions, work_dir,
-                                 symmetrize=symmetrize)
+    eng = GraphEngine.from_edges(edges, num_partitions, symmetrize)
     try:
         return getattr(eng, method)(*args, **kwargs)
     finally:
@@ -1607,78 +1516,70 @@ def _run_once(edges, num_partitions, work_dir, symmetrize, method, *args,
 
 
 def pagerank(edges, num_partitions: int = 8, damping: float = 0.85,
-             tolerance: float = 1e-4, max_iterations: int = 200,
-             work_dir: str | None = None, **ckpt):
-    return _run_once(edges, num_partitions, work_dir, False, "pagerank",
+             tolerance: float = 1e-4, max_iterations: int = 200, **ckpt):
+    return _run_once(edges, num_partitions, False, "pagerank",
                      damping, tolerance, max_iterations, **ckpt)
 
 
 def connected_components(edges, num_partitions: int = 8,
-                         max_iterations: int = 200,
-                         work_dir: str | None = None):
-    return _run_once(edges, num_partitions, work_dir, True,
+                         max_iterations: int = 200):
+    return _run_once(edges, num_partitions, True,
                      "connected_components", max_iterations)
 
 
 def sssp_distances(edges, seeds, num_partitions: int = 8,
-                   max_rounds: int = 10_000, symmetrize: bool = False,
-                   work_dir: str | None = None):
+                   max_rounds: int = 10_000, symmetrize: bool = False):
     """Weighted shortest-path distance from ``seeds`` over the DIRECTED
     edge set (pass symmetrize=True for undirected). Returns
     (vertex_ids, distances, info); unreached vertices carry +inf."""
-    return _run_once(edges, num_partitions, work_dir, symmetrize, "sssp",
+    return _run_once(edges, num_partitions, symmetrize, "sssp",
                      seeds, max_rounds)
 
 
 def temporal_reach_times(edges, seeds, num_partitions: int = 8,
-                         max_rounds: int = 10_000,
-                         work_dir: str | None = None):
+                         max_rounds: int = 10_000):
     """Earliest time-respecting arrival from ``seeds`` over DIRECTED
     edges whose weight column carries the departure timestamp.
     Returns (vertex_ids, arrival float64, info); unreached +inf."""
-    return _run_once(edges, num_partitions, work_dir, False,
+    return _run_once(edges, num_partitions, False,
                      "temporal_reachability", seeds, max_rounds)
 
 
 def widest_path_widths(edges, seeds, num_partitions: int = 8,
-                       max_rounds: int = 10_000, symmetrize: bool = False,
-                       work_dir: str | None = None):
+                       max_rounds: int = 10_000, symmetrize: bool = False):
     """Maximum-bottleneck (widest-path) width from ``seeds`` over the
     DIRECTED weighted edge set (symmetrize=True for undirected). A
     finite ``max_rounds`` yields the exact <=max_rounds-hop bounded
     widest path. Returns (vertex_ids, widths float64, info); seeds
     carry +inf, unreached -inf."""
-    return _run_once(edges, num_partitions, work_dir, symmetrize,
+    return _run_once(edges, num_partitions, symmetrize,
                      "widest_path", seeds, max_rounds)
 
 
 def bfs_hops(edges, seeds, num_partitions: int = 8,
-             max_rounds: int = 10_000, work_dir: str | None = None):
+             max_rounds: int = 10_000):
     """Undirected hop distance from ``seeds`` (edges are symmetrized
     like connected_components). Returns (vertex_ids, distances, info);
     unreached vertices carry INT64_MAX."""
-    return _run_once(edges, num_partitions, work_dir, True, "bfs", seeds,
+    return _run_once(edges, num_partitions, True, "bfs", seeds,
                      max_rounds)
 
 
 def betweenness_sampled(edges, seeds, num_partitions: int = 8,
-                        max_rounds: int = 10_000,
-                        work_dir: str | None = None):
+                        max_rounds: int = 10_000):
     """Sampled Brandes betweenness over the undirected simple graph
     underlying ``edges`` (symmetrized like connected_components).
     Returns (vertex_ids, dependency scores, info)."""
-    return _run_once(edges, num_partitions, work_dir, True,
+    return _run_once(edges, num_partitions, True,
                      "betweenness_sampled", seeds, max_rounds)
 
 
-def label_propagation(edges, num_partitions: int = 8, max_rounds: int = 20,
-                      work_dir: str | None = None):
-    return _run_once(edges, num_partitions, work_dir, True,
+def label_propagation(edges, num_partitions: int = 8, max_rounds: int = 20):
+    return _run_once(edges, num_partitions, True,
                      "label_propagation", max_rounds)
 
 
-def k_core(edges, num_partitions: int = 8, max_rounds: int = 1000,
-           work_dir: str | None = None):
+def k_core(edges, num_partitions: int = 8, max_rounds: int = 1000):
     """Core numbers of the undirected simple graph underlying ``edges``:
     self-loops dropped, duplicate/reversed edges collapsed (per-batch
     pre-combiner + one global pair dedup), then the engine's H-index
@@ -1708,25 +1609,24 @@ def k_core(edges, num_partitions: int = 8, max_rounds: int = 1000,
         .groupby(["a", "b"]).count().select_columns(["a", "b"])
         .map_batches(both_dirs, batch_format="pyarrow")
     )
-    return _run_once(simple, num_partitions, work_dir, False, "kcore",
+    return _run_once(simple, num_partitions, False, "kcore",
                      max_rounds)
 
 
 def eigenvector_centrality(edges, num_partitions: int = 8,
                            max_iterations: int = 500,
-                           tolerance: float = 1e-10,
-                           work_dir: str | None = None):
+                           tolerance: float = 1e-10):
     """Eigenvector centrality of the symmetrized weighted graph via
     distributed shifted power iteration. Returns
     (vertex_ids, scores, info); scores are the L2-normalized principal
     eigenvector of (A + I) — same ranking as A's for connected
     non-negative graphs, convergent on bipartite ones."""
-    return _run_once(edges, num_partitions, work_dir, True,
+    return _run_once(edges, num_partitions, True,
                      "eigenvector_centrality", tolerance, max_iterations)
 
 
 def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
-         tolerance: float = 1e-10, work_dir: str | None = None):
+         tolerance: float = 1e-10):
     """HITS hubs & authorities over the DIRECTED edge set by
     distributed alternating power iteration (Kleinberg 1999):
     a = normalize(A^T h), h = normalize(A a) — the principal right /
@@ -1765,7 +1665,7 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
         return sum(ray.get([s.set_state_with_delta.remote(ref)
                             for s, ref in zip(eng.shards, refs)]))
 
-    eng_f = GraphEngine.from_edges(edges, num_partitions, work_dir)
+    eng_f = GraphEngine.from_edges(edges, num_partitions)
     eng_r = GraphEngine.from_edges(
         edges.map_batches(rev, batch_format="pyarrow"), num_partitions)
     try:
@@ -1800,38 +1700,35 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
 
 
 def label_spread(edges, seeds, num_partitions: int = 8,
-                 max_rounds: int = 10, work_dir: str | None = None):
+                 max_rounds: int = 10):
     """Seed-clamped label spreading over the symmetrized edge set —
     the semi-supervised node-classification op. Returns
     (vertex_ids, labels int64 with -1 = never reached, info)."""
-    return _run_once(edges, num_partitions, work_dir, True, "label_spread",
+    return _run_once(edges, num_partitions, True, "label_spread",
                      seeds, max_rounds)
 
 
 def maximal_matching(edges, num_partitions: int = 8,
-                     max_rounds: int = 200,
-                     work_dir: str | None = None):
+                     max_rounds: int = 200):
     """Deterministic distributed maximal matching over the symmetrized
     simple graph. Returns (vertex_ids, partner, info); partner = -1
     for unmatched vertices."""
-    return _run_once(edges, num_partitions, work_dir, True,
+    return _run_once(edges, num_partitions, True,
                      "maximal_matching", max_rounds)
 
 
 def maximal_independent_set(edges, num_partitions: int = 8,
-                            max_rounds: int = 200,
-                            work_dir: str | None = None):
+                            max_rounds: int = 200):
     """Luby MIS over the symmetrized simple graph. Returns
     (vertex_ids, membership 1/0, info)."""
-    return _run_once(edges, num_partitions, work_dir, True,
+    return _run_once(edges, num_partitions, True,
                      "maximal_independent_set", max_rounds)
 
 
 def greedy_coloring(edges, num_partitions: int = 8,
-                    max_rounds: int = 500,
-                    work_dir: str | None = None):
+                    max_rounds: int = 500):
     """Jones-Plassmann coloring of the symmetrized simple graph.
     Returns (vertex_ids, colors, info); adjacent vertices always get
     distinct colors, color count <= maxdegree + 1."""
-    return _run_once(edges, num_partitions, work_dir, True,
+    return _run_once(edges, num_partitions, True,
                      "greedy_coloring", max_rounds)

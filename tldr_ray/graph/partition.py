@@ -1,30 +1,17 @@
-"""Edge-table partitioning: Ray Data shuffle -> on-disk CSR shard layout.
+"""Vertex hashing for the CSR shard layout.
 
 The global edge table (``src:int64, dst:int64, weight:double``) is
 hash-partitioned by SOURCE vertex (``vhash(src) % P`` — SURVEY.md §7.3:
 CSR layout wants all of a row's out-edges co-located so outbound
 normalization is shard-local). Vertex ownership for rank/label state
 uses the same hash on the vertex id, so a shard owns exactly the rank
-slice its SpMV reads locally.
-
-The build is itself a Ray Data pipeline: ``map_batches`` assigns
-partitions (vectorized), ``groupby("part")`` is the one all-to-all
-shuffle, and each group writes its shard file atomically
-(``part=<p>.parquet`` via a temp file + rename). The resulting directory
-is the resumable, re-loadable physical graph: a failed run rebuilds
-nothing if the manifest fingerprint matches.
+slice its SpMV reads locally. ``GraphEngine.from_edges`` applies it
+while pushing each edge block into the shard actors.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import uuid
-
 import numpy as np
-import pandas as pd
-import pyarrow as pa
-import pyarrow.parquet as pq
 
 
 def vhash(v: np.ndarray) -> np.ndarray:
@@ -37,193 +24,3 @@ def vhash(v: np.ndarray) -> np.ndarray:
     x *= np.uint64(0x94D049BB133111EB)
     x ^= x >> np.uint64(31)
     return x
-
-
-def _atomic_write(table: pa.Table, path: str) -> None:
-    tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
-    pq.write_table(table, tmp)
-    os.replace(tmp, path)
-
-
-def build_shards(edges, num_partitions: int, out_dir: str,
-                 symmetrize: bool = False, method: str = "scatter") -> dict:
-    """Partition an edge Dataset into CSR shard files + vertex ownership.
-
-    Two physical strategies, identical logical result:
-
-    - ``method="scatter"`` (default): map-side shuffle-to-disk. Each
-      map_batches task splits its batch by destination partition and
-      appends one file per touched partition
-      (``edges/part=<p>/<digest>.parquet``); vertex candidates go to
-      ``vertices/part=<q>/...`` the same way (per-batch distinct; the
-      shard loader dedups and sorts). NO all-to-all sort anywhere — the
-      only data movement is a streaming write, which is how external
-      shuffles behave on a real cluster. File names are content digests,
-      so task retries overwrite their own output (idempotent).
-    - ``method="sort"``: classic groupby shuffle producing exactly one
-      sorted file per partition (``edges/part=<p>.parquet``). Fewer,
-      bigger edge files; ONE all-to-all sort — vertex ownership
-      candidates scatter from inside the edge-group writers
-      (``vertices/part=<q>/<digest>.parquet``, deduped at load), so the
-      round-2 second vertex shuffle is gone.
-
-    ``symmetrize=True`` unions both edge directions first (connected
-    components / LPA treat the graph as undirected).
-    """
-    if method == "scatter":
-        return _build_shards_scatter(edges, num_partitions, out_dir,
-                                     symmetrize)
-    P = num_partitions
-    os.makedirs(f"{out_dir}/edges", exist_ok=True)
-    os.makedirs(f"{out_dir}/vertices", exist_ok=True)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        src = np.asarray(batch["src"], dtype=np.int64)
-        dst = np.asarray(batch["dst"], dtype=np.int64)
-        w = np.asarray(batch["weight"], dtype=np.float64)
-        if symmetrize:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            w = np.concatenate([w, w])
-        part = (vhash(src) % np.uint64(P)).astype(np.int32)
-        return pa.table({"src": src, "dst": dst, "weight": w, "part": part})
-
-    parted = edges.map_batches(assign, batch_format="pyarrow")
-
-    def write_edge_group(g: pd.DataFrame) -> pd.DataFrame:
-        """One sorted edge file per partition; vertex OWNERSHIP
-        candidates scatter straight from here (content-digest filenames,
-        deduped at shard load) — the round-2 second vertex all-to-all is
-        gone: each Ray shuffle costs ~1-2 s of coordination regardless
-        of size, and vertex candidates never needed a sort."""
-        import hashlib
-
-        p = int(g["part"].iloc[0])
-        g = g.sort_values(["src", "dst"], kind="mergesort")
-        src = g["src"].to_numpy(np.int64)
-        dst = g["dst"].to_numpy(np.int64)
-        t = pa.table(
-            {
-                "src": pa.array(src),
-                "dst": pa.array(dst),
-                "weight": pa.array(g["weight"].to_numpy(np.float64)),
-            }
-        )
-        _atomic_write(t, f"{out_dir}/edges/part={p}.parquet")
-
-        v = np.unique(np.concatenate([src, dst]))
-        digest = hashlib.blake2b(v.tobytes(), digest_size=10).hexdigest()
-        vpart = (vhash(v) % np.uint64(P)).astype(np.int64)
-        vorder = np.argsort(vpart, kind="stable")
-        v_s, vp_s = v[vorder], vpart[vorder]
-        vlo = np.searchsorted(vp_s, np.arange(P))
-        vhi = np.searchsorted(vp_s, np.arange(P) + 1)
-        for q in range(P):
-            if vhi[q] == vlo[q]:
-                continue
-            os.makedirs(f"{out_dir}/vertices/part={q}", exist_ok=True)
-            _atomic_write(pa.table({"vertex": v_s[vlo[q]:vhi[q]]}),
-                          f"{out_dir}/vertices/part={q}/{digest}.parquet")
-        return pd.DataFrame({"part": [p], "n_edges": [len(g)]})
-
-    edge_manifest = (
-        parted.groupby("part")
-        .map_groups(write_edge_group, batch_format="pandas")
-        .to_pandas()
-    )
-
-    # partitions with no rows still need (empty) files so shard actors load
-    have_e = set(edge_manifest["part"].tolist()) if len(edge_manifest) else set()
-    for p in range(P):
-        if p not in have_e:
-            _atomic_write(
-                pa.table({"src": pa.array([], pa.int64()),
-                          "dst": pa.array([], pa.int64()),
-                          "weight": pa.array([], pa.float64())}),
-                f"{out_dir}/edges/part={p}.parquet")
-
-    manifest = {
-        "num_partitions": P,
-        "layout": "sort",
-        "symmetrized": symmetrize,
-        "n_edges": int(edge_manifest["n_edges"].sum()) if len(edge_manifest) else 0,
-        "n_vertices": None,   # derived at load (per-shard unique)
-        "edge_rows_per_part": {int(r.part): int(r.n_edges)
-                               for r in edge_manifest.itertuples()},
-    }
-    with open(f"{out_dir}/manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2)
-    return manifest
-
-
-def _build_shards_scatter(edges, num_partitions: int, out_dir: str,
-                          symmetrize: bool) -> dict:
-    P = num_partitions
-    for p in range(P):
-        os.makedirs(f"{out_dir}/edges/part={p}", exist_ok=True)
-        os.makedirs(f"{out_dir}/vertices/part={p}", exist_ok=True)
-
-    def scatter(batch: pa.Table) -> pa.Table:
-        import hashlib
-
-        src = np.asarray(batch["src"], dtype=np.int64)
-        dst = np.asarray(batch["dst"], dtype=np.int64)
-        w = np.asarray(batch["weight"], dtype=np.float64)
-        if symmetrize:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-            w = np.concatenate([w, w])
-        # deterministic digest of this batch's full content -> idempotent
-        # retries (a retried task rewrites the same paths); distinct
-        # batches with bit-identical (src, dst, weight) content would
-        # collide, which no real edge source produces
-        digest = hashlib.blake2b(
-            src.tobytes() + dst.tobytes() + w.tobytes(),
-            digest_size=10).hexdigest()
-
-        part = (vhash(src) % np.uint64(P)).astype(np.int64)
-        order = np.argsort(part, kind="stable")
-        src_s, dst_s, w_s, part_s = src[order], dst[order], w[order], part[order]
-        lo = np.searchsorted(part_s, np.arange(P))
-        hi = np.searchsorted(part_s, np.arange(P) + 1)
-        out_part, out_n = [], []
-        for p in range(P):
-            if hi[p] == lo[p]:
-                continue
-            sl = slice(lo[p], hi[p])
-            _atomic_write(
-                pa.table({"src": src_s[sl], "dst": dst_s[sl],
-                          "weight": w_s[sl]}),
-                f"{out_dir}/edges/part={p}/{digest}.parquet")
-            out_part.append(p)
-            out_n.append(hi[p] - lo[p])
-
-        v = np.unique(np.concatenate([src, dst]))
-        vpart = (vhash(v) % np.uint64(P)).astype(np.int64)
-        vorder = np.argsort(vpart, kind="stable")
-        v_s, vp_s = v[vorder], vpart[vorder]
-        vlo = np.searchsorted(vp_s, np.arange(P))
-        vhi = np.searchsorted(vp_s, np.arange(P) + 1)
-        for q in range(P):
-            if vhi[q] == vlo[q]:
-                continue
-            _atomic_write(pa.table({"vertex": v_s[vlo[q]:vhi[q]]}),
-                          f"{out_dir}/vertices/part={q}/{digest}.parquet")
-
-        return pa.table({"part": pa.array(out_part, pa.int64()),
-                         "n_edges": pa.array(out_n, pa.int64())})
-
-    # batch_size=None -> one batch per block -> one file per (block, part)
-    counts = edges.map_batches(scatter, batch_format="pyarrow",
-                               batch_size=None).to_pandas()
-    per_part = counts.groupby("part")["n_edges"].sum().to_dict() \
-        if len(counts) else {}
-    manifest = {
-        "num_partitions": P,
-        "layout": "scatter",
-        "symmetrized": symmetrize,
-        "n_edges": int(counts["n_edges"].sum()) if len(counts) else 0,
-        "n_vertices": None,   # derived at load (per-shard unique)
-        "edge_rows_per_part": {int(k): int(v) for k, v in per_part.items()},
-    }
-    with open(f"{out_dir}/manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2)
-    return manifest

@@ -48,6 +48,24 @@ def _with_conv_part(ds, num_parts: int = 64):
     return ds.map_batches(assign, batch_format="pyarrow")
 
 
+def conversation_texts(turns: pd.DataFrame, sort_ids: bool = False):
+    """(conv_ids, texts) of the conversations in a frame of turns
+    (``conv_id``, ``turn_idx``, ``text``): each text is the
+    conversation's non-empty turn texts joined with a single space in
+    ``turn_idx`` order — the document-assembly contract of every
+    per-conversation stage. Conversations come in order of first
+    appearance, or sorted by id if ``sort_ids``; rows without a
+    conv_id belong to none. One stable sort for the whole frame."""
+    codes, ids = pd.factorize(turns["conv_id"], sort=sort_ids)
+    order = np.lexsort((turns["turn_idx"].to_numpy(), codes))
+    order = order[codes[order] >= 0]
+    if not order.size:
+        return [], []
+    cuts = np.flatnonzero(np.diff(codes[order])) + 1
+    chunks = np.split(turns["text"].to_numpy()[order], cuts)
+    return list(ids), [" ".join(t for t in c if t).strip() for c in chunks]
+
+
 def _summary_frame(ids: list, picks: list, id_col: str) -> pd.DataFrame:
     """(id, rank, local_idx, text) rows of each document's picks."""
     rows = [(i, r, li, t) for i, picked in zip(ids, picks)
@@ -72,12 +90,9 @@ def summarize_transcripts(transcripts, num: int = 3,
     cfg = cfg or SummarizeConfig()
 
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
-        ids, docs = [], []
-        for conv_id, g in group.groupby("conv_id", sort=False):
-            g = g.sort_values("turn_idx")
-            text = " ".join(t for t in g["text"].tolist() if t).strip()
-            ids.append(conv_id)
-            docs.append((text, pseudo_sentences(text, presplit_words) or None))
+        ids, texts = conversation_texts(group)
+        docs = [(t, pseudo_sentences(t, presplit_words) or None)
+                for t in texts]
         return _summary_frame(ids, summarize_with_indices_many(docs, num, cfg),
                               "conv_id")
 
@@ -91,19 +106,11 @@ def summarize_transcripts(transcripts, num: int = 3,
 
 
 def assemble_documents(transcripts, num_parts: int = 64):
-    """transcripts -> (conv_id, text) one row per conversation.
-
-    Turn texts joined with a single space in turn_idx order — the
-    document-assembly contract shared by every per-conversation stage.
-    """
+    """transcripts -> (conv_id, text) one row per conversation, sorted
+    by conv_id within each partition (``conversation_texts``)."""
 
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["conv_id", "turn_idx"])
-        convs, texts = [], []
-        for conv_id, sub in g.groupby("conv_id", sort=False):
-            convs.append(conv_id)
-            texts.append(" ".join(t for t in sub["text"].tolist()
-                                  if t).strip())
+        convs, texts = conversation_texts(group, sort_ids=True)
         return pd.DataFrame({"conv_id": convs, "text": texts})
 
     return (

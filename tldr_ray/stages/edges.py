@@ -33,6 +33,7 @@ import pyarrow as pa
 from tldr_ray.config import SummarizeConfig
 from tldr_ray.kernel.lexrank import summarize_to_edges_many
 from tldr_ray.kernel.text import pseudo_sentences
+from tldr_ray.pipelines.summarize import conversation_texts
 
 
 def conv_vertex_base(conv_id: str) -> int:
@@ -50,12 +51,8 @@ def _convs_edges_table(group: pd.DataFrame, cfg: SummarizeConfig,
                        presplit_words: Optional[int]) -> pa.Table:
     """Conversations (pandas rows with conv_id/turn_idx/text) -> edge
     table via the kernel; shared by the shuffle and contiguous paths."""
-    ids, docs = [], []
-    for conv_id, g in group.groupby("conv_id", sort=False):
-        g = g.sort_values("turn_idx")
-        text = " ".join(t for t in g["text"].tolist() if t).strip()
-        ids.append(conv_id)
-        docs.append((text, pseudo_sentences(text, presplit_words) or None))
+    ids, texts = conversation_texts(group)
+    docs = [(t, pseudo_sentences(t, presplit_words) or None) for t in texts]
     srcs, dsts, ws, etypes, convs = [], [], [], [], []
     for conv_id, (_, kept_idx, src, dst, w) in zip(
             ids, summarize_to_edges_many(docs, cfg)):
