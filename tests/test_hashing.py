@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 
 from tldr_ray.hashing import (fnv1a_batch, part_key, poly_hash_batch,
-                              string_bytes)
+                              string_bytes, vhash)
 
 
 def _ref_fnv1a(s: str) -> int:
@@ -77,12 +77,49 @@ class TestPolyHashBatch:
 
 class TestPartKey:
     def test_range_and_determinism(self):
-        for kind in ("short", "long"):
-            k = part_key(pa.array(STRINGS), 64, kind=kind)
+        for col in (pa.array(STRINGS), pa.array(np.arange(-5, 300))):
+            k = part_key(col, 64)
             assert k.dtype == np.int32
             assert ((k >= 0) & (k < 64)).all()
-            k2 = part_key(pa.array(STRINGS), 64, kind=kind)
+            k2 = part_key(col, 64)
             assert (k == k2).all()
+
+    def test_int64_is_vhash_mod_p(self):
+        """Pins the shard-ownership function: vertex v lives on shard
+        vhash(v) % P (test_engine_contracts.py's expectations hold only
+        while this does)."""
+        ids = np.array([0, 1, -1, 2**40 + 7, -(2**62), 2**63 - 1],
+                       dtype=np.int64)
+        want = (vhash(ids) % np.uint64(7)).astype(np.int32)
+        assert (part_key(ids, 7) == want).all()
+        assert (part_key(pa.array(ids), 7) == want).all()
+        assert (part_key(pa.chunked_array([pa.array(ids)]), 7) == want).all()
+
+    def test_string_is_fnv1a_mod_p(self):
+        want = (fnv1a_batch(pa.array(STRINGS)) % np.uint64(64)) \
+            .astype(np.int32)
+        assert (part_key(pa.array(STRINGS), 64) == want).all()
+        assert (part_key(pa.array(STRINGS, pa.large_string()), 64)
+                == want).all()
+
+    def test_column_list_combines_hashes(self):
+        a = np.array([1, 2, 3], dtype=np.int64)
+        b = pa.array(["x", "y", "z"])
+        h = vhash(a) * np.uint64(1_000_003) ^ fnv1a_batch(b)
+        want = (h % np.uint64(16)).astype(np.int32)
+        assert (part_key([a, b], 16) == want).all()
+        # a one-column list hashes like the column itself
+        assert (part_key([a], 16) == part_key(a, 16)).all()
+
+    def test_vhash_is_splitmix64_finalizer(self):
+        def ref(v):
+            x = (v + 0x9E3779B97F4A7C15) % (1 << 64)
+            x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) % (1 << 64)
+            x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) % (1 << 64)
+            return x ^ (x >> 31)
+        vals = [0, 1, 12345, 2**63 - 1]
+        assert vhash(np.array(vals, np.int64)).tolist() == \
+            [ref(v) for v in vals]
 
     def test_spreads_keys(self):
         ids = pa.array([f"conv-{i:06d}" for i in range(2000)])
@@ -141,3 +178,116 @@ class TestContentHash128:
         h1, h2 = content_hash128_batch(texts)
         pairs = (h1.astype(np.uint64) << np.uint64(1)) ^ h2
         assert np.unique(pairs).size == 20000
+
+
+class TestKeyedSweep:
+    """One call per part: every row of a key lands in exactly one ``fn``
+    call, no call sees an empty group, and ``fn`` sees exactly the
+    input columns."""
+
+    @pytest.mark.parametrize("key", ["k_int", "k_str", ["k_int", "k_str"]])
+    def test_each_key_in_exactly_one_call(self, ray_session, key):
+        import pandas as pd
+        import ray.data as rd
+
+        from tldr_ray.hashing import keyed_sweep
+
+        n = 600
+        rng = np.random.default_rng(3)
+        ki = rng.integers(0, 40, n)
+        df = pd.DataFrame({"k_int": ki.astype(np.int64),
+                           "k_str": [f"s{v % 23}" for v in ki * 7 + 1],
+                           "row": np.arange(n, dtype=np.int64)})
+        ds = rd.from_pandas(df).repartition(5)
+
+        def fn(g: pd.DataFrame) -> pd.DataFrame:
+            assert len(g) > 0
+            assert sorted(g.columns) == ["k_int", "k_str", "row"]
+            return pd.DataFrame({"call": [int(g["row"].min())] * len(g),
+                                 "row": g["row"].to_numpy(np.int64)})
+
+        out = keyed_sweep(ds, key, fn, num_parts=8).to_pandas()
+        assert sorted(out["row"]) == list(range(n))
+        keys = [key] if isinstance(key, str) else key
+        calls = out.merge(df, on="row").groupby(keys)["call"].nunique()
+        assert (calls == 1).all()
+        assert out["call"].nunique() <= 8
+
+    def test_pyarrow_batches(self, ray_session):
+        import ray.data as rd
+
+        from tldr_ray.hashing import keyed_sweep
+
+        ds = rd.from_arrow(pa.table({"k": np.arange(50) % 5,
+                                     "v": np.arange(50)}))
+
+        def fn(t: pa.Table) -> pa.Table:
+            assert t.column_names == ["k", "v"]
+            return pa.table({"k": t["k"].unique(),
+                             "n": pa.array([len(t)] * len(t["k"].unique()))})
+
+        out = keyed_sweep(ds, "k", fn, 3, batch_format="pyarrow") \
+            .to_pandas()
+        assert sorted(out["k"]) == [0, 1, 2, 3, 4]
+
+
+# Functions that keep their own partitioning: their part is not a hash
+# of the key (range partitions, a fused two-range shuffle), so they
+# cannot route through hashing.keyed_sweep.
+_OWN_PARTITIONING = {
+    ("queries.py", "nn_matched_att_value"),      # (c - cmin) // width
+    ("queries.py", "quantile_normalize_docs"),   # (v - vmin) // width
+    ("stages/agg.py", "pack_token_shards"),      # (ids * P) // span
+    ("stages/agg.py", "epoch_shuffle"),          # (h >> 32) * P >> 32
+    ("stages/dedup.py", "sorted_neighborhood_pairs"),  # sampled bounds
+    ("stages/edges.py", "transcript_graph"),     # fused two-range parts
+    ("stages/windows.py", "watermark_filter"),   # ids // width
+}
+
+
+def test_no_hand_rolled_part_sweeps():
+    """Every hash-partitioned sweep goes through hashing.keyed_sweep: a
+    ``groupby("part"|"__part"|"_part")`` anywhere else in the package
+    must be one of the listed own-partitioning functions."""
+    import ast
+    import pathlib
+    import re
+
+    root = pathlib.Path(__file__).resolve().parents[1] / "tldr_ray"
+    pat = re.compile(r'groupby\(\s*"(part|__part|_part)"\s*\)')
+    hits = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        src = path.read_text()
+        if not pat.search(src):
+            continue
+        spans = [(n.lineno, n.end_lineno, n.name)
+                 for n in ast.walk(ast.parse(src))
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and n.col_offset == 0]
+        for m in pat.finditer(src):
+            line = src.count("\n", 0, m.start()) + 1
+            owner = next((name for a, b, name in spans if a <= line <= b),
+                         None)
+            if (rel, owner) == ("hashing.py", "keyed_sweep"):
+                continue
+            if (rel, owner) not in _OWN_PARTITIONING:
+                hits.append(f"{rel}:{line} in {owner}")
+    assert not hits, "hand-rolled part sweep (use keyed_sweep): " + \
+        ", ".join(hits)
+
+
+def test_engine_import_leaves_pandas_out():
+    """A CsrShard actor imports tldr_ray.graph.engine; that must not
+    drag in pandas through the tldr_ray.graph package."""
+    import subprocess
+    import sys
+
+    code = ("import sys, tldr_ray.graph.engine\n"
+            "assert 'pandas' not in sys.modules, 'pandas imported'\n"
+            "from tldr_ray.graph import GraphEngine, triangle_counts, vhash\n"
+            "assert GraphEngine.__name__ == 'GraphEngine'\n")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                       text=True, cwd=str(__import__("pathlib").Path(
+                           __file__).resolve().parents[1]))
+    assert r.returncode == 0, r.stderr

@@ -20,6 +20,11 @@ brief. The shard build itself (``GraphEngine.from_edges``) IS a Ray Data
 stage — its tasks push each block's slices straight into the actors —
 and results are re-exposed as a Dataset.
 
+Shard ownership: vertex v (and every out-edge of v) lives on shard
+``hashing.part_key(v, P)`` = ``vhash(v) % P``. ``vhash`` lives in
+``tldr_ray.hashing``, not in this package, so a shard actor importing
+this module loads no pandas-heavy graph module.
+
 Message plumbing: at setup each shard publishes, per destination
 partition q, the sorted vocabulary of destination vertices it ever
 sends to (static for the run); receivers resolve those once to local
@@ -80,7 +85,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from tldr_ray.graph.partition import vhash
+from tldr_ray.hashing import part_key
 
 # Per-object actor-to-actor shipping gate (see CsrShard._ship). Each
 # plasma ref carries ~1-5 ms of fixed ownership/refcount bookkeeping
@@ -227,7 +232,7 @@ def _shard_actor_cls():
                                   w / outbound[src_local], 0.0) if src.size else w
             self.dangling_mask = outbound == 0
 
-            dst_part = (vhash(dst) % np.uint64(self.P)).astype(np.int64)
+            dst_part = part_key(dst, self.P)
             order = np.argsort(dst_part, kind="stable")
             self.e_src_local = src_local[order]
             self.e_wnorm = np.asarray(w_norm)[order] if src.size else w_norm
@@ -688,7 +693,7 @@ def _shard_actor_cls():
             has = self._prop != _INT64_MAX
             partner = self._prop[has]
             proposer = self.verts[has]
-            part = (vhash(partner) % np.uint64(self.P)).astype(np.int64)
+            part = part_key(partner, self.P)
             out = []
             for q in range(self.P):
                 m = part == q
@@ -977,13 +982,13 @@ class GraphEngine:
             # the shards' join order (see ingest())
             key = hashlib.blake2b(src.tobytes() + dst.tobytes() + w.tobytes(),
                                   digest_size=10).digest()
-            part = (vhash(src) % np.uint64(P)).astype(np.int64)
+            part = part_key(src, P)
             order = np.argsort(part, kind="stable")
             src, dst, w, part = src[order], dst[order], w[order], part[order]
             lo = np.searchsorted(part, np.arange(P))
             hi = np.searchsorted(part, np.arange(P) + 1)
             v = np.unique(np.concatenate([src, dst]))
-            vpart = (vhash(v) % np.uint64(P)).astype(np.int64)
+            vpart = part_key(v, P)
             vorder = np.argsort(vpart, kind="stable")
             v, vpart = v[vorder], vpart[vorder]
             vlo = np.searchsorted(vpart, np.arange(P))

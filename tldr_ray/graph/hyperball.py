@@ -28,8 +28,9 @@ estimates); the pytest pins estimates against exact BFS ball sizes.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+
+from tldr_ray.hashing import keyed_sweep
 
 
 def _vertex_registers(v: np.ndarray, b: int) -> np.ndarray:
@@ -83,10 +84,7 @@ def hyperball(edges, t: int = 4, b: int = 6, num_parts: int = 16,
     driver gets one float), from which the effective diameter (the
     smallest r reaching 90% of the final reach) falls out. Returns
     (frame, [N0, N1, ...])."""
-    from tldr_ray.graph.partition import vhash
-
     m = 1 << b
-    NP = np.uint64(num_parts)
 
     def und(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch[src_col], dtype=np.int64)
@@ -95,11 +93,8 @@ def hyperball(edges, t: int = 4, b: int = 6, num_parts: int = 16,
         s, d = s[keep], d[keep]
         a = np.concatenate([s, d])
         bb = np.concatenate([d, s])
-        tt = (pa.table({"s": pa.array(a), "d": pa.array(bb)})
-              .group_by(["s", "d"]).aggregate([]))
-        part = (vhash(np.asarray(tt["s"], dtype=np.int64))
-                % NP).astype(np.int32)
-        return tt.append_column("part", pa.array(part))
+        return (pa.table({"s": pa.array(a), "d": pa.array(bb)})
+                .group_by(["s", "d"]).aggregate([]))
 
     eds = (edges.map_batches(und, batch_format="pyarrow")
            .materialize())
@@ -108,12 +103,10 @@ def hyperball(edges, t: int = 4, b: int = 6, num_parts: int = 16,
         # distinct sources of the symmetrized table == all vertices
         v = np.unique(np.asarray(batch["s"], dtype=np.int64))
         regs = _vertex_registers(v, b)
-        part = (vhash(v) % NP).astype(np.int32)
         return pa.table({
             "v": pa.array(v),
             "regs": pa.FixedSizeListArray.from_arrays(
-                pa.array(regs.reshape(-1)), m),
-            "part": pa.array(part)})
+                pa.array(regs.reshape(-1)), m)})
 
     state = eds.map_batches(init_state, batch_format="pyarrow")
     # distinct vertices across blocks: one max-reduce round with no
@@ -125,7 +118,7 @@ def hyperball(edges, t: int = 4, b: int = 6, num_parts: int = 16,
     # + union otherwise double the block count every round
     # (16 -> 496 measured by round 4) and per-block overhead, not
     # data, becomes the round wall.
-    state = (_reduce(state, m, NP)
+    state = (_reduce(state, m, num_parts)
              .repartition(num_parts).materialize())
 
     def _reach_sum(st) -> float:
@@ -140,8 +133,8 @@ def hyperball(edges, t: int = 4, b: int = 6, num_parts: int = 16,
     series = [_reach_sum(state)] if return_series else None
 
     for _ in range(int(t)):
-        emitted = _join_round(eds, state, m, NP)
-        state = (_reduce(state.union(emitted), m, NP)
+        emitted = _join_round(eds, state, m, num_parts)
+        state = (_reduce(state.union(emitted), m, num_parts)
                  .repartition(num_parts).materialize())
         if return_series:
             series.append(_reach_sum(state))
@@ -171,18 +164,15 @@ def effective_diameter(series, q: float = 0.9) -> int:
     return len(series) - 1
 
 
-def _join_round(eds, state, m: int, NP: np.uint64):
-    """Tagged co-group on hash(src): gather each edge's src registers,
-    emit them keyed by dst (re-bucketed for the reduce)."""
-    from tldr_ray.graph.partition import vhash
-
+def _join_round(eds, state, m: int, num_parts: int):
+    """Tagged co-group on src: gather each edge's src registers, emit
+    them keyed by dst."""
     def tag_edges(batch: pa.Table) -> pa.Table:
         n = len(batch)
         return pa.table({
             "k": batch["s"], "d": batch["d"],
             "regs": pa.FixedSizeListArray.from_arrays(
                 pa.array(np.zeros(n * m, np.uint8)), m),
-            "part": batch["part"],
             "tag": pa.array(np.zeros(n, np.int8))})
 
     def tag_state(batch: pa.Table) -> pa.Table:
@@ -191,7 +181,6 @@ def _join_round(eds, state, m: int, NP: np.uint64):
             "k": batch["v"],
             "d": pa.array(np.zeros(n, np.int64)),
             "regs": batch["regs"],
-            "part": batch["part"],
             "tag": pa.array(np.ones(n, np.int8))})
 
     both = (eds.map_batches(tag_edges, batch_format="pyarrow")
@@ -214,25 +203,20 @@ def _join_round(eds, state, m: int, NP: np.uint64):
             return pa.table({
                 "v": pa.array([], pa.int64()),
                 "regs": pa.FixedSizeListArray.from_arrays(
-                    pa.array([], pa.uint8()), m),
-                "part": pa.array([], pa.int32())})
+                    pa.array([], pa.uint8()), m)})
         pos = np.searchsorted(skeys, ek)
         pos = np.minimum(pos, skeys.size - 1)
         hit = skeys[pos] == ek
         out_regs = smat[pos[hit]]
-        out_v = ed[hit]
-        part = (vhash(out_v) % NP).astype(np.int32)
         return pa.table({
-            "v": pa.array(out_v),
+            "v": pa.array(ed[hit]),
             "regs": pa.FixedSizeListArray.from_arrays(
-                pa.array(out_regs.reshape(-1)), m),
-            "part": pa.array(part)})
+                pa.array(out_regs.reshape(-1)), m)})
 
-    return both.groupby("part").map_groups(sweep,
-                                           batch_format="pyarrow")
+    return keyed_sweep(both, "k", sweep, num_parts, batch_format="pyarrow")
 
 
-def _reduce(state, m: int, NP: np.uint64):
+def _reduce(state, m: int, num_parts: int):
     """Segment max-reduce of register vectors per vertex."""
     def sweep(g: pa.Table) -> pa.Table:
         v = np.asarray(g["v"], dtype=np.int64)
@@ -249,8 +233,6 @@ def _reduce(state, m: int, NP: np.uint64):
         return pa.table({
             "v": pa.array(v[starts]),
             "regs": pa.FixedSizeListArray.from_arrays(
-                pa.array(red.reshape(-1)), m),
-            "part": g["part"].take(pa.array(starts))})
+                pa.array(red.reshape(-1)), m)})
 
-    return state.groupby("part").map_groups(sweep,
-                                            batch_format="pyarrow")
+    return keyed_sweep(state, "v", sweep, num_parts, batch_format="pyarrow")

@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 
 def boruvka_msf(edges, max_rounds: int = 32,
@@ -38,11 +37,9 @@ def boruvka_msf(edges, max_rounds: int = 32,
     from ray.data.aggregate import Min
 
     from tldr_ray.graph.gate import fits_broadcast
-    from tldr_ray.graph.partition import vhash
+    from tldr_ray.hashing import keyed_sweep
     from tldr_ray.stages.dedup import resolve_clusters
     from tldr_ray.stages.joins import bucketed_hash_join
-
-    NP = np.uint64(64)
 
     def undirect(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch["src"], dtype=np.int64)
@@ -133,9 +130,7 @@ def boruvka_msf(edges, max_rounds: int = 32,
             return pa.table({
                 "comp": pa.array(comp_of), "a": pa.array(aa),
                 "b": pa.array(bb), "weight": pa.array(ww),
-                "ca": pa.array(oca), "cb": pa.array(ocb),
-                "part": pa.array((vhash(comp_of) % NP)
-                                 .astype(np.int32))})
+                "ca": pa.array(oca), "cb": pa.array(ocb)})
 
         def argmin_sweep(g: pd.DataFrame) -> pd.DataFrame:
             g = g.sort_values(["comp", "weight", "a", "b"],
@@ -147,10 +142,8 @@ def boruvka_msf(edges, max_rounds: int = 32,
                 first[1:] = c[1:] != c[:-1]
             return g[first][["a", "b", "weight", "ca", "cb"]]
 
-        picks = (dec.map_batches(tag, batch_format="pyarrow")
-                 .groupby("part")
-                 .map_groups(argmin_sweep, batch_format="pandas")
-                 .to_pandas())
+        picks = keyed_sweep(dec.map_batches(tag, batch_format="pyarrow"),
+                            "comp", argmin_sweep).to_pandas()
         if not len(picks):
             break
         picks = picks.drop_duplicates(["a", "b"])

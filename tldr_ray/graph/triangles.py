@@ -25,6 +25,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from tldr_ray.hashing import keyed_sweep
+
 
 def _orient(a, b, da, db):
     """Orient each undirected edge from the lower (degree, id) endpoint
@@ -135,10 +137,6 @@ def triangle_counts(edges, broadcast_degrees: bool | None = None,
     # their key (per-vertex / per-pair micro-groups would pay ~ms of
     # map_groups invocation overhead each; a partition task sweeps all
     # its keys with one sort + segment reductions)
-    from tldr_ray.graph.partition import vhash
-
-    NP = np.uint64(64)
-
     def wedge_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["src", "dst"])
         src = g["src"].to_numpy(np.int64)
@@ -161,35 +159,22 @@ def triangle_counts(edges, broadcast_degrees: bool | None = None,
         ib = np.concatenate(ib)
         return pd.DataFrame({"a": dst[ia], "b": dst[ib], "center": src[ia]})
 
-    wedge_ds = (
-        oriented.map_batches(
-            lambda t: t.append_column(
-                "part", pa.array(
-                    (vhash(np.asarray(t["src"], dtype=np.int64)) % NP)
-                    .astype(np.int32))),
-            batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wedge_part, batch_format="pandas")
-    )
+    wedge_ds = keyed_sweep(oriented, "src", wedge_part)
 
     def tag_edges(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["src"], dtype=np.int64)
         b = np.asarray(batch["dst"], dtype=np.int64)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        part = (vhash(lo * np.int64(1_000_003) + hi) % NP).astype(np.int32)
         return pa.table({"a": lo, "b": hi,
-                         "center": np.full(a.size, -1, np.int64),
-                         "part": pa.array(part)})
+                         "center": np.full(a.size, -1, np.int64)})
 
     def tag_wedges(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["a"], dtype=np.int64)
         b = np.asarray(batch["b"], dtype=np.int64)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        part = (vhash(lo * np.int64(1_000_003) + hi) % NP).astype(np.int32)
         return pa.table({"a": lo, "b": hi,
                          "center": np.asarray(batch["center"],
-                                              dtype=np.int64),
-                         "part": pa.array(part)})
+                                              dtype=np.int64)})
 
     probe = oriented.map_batches(tag_edges, batch_format="pyarrow").union(
         wedge_ds.map_batches(tag_wedges, batch_format="pyarrow"))
@@ -215,8 +200,7 @@ def triangle_counts(edges, broadcast_degrees: bool | None = None,
         return pd.DataFrame({"vertex": vu, "n": cnt.astype(np.int64)})
 
     per_vertex = (
-        probe.groupby("part")
-        .map_groups(close_part, batch_format="pandas")
+        keyed_sweep(probe, ["a", "b"], close_part)
         .groupby("vertex")
         .aggregate(Sum("n", alias_name="triangles"))
     )
@@ -246,9 +230,6 @@ def common_neighbors(edges, max_degree: int | None = None):
     by nothing — callers top-k with a deterministic total order.
     """
     import pandas as pd
-    from tldr_ray.graph.partition import vhash
-
-    NP = np.uint64(64)
 
     def undirect(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch["src"], dtype=np.int64)
@@ -268,9 +249,7 @@ def common_neighbors(edges, max_degree: int | None = None):
         b = np.asarray(batch["b"], dtype=np.int64)
         src = np.concatenate([a, b])
         dst = np.concatenate([b, a])
-        return pa.table({
-            "src": src, "dst": dst,
-            "part": pa.array((vhash(src) % NP).astype(np.int32))})
+        return pa.table({"src": src, "dst": dst})
 
     def wedge_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["src", "dst"])
@@ -298,26 +277,16 @@ def common_neighbors(edges, max_degree: int | None = None):
         return pd.DataFrame({"u": pairs[:, 0], "v": pairs[:, 1],
                              "n": cnt.astype(np.int64)})
 
-    wedges = und.map_batches(sym, batch_format="pyarrow") \
-        .groupby("part").map_groups(wedge_part, batch_format="pandas")
-
-    def tag_pairs(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch["u"], dtype=np.int64)
-        v = np.asarray(batch["v"], dtype=np.int64)
-        part = (vhash(u * np.int64(1_000_003) + v) % NP).astype(np.int32)
-        return pa.table({"u": batch["u"], "v": batch["v"],
-                         "n": batch["n"], "part": pa.array(part)})
+    wedges = keyed_sweep(und.map_batches(sym, batch_format="pyarrow"), "src",
+                         wedge_part)
 
     def tag_edges(batch: pa.Table) -> pa.Table:
         u = np.asarray(batch["a"], dtype=np.int64)
         v = np.asarray(batch["b"], dtype=np.int64)
-        part = (vhash(u * np.int64(1_000_003) + v) % NP).astype(np.int32)
         return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "n": pa.array(np.full(u.size, -1, np.int64)),
-                         "part": pa.array(part)})
+                         "n": pa.array(np.full(u.size, -1, np.int64))})
 
-    probe = wedges.map_batches(tag_pairs, batch_format="pyarrow").union(
-        und.map_batches(tag_edges, batch_format="pyarrow"))
+    probe = wedges.union(und.map_batches(tag_edges, batch_format="pyarrow"))
 
     def sum_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["u", "v", "n"])   # edge rows (-1) first
@@ -339,8 +308,7 @@ def common_neighbors(edges, max_degree: int | None = None):
         return pd.DataFrame({"u": u[starts][m], "v": v[starts][m],
                              "n_common": tot[m]})
 
-    return probe.groupby("part").map_groups(sum_part,
-                                            batch_format="pandas")
+    return keyed_sweep(probe, ["u", "v"], sum_part)
 
 
 def degree_assortativity(edges, broadcast_limit_rows: int | None = None):
@@ -467,7 +435,6 @@ def edge_support(und, broadcast_degrees: bool | None = None,
     from ray.data.aggregate import Sum
 
     from tldr_ray.graph.gate import fits_broadcast
-    from tldr_ray.graph.partition import vhash
 
     def degree_rows(batch: pa.Table) -> pa.Table:
         v = np.concatenate([np.asarray(batch["a"]),
@@ -530,8 +497,6 @@ def edge_support(und, broadcast_degrees: bool | None = None,
                                        batch_format="pyarrow") \
             .materialize()
 
-    NP = np.uint64(64)
-
     def wedge_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["src", "dst"])
         src = g["src"].to_numpy(np.int64)
@@ -555,31 +520,22 @@ def edge_support(und, broadcast_degrees: bool | None = None,
         return pd.DataFrame({"a": dst[ia], "b": dst[ib],
                              "center": src[ia]})
 
-    wedge_ds = (oriented.map_batches(
-        lambda t: t.append_column(
-            "part", pa.array((vhash(np.asarray(t["src"], dtype=np.int64))
-                              % NP).astype(np.int32))),
-        batch_format="pyarrow")
-        .groupby("part").map_groups(wedge_part, batch_format="pandas"))
+    wedge_ds = keyed_sweep(oriented, "src", wedge_part)
 
     def tag_edges(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["src"], dtype=np.int64)
         b = np.asarray(batch["dst"], dtype=np.int64)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        part = (vhash(lo * np.int64(1_000_003) + hi) % NP).astype(np.int32)
         return pa.table({"a": lo, "b": hi,
-                         "center": np.full(a.size, -1, np.int64),
-                         "part": pa.array(part)})
+                         "center": np.full(a.size, -1, np.int64)})
 
     def tag_wedges(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["a"], dtype=np.int64)
         b = np.asarray(batch["b"], dtype=np.int64)
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        part = (vhash(lo * np.int64(1_000_003) + hi) % NP).astype(np.int32)
         return pa.table({"a": lo, "b": hi,
                          "center": np.asarray(batch["center"],
-                                              dtype=np.int64),
-                         "part": pa.array(part)})
+                                              dtype=np.int64)})
 
     probe = oriented.map_batches(tag_edges, batch_format="pyarrow").union(
         wedge_ds.map_batches(tag_wedges, batch_format="pyarrow"))
@@ -613,8 +569,7 @@ def edge_support(und, broadcast_degrees: bool | None = None,
         out["n"] = out["n"].astype(np.int64)
         return out
 
-    return (probe.groupby("part")
-            .map_groups(close_part, batch_format="pandas")
+    return (keyed_sweep(probe, ["a", "b"], close_part)
             .groupby(["u", "v"])
             .aggregate(Sum("n", alias_name="support")))
 
@@ -827,10 +782,6 @@ def four_cycle_count(edges, max_degree: int | None = None):
 
     from ray.data.aggregate import Sum
 
-    from tldr_ray.graph.partition import vhash
-
-    NP = np.uint64(64)
-
     def undirect(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch["src"], dtype=np.int64)
         d = np.asarray(batch["dst"], dtype=np.int64)
@@ -848,9 +799,7 @@ def four_cycle_count(edges, max_degree: int | None = None):
         b = np.asarray(batch["b"], dtype=np.int64)
         src = np.concatenate([a, b])
         dst = np.concatenate([b, a])
-        return pa.table({
-            "src": src, "dst": dst,
-            "part": pa.array((vhash(src) % NP).astype(np.int32))})
+        return pa.table({"src": src, "dst": dst})
 
     def wedge_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["src", "dst"])
@@ -877,15 +826,8 @@ def four_cycle_count(edges, max_degree: int | None = None):
         return pd.DataFrame({"u": pairs[:, 0], "v": pairs[:, 1],
                              "n": cnt.astype(np.int64)})
 
-    wedges = und.map_batches(sym, batch_format="pyarrow") \
-        .groupby("part").map_groups(wedge_part, batch_format="pandas")
-
-    def tag_pairs(batch: pa.Table) -> pa.Table:
-        u = np.asarray(batch["u"], dtype=np.int64)
-        v = np.asarray(batch["v"], dtype=np.int64)
-        part = (vhash(u * np.int64(1_000_003) + v) % NP).astype(np.int32)
-        return pa.table({"u": batch["u"], "v": batch["v"],
-                         "n": batch["n"], "part": pa.array(part)})
+    wedges = keyed_sweep(und.map_batches(sym, batch_format="pyarrow"), "src",
+                         wedge_part)
 
     def choose2_partial(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["u", "v"])
@@ -900,8 +842,6 @@ def four_cycle_count(edges, max_degree: int | None = None):
         return pd.DataFrame({"c2": pd.array(
             [int((tot * (tot - 1) // 2).sum())], dtype="int64")})
 
-    parts = wedges.map_batches(tag_pairs, batch_format="pyarrow") \
-        .groupby("part").map_groups(choose2_partial,
-                                    batch_format="pandas")
+    parts = keyed_sweep(wedges, ["u", "v"], choose2_partial)
     total = parts.aggregate(Sum("c2", alias_name="c2"))["c2"]
     return int(total or 0) // 2

@@ -47,11 +47,9 @@ def random_walks(edges, walk_len: int = 4, num_partitions: int = 64,
     from ray.data.aggregate import Sum
 
     from tldr_ray.graph.gate import fits_broadcast
-    from tldr_ray.graph.partition import vhash
+    from tldr_ray.hashing import keyed_sweep
     from tldr_ray.stages.dedup import _mix64
     from tldr_ray.stages.joins import bucketed_hash_join
-
-    NP = np.uint64(num_partitions)
 
     def undirect(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch["src"], dtype=np.int64)
@@ -71,9 +69,7 @@ def random_walks(edges, walk_len: int = 4, num_partitions: int = 64,
         b = np.asarray(batch["b"], dtype=np.int64)
         src = np.concatenate([a, b])
         dst = np.concatenate([b, a])
-        return pa.table({
-            "v": src, "nbr": dst,
-            "part": pa.array((vhash(src) % NP).astype(np.int32))})
+        return pa.table({"v": src, "nbr": dst})
 
     symd = und.map_batches(sym, batch_format="pyarrow")
 
@@ -107,9 +103,8 @@ def random_walks(edges, walk_len: int = 4, num_partitions: int = 64,
                 np.concatenate([seg_start, [len(g)]])))
         return pd.DataFrame({"akey": v * stride + idx, "nbr": nbr})
 
-    adj = symd.groupby("part").map_groups(rank_part,
-                                          batch_format="pandas") \
-        .materialize()   # joined against at EVERY step — build once
+    # joined against at EVERY step — build once
+    adj = keyed_sweep(symd, "v", rank_part, num_partitions).materialize()
 
     def key_frontier(step: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -208,10 +203,8 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
     from ray.data.aggregate import Sum
 
     from tldr_ray.graph.gate import fits_broadcast
-    from tldr_ray.graph.partition import vhash
+    from tldr_ray.hashing import keyed_sweep
     from tldr_ray.stages.dedup import _mix64
-
-    NP = np.uint64(num_partitions)
 
     def undirect(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch["src"], dtype=np.int64)
@@ -247,7 +240,7 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
         dst = np.concatenate([b, a])
         n = src.size
         return pa.table({
-            "part": pa.array((vhash(src) % NP).astype(np.int32)),
+            "k": pa.array(src),
             "start": pa.array(np.full(n, -1, np.int64)),
             "prev": pa.array(src),          # adjacency: prev slot = v
             "cur": pa.array(dst),           # cur slot = nbr
@@ -257,9 +250,8 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
         .materialize()
 
     def tag_frontier(batch: pa.Table) -> pa.Table:
-        cur = np.asarray(batch["cur"], dtype=np.int64)
         return pa.table({
-            "part": pa.array((vhash(cur) % NP).astype(np.int32)),
+            "k": batch["cur"].cast(pa.int64()),
             "start": batch["start"],
             "prev": batch["prev"],
             "cur": batch["cur"],
@@ -365,7 +357,6 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
         key = lo * np.int64(maxv) + hi      # prev<0 => negative key,
         n = len(batch)                      # matches no marker
         return pa.table({
-            "part": pa.array((vhash(key) % NP).astype(np.int32)),
             "ekey": pa.array(key),
             "is_edge": pa.array(np.zeros(n, np.int8)),
             "start": batch["start"].cast(pa.int64()),
@@ -380,7 +371,6 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
         n = a.size
         fill = pa.array(np.full(n, -1, np.int64))
         return pa.table({
-            "part": pa.array((vhash(key) % NP).astype(np.int32)),
             "ekey": pa.array(key),
             "is_edge": pa.array(np.ones(n, np.int8)),
             "start": fill, "prev": fill, "cur": fill, "nbr": fill})
@@ -402,11 +392,6 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
         out = cd[["start", "prev", "cur", "nbr"]].copy()
         out["is_common"] = ic.astype(np.int8)
         return out
-
-    def tag_start(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch["start"], dtype=np.int64)
-        return batch.append_column(
-            "part2", pa.array((vhash(s) % NP).astype(np.int32)))
 
     def pick_part(t: int):
         def fn(group: pd.DataFrame) -> pd.DataFrame:
@@ -443,20 +428,15 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
                                     batch_format="pyarrow") \
             .union(adj_rows)
         if bcast:
-            frontier = both.groupby("part") \
-                .map_groups(step_part(t), batch_format="pandas") \
-                .materialize()
+            frontier = keyed_sweep(both, "k", step_part(t),
+                                   num_partitions).materialize()
         else:
-            cands = both.groupby("part") \
-                .map_groups(cand_part, batch_format="pandas") \
+            cands = keyed_sweep(both, "k", cand_part, num_partitions) \
                 .map_batches(tag_cand, batch_format="pyarrow")
-            marked = cands.union(marker_ds).groupby("part") \
-                .map_groups(mark_part, batch_format="pandas")
-            frontier = marked \
-                .map_batches(tag_start, batch_format="pyarrow") \
-                .groupby("part2") \
-                .map_groups(pick_part(t), batch_format="pandas") \
-                .materialize()
+            marked = keyed_sweep(cands.union(marker_ds), "ekey",
+                                 mark_part, num_partitions)
+            frontier = keyed_sweep(marked, "start", pick_part(t),
+                                   num_partitions).materialize()
         out = out.union(frontier.map_batches(stamp(t),
                                              batch_format="pyarrow"))
     return out

@@ -27,25 +27,11 @@ from typing import Optional
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 from tldr_ray.config import SummarizeConfig
+from tldr_ray.hashing import keyed_sweep
 from tldr_ray.kernel.lexrank import summarize_with_indices_many
 from tldr_ray.kernel.text import pseudo_sentences
-
-
-def _with_conv_part(ds, num_parts: int = 64):
-    """Append a coarse int partition key for conv_id (the only shuffle
-    key — per-conversation map_groups pays ~ms of invocation overhead
-    per micro-group; a partition task sweeps its conversations with a
-    local pandas groupby instead)."""
-    def assign(batch: pa.Table) -> pa.Table:
-        from tldr_ray.hashing import part_key
-
-        return batch.append_column(
-            "__part", pa.array(part_key(batch["conv_id"], num_parts)))
-
-    return ds.map_batches(assign, batch_format="pyarrow")
 
 
 def conversation_texts(turns: pd.DataFrame, sort_ids: bool = False):
@@ -96,13 +82,9 @@ def summarize_transcripts(transcripts, num: int = 3,
         return _summary_frame(ids, summarize_with_indices_many(docs, num, cfg),
                               "conv_id")
 
-    return (
-        _with_conv_part(
-            transcripts.select_columns(["conv_id", "turn_idx", "text"]),
-            num_parts)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return keyed_sweep(
+        transcripts.select_columns(["conv_id", "turn_idx", "text"]),
+        "conv_id", per_part, num_parts)
 
 
 def assemble_documents(transcripts, num_parts: int = 64):
@@ -113,13 +95,9 @@ def assemble_documents(transcripts, num_parts: int = 64):
         convs, texts = conversation_texts(group, sort_ids=True)
         return pd.DataFrame({"conv_id": convs, "text": texts})
 
-    return (
-        _with_conv_part(
-            transcripts.select_columns(["conv_id", "turn_idx", "text"]),
-            num_parts)
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return keyed_sweep(
+        transcripts.select_columns(["conv_id", "turn_idx", "text"]),
+        "conv_id", per_part, num_parts)
 
 
 def summarize_documents(documents, num: int = 3,

@@ -263,15 +263,14 @@ def build_hash_index(ds, path: str, key_col: str,
 
     import pyarrow.parquet as pq
 
-    from tldr_ray.graph.partition import vhash
+    from tldr_ray.hashing import part_key
 
     os.makedirs(path, exist_ok=True)
-    B = np.uint64(num_buckets)
 
     def assign(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch[key_col], dtype=np.int64)
         return batch.append_column(
-            "__bucket", pa.array((vhash(k) % B).astype(np.int32)))
+            "__bucket", pa.array(part_key(k, num_buckets)))
 
     def write_bucket(g: pa.Table) -> pa.Table:
         b = int(g["__bucket"][0].as_py())

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 from tldr_ray.config import SummarizeConfig
+from tldr_ray.hashing import keyed_sweep
 from tldr_ray.kernel.lexrank import summarize_with_indices
 
 
@@ -31,13 +30,6 @@ def summarize_sentences_table(sentences, num: int = 3,
     (tldr.go:120-123).
     """
     cfg = cfg or SummarizeConfig()
-
-    def assign(batch: pa.Table) -> pa.Table:
-        from tldr_ray.stages.joins import _hash_any
-
-        part = (_hash_any(batch[id_col].to_pylist())
-                % np.uint64(num_parts)).astype(np.int32)
-        return batch.append_column("__part", pa.array(part))
 
     def per_part(group: pd.DataFrame) -> pd.DataFrame:
         ids, ranks, locs, texts = [], [], [], []
@@ -59,9 +51,5 @@ def summarize_sentences_table(sentences, num: int = 3,
             }
         )
 
-    return (
-        sentences.select_columns([id_col, "sent_idx", "text"])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(per_part, batch_format="pandas")
-    )
+    return keyed_sweep(sentences.select_columns([id_col, "sent_idx", "text"]),
+                       id_col, per_part, num_parts)

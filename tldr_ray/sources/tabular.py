@@ -286,14 +286,13 @@ def read_point_lookup(path: str, keys,
     import numpy as np
     import pyarrow.parquet as pq
 
-    from tldr_ray.graph.partition import vhash
+    from tldr_ray.hashing import part_key
 
     with open(os.path.join(path, manifest_name)) as fh:
         manifest = json.load(fh)
     key_col = manifest["key_col"]
-    B = np.uint64(manifest["num_buckets"])
     ks = np.asarray(sorted({int(k) for k in keys}), dtype=np.int64)
-    want = np.unique((vhash(ks) % B).astype(np.int64))
+    want = np.unique(part_key(ks, manifest["num_buckets"]))
     present = {int(b) for b in manifest["buckets"]}
     tabs = []
     opened = 0

@@ -28,6 +28,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from tldr_ray.hashing import keyed_sweep
+
 
 def _disc_indices(q: float, counts: np.ndarray) -> np.ndarray:
     """0-based within-group index of the discrete q-quantile for each
@@ -44,17 +46,7 @@ def grouped_quantiles(ds, key: str, value: str, qs=(0.5, 0.9, 0.99),
     once and gathers every quantile for every key segment with pure
     index arithmetic — no per-group invocations, no Python loop over
     groups."""
-    from tldr_ray.hashing import part_key
-
     cols = {float(q): f"p{q * 100:g}".replace(".", "_") for q in qs}
-
-    def assign(batch: pa.Table) -> pa.Table:
-        k = batch[key]
-        if not (pa.types.is_string(k.type)
-                or pa.types.is_large_string(k.type)):
-            k = pc.cast(k, pa.string())
-        return batch.append_column(
-            "part", pa.array(part_key(k, num_parts)))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         if not len(group):
@@ -72,12 +64,8 @@ def grouped_quantiles(ds, key: str, value: str, qs=(0.5, 0.9, 0.99),
             out[name] = vals[starts + _disc_indices(q, counts)]
         return pd.DataFrame(out)
 
-    return (
-        ds.select_columns([key, value])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sweep, batch_format="pandas")
-    )
+    return keyed_sweep(ds.select_columns([key, value]),
+                       key, sweep, num_parts)
 
 
 def bottomk_sample(ds, key: str, k: int = 100):
@@ -290,7 +278,7 @@ def salted_group_sum(ds, key: str, int_cols: list[str],
     integer addition is associative)."""
     from ray.data.aggregate import Sum
 
-    from tldr_ray.graph.partition import vhash
+    from tldr_ray.hashing import vhash
 
     def salt(batch: pa.Table) -> pa.Table:
         if salt_col is not None:
@@ -322,9 +310,6 @@ def grouped_mode(ds, key: str, col: str, num_parts: int = 64):
     O(rows)."""
     from ray.data.aggregate import Sum
 
-    from tldr_ray.hashing import part_key
-    from tldr_ray.graph.partition import vhash
-
     def partial(batch: pa.Table) -> pa.Table:
         k = np.asarray(batch[key])
         v = np.asarray(batch[col])
@@ -335,15 +320,6 @@ def grouped_mode(ds, key: str, col: str, num_parts: int = 64):
         return pa.table({key: pa.array(uk[uc // len(uv)]),
                          col: pa.array(uv[uc % len(uv)]),
                          "n": pa.array(cnt.astype(np.int64))})
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch[key]
-        if pa.types.is_integer(k.type):
-            p = (vhash(np.asarray(k, dtype=np.int64))
-                 % np.uint64(num_parts)).astype(np.int32)
-        else:
-            p = part_key(k, num_parts)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         k = group[key].to_numpy()
@@ -357,14 +333,11 @@ def grouped_mode(ds, key: str, col: str, num_parts: int = 64):
         return pd.DataFrame({key: k[first], "mode_value": v[first],
                              "n": n[first]})
 
-    return (
+    return keyed_sweep(
         ds.select_columns([key, col])
         .map_batches(partial, batch_format="pyarrow")
-        .groupby([key, col]).aggregate(Sum("n", alias_name="n"))
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(sweep, batch_format="pandas")
-    )
+        .groupby([key, col]).aggregate(Sum("n", alias_name="n")),
+        key, sweep, num_parts)
 
 
 def iqr_outliers(ds, key: str, value: str, factor: float = 1.5,
@@ -1108,17 +1081,7 @@ def grouped_quantiles_cont(ds, key: str, value: str,
     identical IEEE op order = identical doubles). Same
     coarse-partition sweep as grouped_quantiles: one shuffle on
     hash(key), per-task lexsort + two index gathers per quantile."""
-    from tldr_ray.hashing import part_key
-
     cols = {float(q): f"p{q * 100:g}".replace(".", "_") for q in qs}
-
-    def assign(batch: pa.Table) -> pa.Table:
-        k = batch[key]
-        if not (pa.types.is_string(k.type)
-                or pa.types.is_large_string(k.type)):
-            k = pc.cast(k, pa.string())
-        return batch.append_column(
-            "part", pa.array(part_key(k, num_parts)))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         if not len(group):
@@ -1142,12 +1105,8 @@ def grouped_quantiles_cont(ds, key: str, value: str,
             out[name] = vlo * (1.0 - frac) + vhi * frac
         return pd.DataFrame(out)
 
-    return (
-        ds.select_columns([key, value])
-        .map_batches(assign, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(sweep, batch_format="pandas")
-    )
+    return keyed_sweep(ds.select_columns([key, value]),
+                       key, sweep, num_parts)
 
 
 def auc_from_value_counts(s: np.ndarray, c: np.ndarray,
@@ -1241,22 +1200,7 @@ def spearman_vs_order(ds, key_cols: list[str], order_cols: list[str],
     ranks and moments vectorized. Groups with n < ``min_n`` or zero
     value variance (all tied) are dropped — rho is undefined there.
     Emits (*key_cols, n, rho)."""
-    from tldr_ray.graph.partition import vhash
-    from tldr_ray.hashing import fnv1a_batch
-
     need = list(dict.fromkeys([*key_cols, *order_cols, value_col]))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        h = np.zeros(len(batch), np.uint64)
-        for c in key_cols:
-            col = batch[c]
-            if pa.types.is_integer(col.type):
-                h = h * np.uint64(1_000_003) ^ vhash(
-                    np.asarray(col, dtype=np.int64))
-            else:
-                h = h * np.uint64(1_000_003) ^ fnv1a_batch(col)
-        p = (h % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([*key_cols, *order_cols],
@@ -1321,10 +1265,8 @@ def spearman_vs_order(ds, key_cols: list[str], order_cols: list[str],
         out["rho"] = rho[keep]
         return pd.DataFrame(out)
 
-    return (ds.select_columns(need)
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(ds.select_columns(need),
+                       key_cols, sweep, num_partitions)
 
 
 def grouped_trimmed_mean(ds, key: str, value: str,
@@ -1342,16 +1284,6 @@ def grouped_trimmed_mean(ds, key: str, value: str,
     division of two exact int64s, so the float hash-matches a SQL
     mirror. One coarse shuffle, one sort + segment cumsum per task.
     Emits (key, n, n_kept, trimmed_sum, trimmed_mean)."""
-    from tldr_ray.hashing import part_key
-
-    def assign(batch: pa.Table) -> pa.Table:
-        k = batch[key]
-        if not (pa.types.is_string(k.type)
-                or pa.types.is_large_string(k.type)):
-            k = pc.cast(k, pa.string())
-        return batch.append_column(
-            "part", pa.array(part_key(k, num_parts)))
-
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         if not len(group):
             return pd.DataFrame({key: [],
@@ -1390,10 +1322,8 @@ def grouped_trimmed_mean(ds, key: str, value: str,
             "trimmed_mean": s.astype(np.float64)
             / kept.astype(np.float64)})
 
-    return (ds.select_columns([key, value])
-            .map_batches(assign, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(ds.select_columns([key, value]),
+                       key, sweep, num_parts)
 
 
 def theil_sen_by_key(ds, key_col: str, t_col: str, v_col: str,
@@ -1414,13 +1344,6 @@ def theil_sen_by_key(ds, key_col: str, t_col: str, v_col: str,
     quantile_cont composition x[lo]*0.5 + x[hi]*0.5 (NOT (a+b)/2 —
     different IEEE rounding), so the float hash-matches. Emits
     (key, n_points, n_slopes, ts_slope)."""
-    from tldr_ray.graph.partition import vhash
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        p = (vhash(np.asarray(batch[key_col], dtype=np.int64))
-             % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(p))
-
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         out_empty = pd.DataFrame({
             key_col: pd.array([], dtype="int64"),
@@ -1472,10 +1395,8 @@ def theil_sen_by_key(ds, key_col: str, t_col: str, v_col: str,
             "n_slopes": m,
             "ts_slope": med})
 
-    return (ds.select_columns([key_col, t_col, v_col])
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(ds.select_columns([key_col, t_col, v_col]),
+                       key_col, sweep, num_partitions)
 
 
 def class_rebalance(ds, class_col: str, id_col: str, target_n: int):
@@ -1576,13 +1497,6 @@ def kendall_mk_by_key(ds, key_col: str, t_col: str, v_col: str,
     tau_b = S / sqrt((n0-n1)*(n0-n2)) — exact int64 counts into one
     IEEE chain, so the floats hash-match. Emits
     (key, n, n_pairs, s_mk, n_tie_v, n_tie_t, tau_b)."""
-    from tldr_ray.graph.partition import vhash
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        p = (vhash(np.asarray(batch[key_col], dtype=np.int64))
-             % np.uint64(num_partitions)).astype(np.int32)
-        return batch.append_column("__part", pa.array(p))
-
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame({
             key_col: pd.array([], dtype="int64"),
@@ -1646,10 +1560,8 @@ def kendall_mk_by_key(ds, key_col: str, t_col: str, v_col: str,
             "s_mk": s[m], "n_tie_v": n1[m], "n_tie_t": n2[m],
             "tau_b": tau[m]})
 
-    return (ds.select_columns([key_col, t_col, v_col])
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(ds.select_columns([key_col, t_col, v_col]),
+                       key_col, sweep, num_partitions)
 
 
 def pava_pool(n: np.ndarray, s: np.ndarray):

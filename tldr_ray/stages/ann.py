@@ -210,7 +210,7 @@ def _train_ivf_centroids(ds, id_col: str, emb_col: str, nlist: int,
     rows ever reach the driver regardless of corpus size, then the
     lowest-hash sample_size of those train a few Lloyd iterations in
     numpy. Deterministic for a given (corpus, seed)."""
-    from tldr_ray.graph.partition import vhash
+    from tldr_ray.hashing import vhash
 
     n = ds.count()
     frac = min(1.0, (4.0 * sample_size) / max(1, n))
@@ -530,7 +530,7 @@ def _train_pq_codebooks(ds, id_col: str, emb_col: str, m: int, ksub: int,
     m subspaces, run a few plain-L2 Lloyd iterations per subspace in
     numpy. O(sample_size * dim) driver work regardless of corpus size;
     deterministic for a given (corpus, seed)."""
-    from tldr_ray.graph.partition import vhash
+    from tldr_ray.hashing import vhash
 
     n = ds.count()
     frac = min(1.0, (4.0 * sample_size) / max(1, n))

@@ -22,6 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from tldr_ray.hashing import content_hash128_batch, keyed_sweep
 # zero-copy Arrow string-buffer access lives in the shared hashing
 # module (with large_string/large_binary offset handling)
 from tldr_ray.hashing import string_bytes as _string_bytes
@@ -48,20 +49,6 @@ def _mix64(x: np.ndarray) -> np.ndarray:
     return x ^ (x >> np.uint64(31))
 
 
-def _content_hash_and_part(texts, num_partitions: int
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(h1, h2 uint64 lanes — an effectively 128-bit content identity —
-    plus int32 coarse partition key), all vectorized over the batch's
-    Arrow byte buffer via hashing.content_hash128_batch. Round-3 verdict
-    item 5: the former per-row ``hashlib.blake2b`` loop cost ~µs/row of
-    interpreter dispatch on a stage that touches every document."""
-    from tldr_ray.hashing import content_hash128_batch
-
-    h1, h2 = content_hash128_batch(texts)
-    part = (h1 % np.uint64(max(num_partitions, 1))).astype(np.int32)
-    return h1, h2, part
-
-
 def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
                 num_partitions: int = 64):
     """Exact duplicate clusters: (doc_id, keep_id, n_dupes) one row per doc.
@@ -73,16 +60,9 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
     per-cluster map_groups invocations.
     """
     def add_hash(batch: pa.Table) -> pa.Table:
-        h1, h2, part = _content_hash_and_part(batch[text_col],
-                                              num_partitions)
-        return pa.table(
-            {
-                id_col: batch[id_col],
-                "h1": pa.array(h1),
-                "h2": pa.array(h2),
-                "part": pa.array(part),
-            }
-        )
+        h1, h2 = content_hash128_batch(batch[text_col])
+        return pa.table({id_col: batch[id_col], "h1": pa.array(h1),
+                         "h2": pa.array(h2)})
 
     def resolve_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["h1", "h2", id_col])
@@ -102,12 +82,10 @@ def exact_dedup(ds, id_col: str = "doc_id", text_col: str = "text",
             }
         )
 
-    return (
+    return keyed_sweep(
         ds.select_columns([id_col, text_col])
-        .map_batches(add_hash, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(resolve_part, batch_format="pandas")
-    )
+        .map_batches(add_hash, batch_format="pyarrow"),
+        "h1", resolve_part, num_partitions)
 
 
 def exact_dedup_representatives(ds, id_col: str = "doc_id",
@@ -125,11 +103,9 @@ def exact_dedup_representatives(ds, id_col: str = "doc_id",
     ``sum(__n_dupes)`` without a separate pass (curation uses this to
     fold its report counts into the one materialized intermediate)."""
     def add_hash(batch: pa.Table) -> pa.Table:
-        h1, h2, part = _content_hash_and_part(batch[text_col],
-                                              num_partitions)
+        h1, h2 = content_hash128_batch(batch[text_col])
         return batch.append_column("__h1", pa.array(h1)) \
-            .append_column("__h2", pa.array(h2)) \
-            .append_column("__part", pa.array(part))
+            .append_column("__h2", pa.array(h2))
 
     def keep_min_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["__h1", "__h2", id_col])
@@ -137,18 +113,15 @@ def exact_dedup_representatives(ds, id_col: str = "doc_id",
         h2 = g["__h2"].to_numpy()
         first = np.concatenate([[True],
                                 (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])])
-        out = g[first].drop(columns=["__h1", "__h2", "__part"])
+        out = g[first].drop(columns=["__h1", "__h2"])
         if with_count:
             starts = np.flatnonzero(first)
             sizes = np.diff(np.concatenate([starts, [len(g)]]))
             out = out.assign(__n_dupes=sizes.astype(np.int64))
         return out
 
-    return (
-        ds.map_batches(add_hash, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(keep_min_part, batch_format="pandas")
-    )
+    return keyed_sweep(ds.map_batches(add_hash, batch_format="pyarrow"),
+                       "__h1", keep_min_part, num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +320,6 @@ def minhash_lsh_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                 "id": pa.array(np.repeat(ids, bands)),
                 "band": pa.array(np.tile(np.arange(bands, dtype=np.int32), D)),
                 "bucket": pa.array(flat_bucket.view(np.int64)),
-                "part": pa.array((flat_bucket % np.uint64(num_partitions))
-                                 .astype(np.int32)),
                 "sig": pa.array([s for s in sig_bytes for _ in range(bands)],
                                 pa.binary()),
             }
@@ -387,12 +358,10 @@ def minhash_lsh_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         return pa.table({"id_a": pa.array(ra), "id_b": pa.array(rb),
                          "est_jaccard": pa.array(re)})
 
-    pairs = (
+    pairs = keyed_sweep(
         ds.select_columns([id_col, text_col])
-        .map_batches(signatures, batch_format="pyarrow", batch_size=256)
-        .groupby("part")
-        .map_groups(partition_pairs, batch_format="pyarrow")
-    )
+        .map_batches(signatures, batch_format="pyarrow", batch_size=256),
+        "bucket", partition_pairs, num_partitions, batch_format="pyarrow")
     # a pair can surface from several bands -> dedupe on (id_a, id_b)
     return pairs.groupby(["id_a", "id_b"]).max("est_jaccard").map_batches(
         lambda t: t.rename_columns(["id_a", "id_b", "est_jaccard"]),
@@ -499,17 +468,11 @@ def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             bands.append((sig >> np.uint64(shift)) & mask)
             tabs.append(np.full(D, t, dtype=np.int32))
         T = len(plan)
-        band_flat = np.concatenate(bands)
-        tab_flat = np.concatenate(tabs)
-        part = (_mix64(band_flat ^ (tab_flat.astype(np.uint64)
-                                    * np.uint64(0x9E3779B97F4A7C15)))
-                % np.uint64(num_partitions)).astype(np.int32)
         return pa.table(
             {
                 "id": pa.array(np.tile(ids, T)),
-                "tab": pa.array(tab_flat),
-                "band": pa.array(band_flat.view(np.int64)),
-                "part": pa.array(part),
+                "tab": pa.array(np.concatenate(tabs)),
+                "band": pa.array(np.concatenate(bands).view(np.int64)),
                 "sig": pa.array(np.tile(sig, T)),
             }
         )
@@ -540,12 +503,11 @@ def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                          "id_b": pa.array(ids[ib[keep]]),
                          "hamming": pa.array(ham[keep])})
 
-    pairs = (
+    pairs = keyed_sweep(
         ds.select_columns([id_col, text_col])
-        .map_batches(signatures, batch_format="pyarrow", batch_size=512)
-        .groupby("part")
-        .map_groups(partition_pairs, batch_format="pyarrow")
-    )
+        .map_batches(signatures, batch_format="pyarrow", batch_size=512),
+        ["tab", "band"], partition_pairs, num_partitions,
+        batch_format="pyarrow")
     return pairs.groupby(["id_a", "id_b"]).min("hamming").map_batches(
         lambda t: t.rename_columns(["id_a", "id_b", "hamming"]),
         batch_format="pyarrow",
@@ -656,7 +618,6 @@ def _verify_pairs(ds, cand, id_col: str, text_col: str, shingle_fn,
     pairs — steps 1-3 of the ngram_jaccard_pairs docstring."""
     docs, _, _ = candidate_endpoint_docs(ds, cand, id_col, text_col,
                                          broadcast_pairs_limit)
-    NP = np.uint64(num_partitions)
 
     def expand(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["id_a"], dtype=np.int64)
@@ -666,8 +627,6 @@ def _verify_pairs(ds, cand, id_col: str, text_col: str, shingle_fn,
         jid = np.concatenate([a, b])
         return pa.table(
             {
-                "jpart": pa.array((_mix64(jid.view(np.uint64)) % NP)
-                                  .astype(np.int32)),
                 "jid": pa.array(jid),
                 "id_a": pa.array(np.concatenate([a, a])),
                 "id_b": pa.array(np.concatenate([b, b])),
@@ -680,8 +639,6 @@ def _verify_pairs(ds, cand, id_col: str, text_col: str, shingle_fn,
         jid = np.asarray(batch[id_col], dtype=np.int64)
         return pa.table(
             {
-                "jpart": pa.array((_mix64(jid.view(np.uint64)) % NP)
-                                  .astype(np.int32)),
                 "jid": pa.array(jid),
                 "id_a": pa.array(np.full(n, -1, dtype=np.int64)),
                 "id_b": pa.array(np.full(n, -1, dtype=np.int64)),
@@ -693,8 +650,7 @@ def _verify_pairs(ds, cand, id_col: str, text_col: str, shingle_fn,
         docs.select_columns([id_col, text_col])
         .map_batches(doc_rows, batch_format="pyarrow"))
 
-    _ATT_EMPTY = {"ppart": pd.array([], dtype="int32"),
-                  "id_a": pd.array([], dtype="int64"),
+    _ATT_EMPTY = {"id_a": pd.array([], dtype="int64"),
                   "id_b": pd.array([], dtype="int64"),
                   "jid": pd.array([], dtype="int64"),
                   "sh": pd.array([], dtype=object)}
@@ -715,11 +671,7 @@ def _verify_pairs(ds, cand, id_col: str, text_col: str, shingle_fn,
         have = np.asarray([s is not None for s in sh])
         jid = pairs["jid"].to_numpy(np.int64)[have]
         ia, ib = ia[have], ib[have]
-        ppart = (_mix64(ia.view(np.uint64)
-                        ^ (ib.view(np.uint64)
-                           * np.uint64(0x9E3779B97F4A7C15))) % NP) \
-            .astype(np.int32)
-        return pd.DataFrame({"ppart": ppart, "id_a": ia, "id_b": ib,
+        return pd.DataFrame({"id_a": ia, "id_b": ib,
                              "jid": jid,
                              "sh": [s for s in sh if s is not None]})
 
@@ -763,12 +715,9 @@ def _verify_pairs(ds, cand, id_col: str, text_col: str, shingle_fn,
                              "id_b": np.asarray(rb, np.int64),
                              score_col: np.asarray(jac, np.float64)})
 
-    return (
-        both.groupby("jpart")
-        .map_groups(attach_part, batch_format="pandas")
-        .groupby("ppart")
-        .map_groups(verify_part, batch_format="pandas")
-    )
+    attached = keyed_sweep(both, "jid", attach_part, num_partitions)
+    return keyed_sweep(attached, ["id_a", "id_b"], verify_part,
+                       num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,16 +952,10 @@ def signature_pairs(ds, id_col: str = "id", sig_col: str = "sig",
             vals.append((sig >> np.uint64(shift)) & mask)
             tabs.append(np.full(D, t, dtype=np.int32))
         T = len(plan)
-        band_flat = np.concatenate(vals)
-        tab_flat = np.concatenate(tabs)
-        part = (_mix64(band_flat ^ (tab_flat.astype(np.uint64)
-                                    * np.uint64(0x9E3779B97F4A7C15)))
-                % np.uint64(num_partitions)).astype(np.int32)
         return pa.table({
             "id": pa.array(np.tile(ids, T)),
-            "tab": pa.array(tab_flat),
-            "band": pa.array(band_flat.view(np.int64)),
-            "part": pa.array(part),
+            "tab": pa.array(np.concatenate(tabs)),
+            "band": pa.array(np.concatenate(vals).view(np.int64)),
             "sig": pa.array(np.tile(sig, T).view(np.int64))})
 
     def partition_pairs(group: pa.Table) -> pa.Table:
@@ -1043,10 +986,11 @@ def signature_pairs(ds, id_col: str = "id", sig_col: str = "sig",
         return pa.table({"id_a": pa.array(lo), "id_b": pa.array(hi),
                          "hamming": pa.array(ham[keep])})
 
-    pairs = (ds.select_columns([id_col, sig_col])
-             .map_batches(bands, batch_format="pyarrow", batch_size=512)
-             .groupby("part")
-             .map_groups(partition_pairs, batch_format="pyarrow"))
+    pairs = keyed_sweep(
+        ds.select_columns([id_col, sig_col])
+        .map_batches(bands, batch_format="pyarrow", batch_size=512),
+        ["tab", "band"], partition_pairs, num_partitions,
+        batch_format="pyarrow")
     return pairs.groupby(["id_a", "id_b"]).min("hamming").map_batches(
         lambda t: t.rename_columns(["id_a", "id_b", "hamming"]),
         batch_format="pyarrow")
@@ -1077,7 +1021,6 @@ def fuzzy_jaro_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                              num_partitions=num_partitions).materialize()
     docs, _, _ = candidate_endpoint_docs(ds, cand, id_col, text_col,
                                          broadcast_pairs_limit)
-    NP = np.uint64(num_partitions)
 
     def expand(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["id_a"], dtype=np.int64)
@@ -1086,8 +1029,6 @@ def fuzzy_jaro_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         a, b = a[keep], b[keep]
         jid = np.concatenate([a, b])
         return pa.table({
-            "jpart": pa.array((_mix64(jid.view(np.uint64)) % NP)
-                              .astype(np.int32)),
             "jid": pa.array(jid),
             "id_a": pa.array(np.concatenate([a, a])),
             "id_b": pa.array(np.concatenate([b, b])),
@@ -1097,8 +1038,6 @@ def fuzzy_jaro_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         n = batch.num_rows
         jid = np.asarray(batch[id_col], dtype=np.int64)
         return pa.table({
-            "jpart": pa.array((_mix64(jid.view(np.uint64)) % NP)
-                              .astype(np.int32)),
             "jid": pa.array(jid),
             "id_a": pa.array(np.full(n, -1, dtype=np.int64)),
             "id_b": pa.array(np.full(n, -1, dtype=np.int64)),
@@ -1108,8 +1047,7 @@ def fuzzy_jaro_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         docs.select_columns([id_col, text_col])
         .map_batches(doc_rows, batch_format="pyarrow"))
 
-    _ATT_EMPTY = {"ppart": pd.array([], dtype="int32"),
-                  "id_a": pd.array([], dtype="int64"),
+    _ATT_EMPTY = {"id_a": pd.array([], dtype="int64"),
                   "id_b": pd.array([], dtype="int64"),
                   "jid": pd.array([], dtype="int64"),
                   "text": pd.array([], dtype=object)}
@@ -1129,11 +1067,7 @@ def fuzzy_jaro_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
         txt = [tmap.get(int(j)) for j in jid]
         have = np.asarray([t is not None for t in txt])
         ia, ib, jid = ia[have], ib[have], jid[have]
-        ppart = (_mix64(ia.view(np.uint64)
-                        ^ (ib.view(np.uint64)
-                           * np.uint64(0x9E3779B97F4A7C15))) % NP) \
-            .astype(np.int32)
-        return pd.DataFrame({"ppart": ppart, "id_a": ia, "id_b": ib,
+        return pd.DataFrame({"id_a": ia, "id_b": ib,
                              "jid": jid,
                              "text": [t for t in txt if t is not None]})
 
@@ -1175,10 +1109,9 @@ def fuzzy_jaro_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
             "id_b": np.asarray(out_b, dtype=np.int64),
             "jaro": np.asarray(out_j, dtype=np.float64)})
 
-    return (both.groupby("jpart")
-            .map_groups(attach_part, batch_format="pandas")
-            .groupby("ppart")
-            .map_groups(verify_part, batch_format="pandas"))
+    attached = keyed_sweep(both, "jid", attach_part, num_partitions)
+    return keyed_sweep(attached, ["id_a", "id_b"], verify_part,
+                       num_partitions)
 
 
 def _is_edit1(a: str, b: str) -> bool:
@@ -1240,16 +1173,7 @@ def edit_distance_pairs(vocab, col: str = "w"):
             "variant": pa.array(np.concatenate(out_v), pa.string()),
             "w": pa.array(np.concatenate(out_w), pa.string())})
 
-    from tldr_ray.hashing import part_key
-
-    num_parts = 64
-
-    def with_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(part_key(batch["variant"], num_parts)))
-
-    keyed = (vocab.map_batches(variants, batch_format="pyarrow")
-             .map_batches(with_part, batch_format="pyarrow"))
+    keyed = vocab.map_batches(variants, batch_format="pyarrow")
 
     def sweep(g: pd.DataFrame) -> pd.DataFrame:
         """One call per COARSE partition (hash(variant) % P, not per
@@ -1281,23 +1205,17 @@ def edit_distance_pairs(vocab, col: str = "w"):
         return pd.DataFrame({"w1": pd.Series(a_out, dtype=object),
                              "w2": pd.Series(b_out, dtype=object)})
 
-    pairs = keyed.groupby("part").map_groups(sweep, batch_format="pandas")
+    pairs = keyed_sweep(keyed, "variant", sweep)
 
     # Cross-partition duplicates (the same pair reachable through
     # variants that hash to different coarse partitions) dedup in a
     # SECOND coarse sweep — a per-pair groupby().aggregate() here costs
     # Ray's ~0.15 ms/micro-group on tens of thousands of string-pair
     # keys (measured 13 s at sf0.01); 64 drop_duplicates tasks cost ms.
-    def with_part2(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part2", pa.array(part_key(batch["w1"], num_parts)))
-
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["w1", "w2"])[["w1", "w2"]]
 
-    return (pairs.map_batches(with_part2, batch_format="pyarrow")
-            .groupby("part2")
-            .map_groups(distinct, batch_format="pandas"))
+    return keyed_sweep(pairs, "w1", distinct)
 
 
 # ---------------------------------------------------------------------------
@@ -1376,10 +1294,8 @@ def set_similarity_join(ds, id_col: str = "doc_id",
         raise ValueError("oversized must be 'raise' or 'truncate'")
     import pyarrow.compute as pc
 
-    from tldr_ray.graph.partition import vhash
     from tldr_ray.hashing import fnv1a_batch
 
-    NP = np.uint64(num_partitions)
     kk = int(k)
 
     def shingle_rows(batch: pa.Table) -> pa.Table:
@@ -1425,9 +1341,7 @@ def set_similarity_join(ds, id_col: str = "doc_id",
         n = np.repeat(sizes, sizes)
         return pa.table({
             "doc": pa.array(doc), "h": pa.array(h),
-            "n": pa.array(n.astype(np.int64)),
-            "part": pa.array((vhash(h.view(np.int64)) % NP)
-                             .astype(np.int32))})
+            "n": pa.array(n.astype(np.int64))})
 
     def df_sweep(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values("h", kind="mergesort")
@@ -1440,8 +1354,7 @@ def set_similarity_join(ds, id_col: str = "doc_id",
         doc = g["doc"].to_numpy()
         return pd.DataFrame({
             "doc": doc, "h": h, "n": g["n"].to_numpy(),
-            "df": np.repeat(sizes, sizes).astype(np.int64),
-            "part": (vhash(doc) % NP).astype(np.int32)})
+            "df": np.repeat(sizes, sizes).astype(np.int64)})
 
     num, den = np.int64(threshold_num), np.int64(threshold_den)
 
@@ -1462,9 +1375,7 @@ def set_similarity_join(ds, id_col: str = "doc_id",
         p = n - (num * n + den - 1) // den + 1
         keep = rank < p
         doc, h = doc[keep], h[keep]
-        return pd.DataFrame({
-            "doc": doc, "h": h,
-            "part": (vhash(h.view(np.int64)) % NP).astype(np.int32)})
+        return pd.DataFrame({"doc": doc, "h": h})
 
     def pair_sweep(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["h", "doc"], kind="mergesort")
@@ -1485,25 +1396,17 @@ def set_similarity_join(ds, id_col: str = "doc_id",
                 "qualifying pairs (the join is documented EXACT). "
                 "Raise max_bucket, raise k, or pass "
                 "oversized='truncate' to accept the recall loss.")
-        a, b = doc[ia], doc[ib]
-        key = _mix64(a.view(np.uint64)
-                     ^ (b.view(np.uint64)
-                        * np.uint64(0x9E3779B97F4A7C15)))
-        return pd.DataFrame({
-            "id_a": a, "id_b": b,
-            "part": (key % NP).astype(np.int32)})
+        return pd.DataFrame({"id_a": doc[ia], "id_b": doc[ib]})
 
     def dedup_sweep(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["id_a", "id_b"])[["id_a", "id_b"]]
 
-    cand = (
-        ds.select_columns([id_col, text_col])
+    cand = ds.select_columns([id_col, text_col]) \
         .map_batches(shingle_rows, batch_format="pyarrow")
-        .groupby("part").map_groups(df_sweep, batch_format="pandas")
-        .groupby("part").map_groups(prefix_sweep, batch_format="pandas")
-        .groupby("part").map_groups(pair_sweep, batch_format="pandas")
-        .groupby("part").map_groups(dedup_sweep, batch_format="pandas")
-    ).materialize()
+    for key, fn in (("h", df_sweep), ("doc", prefix_sweep),
+                    ("h", pair_sweep), (["id_a", "id_b"], dedup_sweep)):
+        cand = keyed_sweep(cand, key, fn, num_partitions)
+    cand = cand.materialize()
 
     return _verify_pairs(ds, cand, id_col, text_col,
                          lambda t: _word_shingle_hashes(t, kk),
@@ -1572,11 +1475,9 @@ def sorted_neighborhood_pairs(ds, col: str, window: int = 3,
     ranked = parted.groupby("part") \
         .map_groups(rank, batch_format="pandas")
 
-    from tldr_ray.graph.partition import vhash
-
-    CP = np.uint64(64)      # coarse partitions: window buckets are
-    # tiny (<= 2*window rows) — a per-bucket map_groups would pay the
-    # micro-group tax, so buckets sweep inside 64 coarse tasks
+    # window buckets are tiny (<= 2*window rows) — a per-bucket
+    # map_groups would pay the micro-group tax, so buckets sweep
+    # inside 64 coarse tasks
 
     def replicate(batch: pd.DataFrame) -> pd.DataFrame:
         rn = batch["rn"].to_numpy(np.int64)
@@ -1589,7 +1490,6 @@ def sorted_neighborhood_pairs(ds, col: str, window: int = 3,
         out_b = out_b[keep]
         return pd.DataFrame({
             "bucket": out_b,
-            "cp": (vhash(out_b) % CP).astype(np.int32),
             "rn": out_rn[keep],
             col: pd.Series(out_w[keep], dtype=object)})
 
@@ -1620,9 +1520,8 @@ def sorted_neighborhood_pairs(ds, col: str, window: int = 3,
             "w2": pd.Series(np.concatenate(o2), dtype=object),
             "dist": pd.Series(np.concatenate(dd), dtype=np.int64)})
 
-    return (ranked.map_batches(replicate, batch_format="pandas")
-            .groupby("cp")
-            .map_groups(pairs, batch_format="pandas"))
+    return keyed_sweep(ranked.map_batches(replicate, batch_format="pandas"),
+                       "bucket", pairs)
 
 
 def _gear_table() -> np.ndarray:
@@ -1749,16 +1648,7 @@ def edit_distance2_pairs(vocab, col: str = "w"):
             "variant": pa.array(np.concatenate(out_v), pa.string()),
             "w": pa.array(np.concatenate(out_w), pa.string())})
 
-    from tldr_ray.hashing import part_key
-
-    num_parts = 64
-
-    def with_part(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part", pa.array(part_key(batch["variant"], num_parts)))
-
-    keyed = (vocab.map_batches(variants, batch_format="pyarrow")
-             .map_batches(with_part, batch_format="pyarrow"))
+    keyed = vocab.map_batches(variants, batch_format="pyarrow")
 
     def sweep(g: pd.DataFrame) -> pd.DataFrame:
         v = np.asarray(g["variant"], dtype=object)
@@ -1799,16 +1689,9 @@ def edit_distance2_pairs(vocab, col: str = "w"):
                              "dist": pd.Series(d_out,
                                                dtype=np.int64)})
 
-    pairs = keyed.groupby("part").map_groups(sweep,
-                                             batch_format="pandas")
-
-    def with_part2(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "part2", pa.array(part_key(batch["w1"], num_parts)))
+    pairs = keyed_sweep(keyed, "variant", sweep)
 
     def distinct(g: pd.DataFrame) -> pd.DataFrame:
         return g.drop_duplicates(["w1", "w2"])[["w1", "w2", "dist"]]
 
-    return (pairs.map_batches(with_part2, batch_format="pyarrow")
-            .groupby("part2")
-            .map_groups(distinct, batch_format="pandas"))
+    return keyed_sweep(pairs, "w1", distinct)

@@ -31,6 +31,7 @@ import pandas as pd
 import pyarrow as pa
 
 from tldr_ray.config import SummarizeConfig
+from tldr_ray.hashing import keyed_sweep, part_key
 from tldr_ray.kernel.lexrank import summarize_to_edges_many
 from tldr_ray.kernel.text import pseudo_sentences
 from tldr_ray.pipelines.summarize import conversation_texts
@@ -87,11 +88,10 @@ def similarity_edges(transcripts, cfg: Optional[SummarizeConfig] = None,
                      num_parts: int = 64, contiguous: bool = False):
     """transcripts -> Dataset (src, dst, weight, etype='sim', conv_id).
 
-    Default path: the shuffle is a hash-partitioned groupby on a SMALL
-    int key (``part = fnv1a(conv_id) % num_parts``, assigned with the
-    shared vectorized kernel in tldr_ray.hashing), not on conv_id
-    itself: sorting millions of rows by a 32-value int is far cheaper
-    than by high-cardinality strings, and the per-group task overhead
+    Default path: the shuffle is ``hashing.keyed_sweep`` on conv_id — a
+    groupby on a SMALL int part, not on conv_id itself: sorting
+    millions of rows by a 64-value int is far cheaper than by
+    high-cardinality strings, and the per-group task overhead
     drops from one call per conversation to one per partition (each
     partition task then iterates its conversations with a local pandas
     groupby). The quadratic kernel work happens inside each small
@@ -116,23 +116,13 @@ def similarity_edges(transcripts, cfg: Optional[SummarizeConfig] = None,
     pseudo-sentences via the reference's pre-split entry point (O28)."""
     cfg = cfg or SummarizeConfig()
 
-    def assign(batch: pa.Table) -> pa.Table:
-        from tldr_ray.hashing import part_key
-
-        return batch.append_column(
-            "part", pa.array(part_key(batch["conv_id"], num_parts)))
-
     def per_part(group: pd.DataFrame) -> pa.Table:
         return _convs_edges_table(group, cfg, presplit_words)
 
     pruned = transcripts.select_columns(["conv_id", "turn_idx", "text"])
 
     if not contiguous:
-        return (
-            pruned.map_batches(assign, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(per_part, batch_format="pandas")
-        )
+        return keyed_sweep(pruned, "conv_id", per_part, num_parts)
 
     def _boundary_mask(batch: pa.Table) -> np.ndarray:
         cids = np.asarray(batch["conv_id"].to_pandas())
@@ -156,12 +146,8 @@ def similarity_edges(transcripts, cfg: Optional[SummarizeConfig] = None,
                                   batch_size=None)
     leftover = pruned.map_batches(boundary_turns, batch_format="pyarrow",
                                   batch_size=None)
-    boundary = (
-        leftover.map_batches(assign, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(per_part, batch_format="pandas")
-    )
-    return interior.union(boundary)
+    return interior.union(
+        keyed_sweep(leftover, "conv_id", per_part, num_parts))
 
 
 def _cooccurrence_pairs_fn(etype: str, etype_star: str, max_group_size: int):
@@ -213,15 +199,10 @@ def cooccurrence_edges(transcripts, max_group_size: int = 64,
     slot). Distinct (kind, key, conv) rows first (bounds hub groups by
     distinct conversations, not call counts), then per-key pairs with
     the star clamp for hub keys."""
-    NP = 64
-
     def distinct_rows(batch: pa.Table) -> pa.Table:
         """Per-batch distinct (kind, key, conv) rows — the combiner
-        before the ONE shuffle, keyed by a coarse partition of (kind,
-        key) assigned with the shared vectorized FNV (no per-row
-        hashing); global dedup happens inside the partition sweep."""
-        from tldr_ray.hashing import fnv1a_batch
-
+        before the ONE shuffle, keyed by (kind, key); global dedup
+        happens inside the partition sweep."""
         frames = []
         if include_tools:
             df = pd.DataFrame({"key": batch["tool"].to_pandas(),
@@ -240,17 +221,11 @@ def cooccurrence_edges(transcripts, max_group_size: int = 64,
             pd.DataFrame({"key": [], "conv_id": [], "kind": []})
         keys = pa.array(df["key"], pa.string()) if len(df) else \
             pa.array([], pa.string())
-        kind_code = (df["kind"].to_numpy() == "entity").astype(np.uint64) \
-            if len(df) else np.zeros(0, np.uint64)
-        part = ((fnv1a_batch(keys)
-                 ^ (kind_code * np.uint64(0x9E3779B97F4A7C15)))
-                % np.uint64(NP)).astype(np.int32)
         return pa.table({"kind": pa.array(df["kind"], pa.string())
                          if len(df) else pa.array([], pa.string()),
                          "key": keys,
                          "conv_id": pa.array(df["conv_id"], pa.string())
-                         if len(df) else pa.array([], pa.string()),
-                         "part": pa.array(part)})
+                         if len(df) else pa.array([], pa.string())})
 
     cols = ["conv_id"] + (["tool"] if include_tools else []) \
         + (["text"] if include_entities else [])
@@ -269,12 +244,10 @@ def cooccurrence_edges(transcripts, max_group_size: int = 64,
                                  "etype": pd.array([], dtype=object)})
         return pd.concat(outs, ignore_index=True)
 
-    return (
+    return keyed_sweep(
         transcripts.select_columns(cols)
-        .map_batches(distinct_rows, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(part_pairs, batch_format="pandas")
-    )
+        .map_batches(distinct_rows, batch_format="pyarrow"),
+        ["kind", "key"], part_pairs)
 
 
 def tool_cooccurrence_edges(transcripts, max_group_size: int = 64):
@@ -381,7 +354,6 @@ def transcript_graph(transcripts, cfg: Optional[SummarizeConfig] = None,
                                 contiguous=contiguous).select_columns(
             ["src", "dst", "weight", "etype"])
 
-    NPU = np.uint64(num_parts)
     cols = ["conv_id", "turn_idx", "text"] \
         + (["tool"] if include_tools else [])
     pruned = transcripts.select_columns(cols)
@@ -409,8 +381,6 @@ def transcript_graph(transcripts, cfg: Optional[SummarizeConfig] = None,
                     coref_batch: pa.Table) -> pa.Table:
         """Sim rows (part in [0, NP)) + coref rows (part in [NP, 2NP))
         with a shared null-padded schema for the one shuffle."""
-        from tldr_ray.hashing import fnv1a_batch, part_key
-
         tabs = []
         if sim_batch is not None and sim_batch.num_rows:
             n = sim_batch.num_rows
@@ -426,24 +396,20 @@ def transcript_graph(transcripts, cfg: Optional[SummarizeConfig] = None,
                 }
             ))
         df = _coref_rows(coref_batch)
-        keys = pa.array(df["key"], pa.string()) if len(df) else \
-            pa.array([], pa.string())
-        kind_code = (df["kind"].to_numpy() == "entity").astype(np.uint64) \
-            if len(df) else np.zeros(0, np.uint64)
-        cpart = (num_parts
-                 + ((fnv1a_batch(keys)
-                     ^ (kind_code * np.uint64(0x9E3779B97F4A7C15)))
-                    % NPU).astype(np.int32)).astype(np.int32)
         m = len(df)
+        keys = pa.array(df["key"], pa.string()) if m else \
+            pa.array([], pa.string())
+        kinds = pa.array(df["kind"], pa.string()) if m else \
+            pa.array([], pa.string())
         tabs.append(pa.table(
             {
-                "part": pa.array(cpart),
+                "part": pa.array(num_parts + part_key([kinds, keys],
+                                                      num_parts)),
                 "conv_id": pa.array(df["conv_id"], pa.string()) if m
                 else pa.array([], pa.string()),
                 "turn_idx": pa.nulls(m, pa.int64()),
                 "text": pa.nulls(m, pa.string()),
-                "kind": pa.array(df["kind"], pa.string()) if m
-                else pa.array([], pa.string()),
+                "kind": kinds,
                 "key": keys,
             }
         ))

@@ -3,9 +3,10 @@
 - ``broadcast_lookup``: small side rides the object store once
   (``ray.put``), every task maps the key column through it — no shuffle.
   Used by queries.revenue_by_nation.
-- ``bucketed_hash_join``: both sides large — add ``bucket = vhash(key) %
-  B`` to each side, tag provenance, union, ``groupby(bucket)``, and join
-  matching buckets pairwise inside ``map_groups`` with a pandas merge.
+- ``bucketed_hash_join``: both sides large — add ``bucket =
+  part_key(key, B)`` to each side, tag provenance, union,
+  ``groupby(bucket)``, and join matching buckets pairwise inside
+  ``map_groups`` with a pandas merge.
   One shuffle per side, no driver materialization. B sizes bucket
   working sets; skewed keys split across batches only inflate a single
   bucket, so pick B >> #workers for hot-key smoothing.
@@ -18,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from tldr_ray.graph.partition import vhash
+from tldr_ray.hashing import keyed_sweep, part_key
 
 
 def broadcast_lookup(ds, mapping: dict, key_col: str, out_col: str,
@@ -45,21 +46,6 @@ def broadcast_lookup(ds, mapping: dict, key_col: str, out_col: str,
             return batch.append_column(out_col, out)
 
     return ds.map_batches(Lookup, batch_format="pyarrow", concurrency=2)
-
-
-def _hash_any(values) -> np.ndarray:
-    """uint64 per value: vhash for integer columns, the shared
-    vectorized FNV-1a for string columns (no per-row Python hashing)."""
-    from tldr_ray.hashing import fnv1a_batch
-
-    if isinstance(values, (pa.Array, pa.ChunkedArray)):
-        if pa.types.is_integer(values.type):
-            return vhash(np.asarray(values, dtype=np.int64))
-        return fnv1a_batch(values)
-    arr = np.asarray(values)
-    if arr.dtype.kind in "iu":
-        return vhash(arr.astype(np.int64))
-    return fnv1a_batch(pa.array([str(v) for v in values], pa.string()))
 
 
 def _int_cols(schema) -> list[str]:
@@ -199,7 +185,7 @@ def bucketed_hash_join(left, right, on: str, num_buckets: int = 64,
             for c in all_cols:
                 cols[c] = batch[c] if c in have else pa.nulls(n)
             t = pa.table(cols)
-            base = _hash_any(batch[on]) % np.uint64(num_buckets)
+            base = part_key(batch[on], num_buckets).astype(np.int64)
             if n == 0 or (not salt_keys and not repl_keys):
                 t = t.append_column(
                     "__bucket", pa.array(base.astype(np.int32)))
@@ -214,15 +200,14 @@ def bucketed_hash_join(left, right, on: str, num_buckets: int = 64,
                 bks.append(base[i].astype(np.int32))
             if is_salt.any():
                 i = np.flatnonzero(is_salt)
-                salt = (np.arange(i.size, dtype=np.uint64)
-                        % np.uint64(S))
+                salt = np.arange(i.size, dtype=np.int64) % S
                 parts.append(t.take(pa.array(i)))
-                bks.append(((base[i] + salt) % np.uint64(num_buckets))
+                bks.append(((base[i] + salt) % num_buckets)
                            .astype(np.int32))
             if is_repl.any():
                 i = np.flatnonzero(is_repl)
                 rt = t.take(pa.array(i))
-                rb = base[i].astype(np.int64)
+                rb = base[i]
                 for j in range(S):
                     parts.append(rt)
                     bks.append(((rb + j) % num_buckets).astype(np.int32))
@@ -302,9 +287,6 @@ def asof_join(left, right, on: str, left_ts: str, right_ts: str,
             for c in all_cols:
                 cols[c] = batch[c] if c in have else \
                     pa.nulls(n, types.get(c))
-            cols["__bucket"] = pa.array(
-                (_hash_any(batch[on]) %
-                 np.uint64(num_buckets)).astype(np.int32))
             cols["__side"] = pa.array([side] * n)
             return pa.table(cols)
         return fn
@@ -369,8 +351,7 @@ def asof_join(left, right, on: str, left_ts: str, right_ts: str,
         rsel = rsel.where(np.broadcast_to(ok[:, None], rsel.shape))
         return pd.concat([l.reset_index(drop=True), rsel], axis=1)
 
-    return both.groupby("__bucket").map_groups(join_bucket,
-                                               batch_format="pandas")
+    return keyed_sweep(both, on, join_bucket, num_buckets)
 
 
 def bucketed_anti_join(left, right, on: str, num_buckets: int = 64):
@@ -387,9 +368,6 @@ def bucketed_anti_join(left, right, on: str, num_buckets: int = 64):
             out = {}
             for c in lcols:
                 out[c] = batch[c] if c in cols else pa.nulls(n)
-            out["__bucket"] = pa.array(
-                (_hash_any(batch[on]) %
-                 np.uint64(num_buckets)).astype(np.int32))
             out["__side"] = pa.array([side] * n)
             return pa.table(out)
         return fn
@@ -405,8 +383,7 @@ def bucketed_anti_join(left, right, on: str, num_buckets: int = 64):
             return l
         return l[~l[on].isin(set(rkeys))]
 
-    return both.groupby("__bucket").map_groups(filter_bucket,
-                                               batch_format="pandas")
+    return keyed_sweep(both, on, filter_bucket, num_buckets)
 
 
 def range_join(left, right, on: str, left_ts: str, right_ts: str,
@@ -454,9 +431,6 @@ def range_join(left, right, on: str, left_ts: str, right_ts: str,
             for c in all_cols:
                 cols[c] = batch[c] if c in have else \
                     pa.nulls(n, types.get(c))
-            cols["__bucket"] = pa.array(
-                (_hash_any(batch[on]) %
-                 np.uint64(num_buckets)).astype(np.int32))
             cols["__side"] = pa.array([side] * n)
             return pa.table(cols)
         return fn
@@ -531,8 +505,7 @@ def range_join(left, right, on: str, left_ts: str, right_ts: str,
             unmatched[ren.get(c, c)] = pd.Series([pd.NA] * len(unmatched))
         return pd.concat([matched, unmatched], ignore_index=True)
 
-    return both.groupby("__bucket").map_groups(join_bucket,
-                                               batch_format="pandas")
+    return keyed_sweep(both, on, join_bucket, num_buckets)
 
 
 def set_op(left, right, on: list[str], op: str = "except",
@@ -554,14 +527,7 @@ def set_op(left, right, on: list[str], op: str = "except",
             t = pa.table(cols)
             # per-batch combiner: distinct keys only
             df = t.to_pandas().drop_duplicates(on)
-            h = np.zeros(len(df), dtype=np.uint64)
-            for c in on:
-                h = h * np.uint64(0x100000001B3) \
-                    ^ _hash_any(pa.Array.from_pandas(df[c]))
             out = pa.Table.from_pandas(df, preserve_index=False)
-            out = out.append_column(
-                "__part", pa.array((h % np.uint64(num_buckets))
-                                   .astype(np.int32)))
             return out.append_column(
                 "__side", pa.array(np.full(len(df), side, np.int8)))
         return fn
@@ -579,8 +545,7 @@ def set_op(left, right, on: list[str], op: str = "except",
             else (m["_merge"] == "both")
         return m.loc[keep, on].reset_index(drop=True)
 
-    return (both.groupby("__part")
-            .map_groups(resolve, batch_format="pandas"))
+    return keyed_sweep(both, on, resolve, num_buckets)
 
 
 def bucketed_semi_join(left, right, on: str, num_buckets: int = 64):
@@ -598,9 +563,6 @@ def bucketed_semi_join(left, right, on: str, num_buckets: int = 64):
             out = {}
             for c in lcols:
                 out[c] = batch[c] if c in cols else pa.nulls(n)
-            out["__bucket"] = pa.array(
-                (_hash_any(batch[on]) %
-                 np.uint64(num_buckets)).astype(np.int32))
             out["__side"] = pa.array([side] * n)
             return pa.table(out)
         return fn
@@ -616,8 +578,7 @@ def bucketed_semi_join(left, right, on: str, num_buckets: int = 64):
             return l.iloc[0:0]
         return l[l[on].isin(set(rkeys))]
 
-    return both.groupby("__bucket").map_groups(filter_bucket,
-                                               batch_format="pandas")
+    return keyed_sweep(both, on, filter_bucket, num_buckets)
 
 
 def table_diff(old, new, key_col: str, value_cols: list[str],
@@ -633,9 +594,6 @@ def table_diff(old, new, key_col: str, value_cols: list[str],
     def tag(side: str):
         def fn(batch: pa.Table) -> pa.Table:
             out = {c: batch[c] for c in need}
-            out["__bucket"] = pa.array(
-                (_hash_any(batch[key_col]) %
-                 np.uint64(num_buckets)).astype(np.int32))
             out["__side"] = pa.array([side] * len(batch))
             return pa.table(out)
         return fn
@@ -670,8 +628,7 @@ def table_diff(old, new, key_col: str, value_cols: list[str],
             np.full(int(changed.sum()), "changed", object)])
         return pd.DataFrame({key_col: out_key, "change": out_chg})
 
-    return both.groupby("__bucket").map_groups(diff_bucket,
-                                               batch_format="pandas")
+    return keyed_sweep(both, key_col, diff_bucket, num_buckets)
 
 
 def asof_join_forward(left, right, on: str, left_ts: str,
@@ -749,9 +706,6 @@ def merge_upsert(snapshot, changes, key_col: str, order_col: str = "ord",
             out = {}
             for c in all_cols:
                 out[c] = batch[c] if c in have else pa.nulls(n)
-            out["__bucket"] = pa.array(
-                (_hash_any(batch[key_col])
-                 % np.uint64(num_buckets)).astype(np.int32))
             out["__side"] = pa.array([side] * n)
             return pa.table(out)
         return fn
@@ -776,8 +730,7 @@ def merge_upsert(snapshot, changes, key_col: str, order_col: str = "ord",
         out = pd.concat([keep, ups], ignore_index=True)
         return _restore_ints(out, sints)
 
-    return both.groupby("__bucket").map_groups(resolve,
-                                               batch_format="pandas")
+    return keyed_sweep(both, key_col, resolve, num_buckets)
 
 
 def cogroup(left, right, on: str, fn, num_buckets: int = 64,
@@ -808,9 +761,6 @@ def cogroup(left, right, on: str, fn, num_buckets: int = 64,
             for c in all_cols:
                 cols[c] = batch[c] if c in have else pa.nulls(n)
             t = pa.table(cols)
-            b = (_hash_any(batch[on])
-                 % np.uint64(num_buckets)).astype(np.int32)
-            t = t.append_column("__bucket", pa.array(b))
             return t.append_column("__side", pa.array([side] * n))
         return tfn
 
@@ -835,8 +785,8 @@ def cogroup(left, right, on: str, fn, num_buckets: int = 64,
             return fn(None, g.iloc[0:0][lcols], g.iloc[0:0][rcols])
         return pd.concat(outs, ignore_index=True)
 
-    return both.groupby("__bucket").map_groups(sweep,
-                                               batch_format=batch_format)
+    return keyed_sweep(both, on, sweep, num_buckets,
+                       batch_format=batch_format)
 
 
 def _broadcast_overlap_probe(ref, long_is_left: bool, lcols, rcols,
@@ -929,7 +879,6 @@ def interval_join(left, right, l_lo: str, l_hi: str, r_lo: str,
     import ray
 
     W = np.int64(bucket_width)
-    NP = np.uint64(num_partitions)
     lcols = list(left.schema().names)
     rcols = list(right.schema().names)
     dup = set(lcols) & set(rcols)
@@ -1021,8 +970,6 @@ def interval_join(left, right, l_lo: str, l_hi: str, r_lo: str,
                 out[c] = (batch[c].take(pa.array(idx)) if c in mine
                           else _filler(types[c], idx.size))
             out["__b"] = pa.array(bucket)
-            out["__part"] = pa.array(
-                (vhash(bucket) % NP).astype(np.int32))
             out["__side"] = pa.array(
                 np.full(idx.size, side, dtype=np.int8))
             return pa.table(out)
@@ -1075,8 +1022,8 @@ def interval_join(left, right, l_lo: str, l_hi: str, r_lo: str,
             cols[c] = group[c].take(pa.array(ib))
         return pa.table(cols)
 
-    return both.groupby("__part").map_groups(sweep,
-                                             batch_format="pyarrow")
+    return keyed_sweep(both, "__b", sweep, num_partitions,
+                       batch_format="pyarrow")
 
 
 def multiset_op(left, right, on_left: str, on_right: str,
@@ -1089,11 +1036,8 @@ def multiset_op(left, right, on_left: str, on_right: str,
     per-value counts (the only thing that ever moves), ONE coarse
     exchange on hash(value) co-locates both sides' counts, and each
     partition task emits values np.repeat-ed to their multiplicity."""
-    from tldr_ray.graph.partition import vhash
-
     if op not in ("intersect_all", "except_all"):
         raise ValueError(op)
-    NP = np.uint64(num_parts)
 
     def partial(col: str, side: int):
         def fn(batch: pa.Table) -> pa.Table:
@@ -1103,8 +1047,7 @@ def multiset_op(left, right, on_left: str, on_right: str,
             return pa.table({
                 "v": pa.array(v),
                 "c": gp["v_count"].cast(pa.int64()),
-                "side": pa.array(np.full(v.size, side, np.int8)),
-                "part": pa.array((vhash(v) % NP).astype(np.int32))})
+                "side": pa.array(np.full(v.size, side, np.int8))})
         return fn
 
     both = left.select_columns([on_left]) \
@@ -1127,8 +1070,7 @@ def multiset_op(left, right, on_left: str, on_right: str,
         return pd.DataFrame({
             out_col: np.repeat(vals, mult).astype(np.int64)})
 
-    return both.groupby("part").map_groups(sweep,
-                                           batch_format="pandas")
+    return keyed_sweep(both, "v", sweep, num_parts)
 
 
 def auto_join(left, right, on: str, how: str = "inner",

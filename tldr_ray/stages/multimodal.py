@@ -593,13 +593,8 @@ def detect_scene_cuts(frame_ds, min_hamming: int = 8):
     threshold — a coarse-partition sweep per video (sort by
     (video, frame), vectorized popcount on adjacent xors)."""
     import pandas as pd
-    import pyarrow.compute as pcc
 
-    from tldr_ray.hashing import part_key
-
-    def assign(batch: pa.Table) -> pa.Table:
-        return batch.append_column("part", pa.array(
-            part_key(pcc.cast(batch["video_id"], pa.string()), 32)))
+    from tldr_ray.hashing import keyed_sweep
 
     def sweep(grp: pd.DataFrame) -> pd.DataFrame:
         if not len(grp):
@@ -622,5 +617,4 @@ def detect_scene_cuts(frame_ds, min_hamming: int = 8):
                              "frame_idx": f[keep],
                              "hamming": ham[keep]})
 
-    return (frame_ds.map_batches(assign, batch_format="pyarrow")
-            .groupby("part").map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(frame_ds, "video_id", sweep, 32)

@@ -377,23 +377,12 @@ def tfidf_top_terms(ds, id_col: str = "doc_id", text_col: str = "text",
 
     # large-vocab path: join tf cells against the df table by term,
     # then a coarse per-doc shuffle ranks each document's terms
-    from tldr_ray.hashing import part_key
+    from tldr_ray.hashing import keyed_sweep
     from tldr_ray.stages.joins import bucketed_hash_join
 
     tf_ds = src.map_batches(tf_fn, batch_format="pyarrow")
     joined = bucketed_hash_join(tf_ds, df_tbl, on="term",
                                 num_buckets=num_partitions)
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col]
-        if pa.types.is_integer(ids.type):
-            from tldr_ray.graph.partition import vhash
-
-            p = (vhash(np.asarray(ids, dtype=np.int64))
-                 % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            p = part_key(ids, num_partitions)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         i, tm, tf, dfo, rnk, sc = _topk_rows(
@@ -403,8 +392,7 @@ def tfidf_top_terms(ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({id_col: i, "term": tm, "tf": tf,
                              "df": dfo, "rnk": rnk, "score": sc})
 
-    return (joined.map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part").map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(joined, id_col, sweep, num_partitions)
 
 
 def repetition_scores(ds, id_col: str = "doc_id", text_col: str = "text"):
@@ -1015,7 +1003,7 @@ def boilerplate_ngrams(ds, id_col: str = "doc_id",
     Returns Dataset (gram, n_docs, n_occ)."""
     import pyarrow.compute as pc
 
-    from tldr_ray.hashing import part_key
+    from tldr_ray.hashing import keyed_sweep
 
     kk = int(k)
 
@@ -1028,8 +1016,7 @@ def boilerplate_ngrams(ds, id_col: str = "doc_id",
         return pa.table({
             "gram": combined["gram"],
             "doc": combined["doc"],
-            "cnt": combined["doc_count"].cast(pa.int64()),
-            "part": pa.array(part_key(combined["gram"], num_parts))})
+            "cnt": combined["doc_count"].cast(pa.int64())})
 
     def sweep(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["gram", "doc"], kind="mergesort")
@@ -1057,10 +1044,9 @@ def boilerplate_ngrams(ds, id_col: str = "doc_id",
             "n_docs": n_docs[kept].astype(np.int64),
             "n_occ": n_occ[kept].astype(np.int64)})
 
-    return (ds.select_columns([id_col, text_col])
-            .map_batches(grams, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(ds.select_columns([id_col, text_col])
+                       .map_batches(grams, batch_format="pyarrow"),
+                       "gram", sweep, num_parts)
 
 
 def dup_gram_fraction(ds, id_col: str = "doc_id",
@@ -1082,7 +1068,7 @@ def dup_gram_fraction(ds, id_col: str = "doc_id",
     distinct (gram, doc) pairs + one int row per doc."""
     from ray.data.aggregate import Sum
 
-    from tldr_ray.hashing import part_key
+    from tldr_ray.hashing import keyed_sweep
 
     kk = int(k)
 
@@ -1102,8 +1088,7 @@ def dup_gram_fraction(ds, id_col: str = "doc_id",
         return pa.table({
             "gram": combined["gram"],
             "doc": combined["doc"],
-            "cnt": combined["doc_count"].cast(pa.int64()),
-            "part": pa.array(part_key(combined["gram"], num_parts))})
+            "cnt": combined["doc_count"].cast(pa.int64())})
 
     def sweep(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["gram", "doc"], kind="mergesort")
@@ -1139,9 +1124,8 @@ def dup_gram_fraction(ds, id_col: str = "doc_id",
 
     proj = ds.select_columns([id_col, text_col])
     tot = proj.map_batches(totals, batch_format="pyarrow")
-    dup = (proj.map_batches(grams, batch_format="pyarrow")
-           .groupby("part")
-           .map_groups(sweep, batch_format="pandas"))
+    dup = keyed_sweep(proj.map_batches(grams, batch_format="pyarrow"),
+                      "gram", sweep, num_parts)
 
     agg = (tot.union(dup)
            .groupby("doc")

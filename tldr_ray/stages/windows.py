@@ -21,6 +21,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from tldr_ray.hashing import keyed_sweep
+
 _US = 1_000_000
 
 
@@ -74,16 +76,7 @@ def session_windows(ds, key_col: str = "user_id", ts_col: str = "ts",
     task sorts its rows once by (key, ts) and derives every key's
     sessions vectorized (boundary flags + segment reductions) — no
     per-key map_groups invocation overhead."""
-    from tldr_ray.graph.partition import vhash
-
     gap = np.timedelta64(gap_s, "s")
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch[key_col], dtype=np.int64)
-        return batch.append_column(
-            "__part",
-            pa.array((vhash(k) % np.uint64(num_partitions))
-                     .astype(np.int32)))
 
     def part_sessions(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, ts_col])
@@ -112,12 +105,8 @@ def session_windows(ds, key_col: str = "user_id", ts_col: str = "ts",
             }
         )
 
-    return (
-        ds.select_columns([key_col, ts_col])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(part_sessions, batch_format="pandas")
-    )
+    return keyed_sweep(ds.select_columns([key_col, ts_col]), key_col,
+                       part_sessions, num_partitions)
 
 
 def funnel(ds, key_col: str, ts_col: str, type_col: str,
@@ -132,19 +121,7 @@ def funnel(ds, key_col: str, ts_col: str, type_col: str,
     partition task sorts once by (key, ts) and then runs len(steps)
     vectorized passes (mask + per-segment ``minimum.reduceat``) — no
     per-key work, no row loop, O(rows * steps) total."""
-    from tldr_ray.graph.partition import vhash
-    from tldr_ray.hashing import part_key
-
     _MAX = np.iinfo(np.int64).max
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch[key_col]
-        if pa.types.is_integer(k.type):
-            p = (vhash(np.asarray(k, dtype=np.int64))
-                 % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            p = part_key(k, num_partitions)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, ts_col], kind="mergesort")
@@ -179,12 +156,8 @@ def funnel(ds, key_col: str, ts_col: str, type_col: str,
         out["stage_reached"] = reached
         return pd.DataFrame(out)
 
-    return (
-        ds.select_columns([key_col, ts_col, type_col])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(sweep, batch_format="pandas")
-    )
+    return keyed_sweep(ds.select_columns([key_col, ts_col, type_col]), key_col,
+                       sweep, num_partitions)
 
 
 def cohort_retention(ds, key_col: str = "user_id", ts_col: str = "ts",
@@ -201,20 +174,9 @@ def cohort_retention(ds, key_col: str = "user_id", ts_col: str = "ts",
     DISTINCT (cohort, offset, key) triples (a combiner — at most one
     row per key per active bucket); a small global groupby count
     finishes."""
-    from tldr_ray.graph.partition import vhash
-    from tldr_ray.hashing import part_key
     from ray.data.aggregate import Sum
 
     div = np.int64(bucket_s) * np.int64(1_000_000)
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch[key_col]
-        if pa.types.is_integer(k.type):
-            p = (vhash(np.asarray(k, dtype=np.int64))
-                 % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            p = part_key(k, num_partitions)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, ts_col], kind="mergesort")
@@ -238,10 +200,8 @@ def cohort_retention(ds, key_col: str = "user_id", ts_col: str = "ts",
                              "n_keys": np.ones(len(tri), np.int64)})
 
     return (
-        ds.select_columns([key_col, ts_col])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(sweep, batch_format="pandas")
+        keyed_sweep(ds.select_columns([key_col, ts_col]), key_col, sweep,
+                    num_partitions)
         .groupby(["cohort_bucket", "bucket_offset"])
         .aggregate(Sum("n_keys", alias_name="n_keys"))
     )
@@ -274,23 +234,11 @@ def row_window(ds, key_col: str, order_cols: list[str],
     each output row is emitted exactly once — the sweep is O(rows) with
     a single sort per partition task, the same discipline as
     ``session_windows``/``grouped_quantiles``."""
-    from tldr_ray.graph.partition import vhash
-    from tldr_ray.hashing import part_key
-
     need = [key_col, *order_cols,
             *dict.fromkeys([*lag_cols, *cumsum_cols,
                             *(c for c, _ in rolling_sums),
                             *( [delta_col] if delta_col else [] )])]
     need = list(dict.fromkeys(need))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch[key_col]
-        if pa.types.is_integer(k.type):
-            p = (vhash(np.asarray(k, dtype=np.int64))
-                 % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            p = part_key(k, num_partitions)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, *order_cols], kind="mergesort")
@@ -356,12 +304,7 @@ def row_window(ds, key_col: str, order_cols: list[str],
             out[f"delta_{delta_col}"] = d
         return pd.DataFrame(out)
 
-    return (
-        ds.select_columns(need)
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(sweep, batch_format="pandas")
-    )
+    return keyed_sweep(ds.select_columns(need), key_col, sweep, num_partitions)
 
 
 def time_rolling_sum(ds, key_col: str, ts_col: str, value_col: str,
@@ -385,20 +328,8 @@ def time_rolling_sum(ds, key_col: str, ts_col: str, value_col: str,
     per-key Python loop. ``value_col`` must be integer (exact-cents
     rule: a running float sum is not association-free).
     Emits (key, ts, value, *extra_cols, rolling_sum int64)."""
-    from tldr_ray.graph.partition import vhash
-    from tldr_ray.hashing import part_key
-
     need = list(dict.fromkeys(
         [key_col, ts_col, value_col, *extra_cols]))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch[key_col]
-        if pa.types.is_integer(k.type):
-            p = (vhash(np.asarray(k, dtype=np.int64))
-                 % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            p = part_key(k, num_partitions)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, ts_col], kind="mergesort")
@@ -440,10 +371,7 @@ def time_rolling_sum(ds, key_col: str, ts_col: str, value_col: str,
         out["rolling_sum"] = cum[end] - cum[start]
         return pd.DataFrame(out)
 
-    return (ds.select_columns(need)
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(ds.select_columns(need), key_col, sweep, num_partitions)
 
 
 def watermark_filter(ds, id_col: str, ts_col: str, lateness_us: int,
@@ -541,18 +469,6 @@ def cusum_scan(ds, key_col: str, order_col: str, value_col: str,
     plus a window MIN, never a float mean. Emits (key, order, x,
     cusum). Alarm thresholding (``cusum > h``) is the caller's one
     extra vectorized comparison."""
-    from tldr_ray.graph.partition import vhash
-    from tldr_ray.hashing import part_key
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = batch[key_col]
-        if pa.types.is_integer(k.type):
-            p = (vhash(np.asarray(k, dtype=np.int64))
-                 % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            p = part_key(k, num_partitions)
-        return batch.append_column("__part", pa.array(p))
-
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, order_col], kind="mergesort")
         key = g[key_col].to_numpy()
@@ -583,12 +499,9 @@ def cusum_scan(ds, key_col: str, order_col: str, value_col: str,
             drift_col: k,
             "cusum": s_val})
 
-    return (
-        ds.select_columns([key_col, order_col, value_col, drift_col])
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(sweep, batch_format="pandas")
-    )
+    return keyed_sweep(
+        ds.select_columns([key_col, order_col, value_col, drift_col]), key_col,
+        sweep, num_partitions)
 
 
 def scd2_intervals(ds, key_col: str, ts_col: str, tie_col: str,
@@ -606,15 +519,6 @@ def scd2_intervals(ds, key_col: str, ts_col: str, tie_col: str,
     twice in the same microsecond. 100-TB shape: rows move exactly
     once, partition tasks hold one coarse slice each, output streams.
     """
-    from tldr_ray.graph.partition import vhash
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        k = np.asarray(batch[key_col], dtype=np.int64)
-        return batch.append_column(
-            "__part",
-            pa.array((vhash(k) % np.uint64(num_partitions))
-                     .astype(np.int32)))
-
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, ts_col, tie_col],
                               kind="mergesort")
@@ -636,12 +540,8 @@ def scd2_intervals(ds, key_col: str, ts_col: str, tie_col: str,
     cols = [key_col, ts_col, tie_col] + [c for c in keep
                                          if c not in (key_col, ts_col,
                                                       tie_col)]
-    return (
-        ds.select_columns(list(dict.fromkeys(cols)))
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(sweep, batch_format="pandas")
-    )
+    return keyed_sweep(ds.select_columns(list(dict.fromkeys(cols))), key_col,
+                       sweep, num_partitions)
 
 
 def rolling_median(ds, key_col: str, order_cols: list[str],
@@ -659,19 +559,7 @@ def rolling_median(ds, key_col: str, order_cols: list[str],
     float output hash-matches DuckDB's ``median()`` window as long as
     values stay below 2^52. ``order_cols`` must uniquely order rows
     within a key. Emits (key, *order_cols, value, roll_median)."""
-    from tldr_ray.graph.partition import vhash
-    from tldr_ray.hashing import part_key
-
     need = list(dict.fromkeys([key_col, *order_cols, value_col]))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        kcol = batch[key_col]
-        if pa.types.is_integer(kcol.type):
-            p = (vhash(np.asarray(kcol, dtype=np.int64))
-                 % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            p = part_key(kcol, num_partitions)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, *order_cols], kind="mergesort")
@@ -691,10 +579,7 @@ def rolling_median(ds, key_col: str, order_cols: list[str],
         out["roll_median"] = med
         return pd.DataFrame(out)
 
-    return (ds.select_columns(need)
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(ds.select_columns(need), key_col, sweep, num_partitions)
 
 
 def rolling_ols_slope(ds, key_col: str, order_cols: list[str],
@@ -714,19 +599,7 @@ def rolling_ols_slope(ds, key_col: str, order_cols: list[str],
     integer. Windows with zero time variance emit slope 0.0 with
     has_slope=false (mirror: CASE WHEN den > 0). Emits
     (key, *order_cols, t, v, slope float64, has_slope bool)."""
-    from tldr_ray.graph.partition import vhash
-    from tldr_ray.hashing import part_key
-
     need = list(dict.fromkeys([key_col, *order_cols, t_col, v_col]))
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        kcol = batch[key_col]
-        if pa.types.is_integer(kcol.type):
-            p = (vhash(np.asarray(kcol, dtype=np.int64))
-                 % np.uint64(num_partitions)).astype(np.int32)
-        else:
-            p = part_key(kcol, num_partitions)
-        return batch.append_column("__part", pa.array(p))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values([key_col, *order_cols], kind="mergesort")
@@ -775,7 +648,4 @@ def rolling_ols_slope(ds, key_col: str, order_cols: list[str],
         out["has_slope"] = has
         return pd.DataFrame(out)
 
-    return (ds.select_columns(need)
-            .map_batches(add_part, batch_format="pyarrow")
-            .groupby("__part")
-            .map_groups(sweep, batch_format="pandas"))
+    return keyed_sweep(ds.select_columns(need), key_col, sweep, num_partitions)

@@ -159,16 +159,14 @@ def incremental_exact_dedup(state_dir: str, new_docs,
     the delta instead of dropping it."""
     import ray.data as rd
 
-    from tldr_ray.stages.dedup import _content_hash_and_part
+    from tldr_ray.hashing import content_hash128_batch, keyed_sweep
 
     def add_hash(batch: pa.Table) -> pa.Table:
-        h1, h2, part = _content_hash_and_part(batch[text_col],
-                                              num_partitions)
+        h1, h2 = content_hash128_batch(batch[text_col])
         return pa.table({
             id_col: batch[id_col].cast(pa.int64()),
             text_col: batch[text_col],
             "h1": pa.array(h1), "h2": pa.array(h2),
-            "part": pa.array(part),
             "is_new": pa.array(np.ones(len(batch), bool))})
 
     new = new_docs.select_columns([id_col, text_col]) \
@@ -177,14 +175,11 @@ def incremental_exact_dedup(state_dir: str, new_docs,
     old = read_aggregate_state(state_dir)   # (h1, h2) rows or None
     if old is not None:
         def seen(batch: pa.Table) -> pa.Table:
-            h1 = np.asarray(batch["h1"]).astype(np.uint64)
             n = len(batch)
             return pa.table({
                 id_col: pa.array(np.full(n, -1, np.int64)),
                 text_col: pa.nulls(n, pa.string()),
                 "h1": batch["h1"], "h2": batch["h2"],
-                "part": pa.array(
-                    (h1 % np.uint64(num_partitions)).astype(np.int32)),
                 "is_new": pa.array(np.zeros(n, bool))})
 
         new = new.union(old.map_batches(seen, batch_format="pyarrow"))
@@ -200,8 +195,7 @@ def incremental_exact_dedup(state_dir: str, new_docs,
         out = g[first & g["is_new"].to_numpy()]
         return out[[id_col, text_col, "h1", "h2"]]
 
-    fresh = (new.groupby("part")
-             .map_groups(resolve, batch_format="pandas").materialize())
+    fresh = keyed_sweep(new, "h1", resolve, num_partitions).materialize()
     fps = fresh.select_columns(["h1", "h2"])
     if old is not None:
         fps = fps.union(old)
