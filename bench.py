@@ -28,7 +28,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NCPU = int(os.environ.get("RAY_GRAFT_CPUS", str(os.cpu_count() or 1)))
+NCPU = int(os.environ.get("RAY_GRAFT_CPUS",
+                          str(len(os.sched_getaffinity(0)))))
 # graph partition count: a property of the JOB (like a real deployment's
 # shard layout), not of the cluster size — the scaling runs pin it so both
 # legs execute the identical partitioned job

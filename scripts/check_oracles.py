@@ -1,5 +1,20 @@
-"""Driver-style oracle comparison for selected queries at sf0.01."""
+"""Driver-style oracle comparison for selected queries at sf0.01.
+
+Prints one ``name: OK/FAIL`` line per query and writes the sweep as
+``SWEEP_r{N}.json`` at the repo root (N = one past the newest
+``CORRECTNESS_r*.json``): name, status, row count and wall seconds of
+the query (run + collect, oracle excluded) per query.
+
+    python scripts/check_oracles.py --all          # every oracle
+    python scripts/check_oracles.py tpch_q3 tpch_q5
+"""
+import glob
+import json
+import os
+import re
 import sys
+import time
+
 import duckdb
 import pandas as pd
 import ray
@@ -35,10 +50,13 @@ def norm(df):
     return df
 
 fails = 0
+sweep = []
 for name in names:
+    t0 = time.perf_counter()
     res = qs[name](SF)
     if hasattr(res, "to_pandas"):
         res = res.to_pandas()
+    wall_s = time.perf_counter() - t0
     mine = norm(pd.DataFrame(res))
     orc = norm(con.execute(oracles[name]).df())
     ok_rows = len(mine) == len(orc)
@@ -47,6 +65,8 @@ for name in names:
     status = "OK" if (ok_rows and ok_dtype and ok_vals) else "FAIL"
     if status == "FAIL":
         fails += 1
+    sweep.append({"name": name, "status": status, "rows": len(mine),
+                  "wall_s": round(wall_s, 3)})
     print(f"{name}: {status} rows={len(mine)}/{len(orc)} "
           f"dtypes_match={ok_dtype} vals={ok_vals}")
     if not ok_dtype:
@@ -57,4 +77,12 @@ for name in names:
         print("  differing cols:", list(neq[neq].index))
 
 ray.shutdown()
+
+root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+rounds = [int(m.group(1)) for f in glob.glob(f"{root}/CORRECTNESS_r*.json")
+          if (m := re.search(r"_r(\d+)\.json$", f))]
+out = f"{root}/SWEEP_r{max(rounds, default=0) + 1:02d}.json"
+with open(out, "w") as fh:
+    json.dump({"sf": SF, "failed": fails, "queries": sweep}, fh, indent=1)
+print(f"wrote {out}")
 sys.exit(1 if fails else 0)

@@ -1,4 +1,5 @@
-"""Session-scoped Ray fixture: ONE ray.init per pytest session."""
+"""Session-scoped Ray fixture (ONE ray.init per pytest session) and the
+one switch that forces the shuffle path of every broadcast gate."""
 
 import pytest
 
@@ -20,3 +21,22 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def force_shuffle(monkeypatch):
+    """Context manager that lowers ``stages.joins.BROADCAST_BUDGET_ROWS``
+    to 0 while it is open, so every broadcast-or-shuffle gate inside
+    takes its shuffle path; both-paths tests run the default path first
+    and the forced one inside ``with force_shuffle():``."""
+    import contextlib
+
+    from tldr_ray.stages import joins
+
+    @contextlib.contextmanager
+    def forced():
+        with monkeypatch.context() as m:
+            m.setattr(joins, "BROADCAST_BUDGET_ROWS", 0)
+            yield
+
+    return forced

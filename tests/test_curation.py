@@ -1,5 +1,7 @@
 """End-to-end curation pipeline test."""
 
+import contextlib
+
 import pyarrow as pa
 import pytest
 
@@ -186,7 +188,7 @@ class TestIncrementalIngest:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_forget_keys_paths_equal_and_verified(tmp_path):
+def test_forget_keys_paths_equal_and_verified(tmp_path, force_shuffle):
     """Broadcast and anti-join deletion paths produce identical
     survivor sets + audit; verification catches a planted leak."""
     import numpy as np
@@ -203,11 +205,11 @@ def test_forget_keys_paths_equal_and_verified(tmp_path):
 
     reps = []
     survivors = []
-    for i, budget in enumerate([None, 0]):   # broadcast vs anti-join
+    for i, forced in enumerate([False, True]):   # broadcast vs anti-join
         out = str(tmp_path / f"run{i}")
-        rep = forget_keys([("t", rd.from_pandas(df), "k")],
-                          rd.from_pandas(dk), out,
-                          broadcast_limit_rows=budget).to_pandas()
+        with force_shuffle() if forced else contextlib.nullcontext():
+            rep = forget_keys([("t", rd.from_pandas(df), "k")],
+                              rd.from_pandas(dk), out).to_pandas()
         reps.append(rep)
         got = pq.read_table(out + "/t").to_pandas() \
             .sort_values("id").reset_index(drop=True)

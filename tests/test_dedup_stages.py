@@ -102,14 +102,14 @@ class TestNgramJaccard:
         assert got == want              # non-candidates never shuffle
         assert 0 in got and 1 in got and len(got) < 2 + len(fillers)
 
-    def test_semi_join_gate_falls_back_to_full_corpus(self):
+    def test_semi_join_gate_falls_back_to_full_corpus(self, force_shuffle):
         from tldr_ray.stages.dedup import (candidate_endpoint_docs,
                                            minhash_lsh_pairs)
 
         ds = doc_ds([BASE, NEAR, OTHER])
         cand = minhash_lsh_pairs(ds, threshold=0.4).materialize()
-        docs, used_filter, _ = candidate_endpoint_docs(
-            ds, cand, broadcast_pairs_limit=0)
+        with force_shuffle():
+            docs, used_filter, _ = candidate_endpoint_docs(ds, cand)
         assert not used_filter
         assert docs.count() == 3        # full corpus rides the shuffle
 
@@ -155,7 +155,7 @@ class TestResolveClusters:
         assert out[1] == out[2] == out[3] == 1
         assert out[5] == out[6] == 5
 
-    def test_distributed_cc_path_matches(self):
+    def test_distributed_cc_path_matches(self, force_shuffle):
         import ray.data as rd
         from tldr_ray.stages.dedup import resolve_clusters
 
@@ -163,8 +163,9 @@ class TestResolveClusters:
             "id_a": pa.array([1, 2, 5], pa.int64()),
             "id_b": pa.array([2, 3, 6], pa.int64()),
         }))
-        small = resolve_clusters(pairs, small_limit=2_000_000)
-        big = resolve_clusters(pairs, small_limit=0)
+        small = resolve_clusters(pairs)
+        with force_shuffle():
+            big = resolve_clusters(pairs)
         pd.testing.assert_frame_equal(
             small.sort_values("id").reset_index(drop=True),
             big.sort_values("id").reset_index(drop=True))

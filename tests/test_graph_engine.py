@@ -582,13 +582,14 @@ class TestTriangles:
         total, _ = triangle_counts(edge_ds(star))
         assert total == 0
 
-    def test_join_path_matches_broadcast(self):
+    def test_join_path_matches_broadcast(self, force_shuffle):
         from tldr_ray.graph import triangle_counts
 
         edges = [(a, b, 1.0) for a, b in TWO_TRIANGLES_BRIDGE] \
             + [(a, b, 1.0) for a in range(4) for b in range(a + 1, 4)]
-        t_bc, pv_bc = triangle_counts(edge_ds(edges), broadcast_degrees=True)
-        t_j, pv_j = triangle_counts(edge_ds(edges), broadcast_degrees=False)
+        t_bc, pv_bc = triangle_counts(edge_ds(edges))
+        with force_shuffle():
+            t_j, pv_j = triangle_counts(edge_ds(edges))
         assert t_bc == t_j
         a = pv_bc.to_pandas().sort_values("vertex").reset_index(drop=True)
         b = pv_j.to_pandas().sort_values("vertex").reset_index(drop=True)

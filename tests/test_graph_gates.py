@@ -1,10 +1,10 @@
 """Forced-past-gate equality tests for the graph broadcast gates.
 
 Every graph op that broadcasts an O(V)/O(E) table behind the COUNTED
-gate (graph/gate.py) must produce IDENTICAL output on its join path.
-``broadcast_limit_rows=0`` forces past the gate; the default takes the
-broadcast path on these tiny inputs — so each test runs both and pins
-row-for-row equality (VERDICT r4 item 1).
+gate (stages.joins.fits_broadcast) must produce IDENTICAL output on
+its join path. The ``force_shuffle`` fixture forces past the gate; the
+default takes the broadcast path on these tiny inputs — so each test
+runs both and pins row-for-row equality (VERDICT r4 item 1).
 """
 
 import numpy as np
@@ -39,37 +39,37 @@ def _sorted(df, cols):
 
 @pytest.mark.usefixtures("ray_session")
 class TestGateEquality:
-    def test_random_walks_join_path(self):
+    def test_random_walks_join_path(self, force_shuffle):
         from tldr_ray.graph.walks import random_walks
 
         pairs = synth_edges()
         a = random_walks(edge_ds(pairs), walk_len=3).to_pandas()
-        b = random_walks(edge_ds(pairs), walk_len=3,
-                         broadcast_limit_rows=0).to_pandas()
+        with force_shuffle():
+            b = random_walks(edge_ds(pairs), walk_len=3).to_pandas()
         cols = ["start", "step", "vertex"]
         pd.testing.assert_frame_equal(_sorted(a, cols), _sorted(b, cols))
 
-    def test_node2vec_join_path(self):
+    def test_node2vec_join_path(self, force_shuffle):
         from tldr_ray.graph.walks import node2vec_walks
 
         pairs = synth_edges(n_v=30, n_e=120, seed=11)
         a = node2vec_walks(edge_ds(pairs), walk_len=3).to_pandas()
-        b = node2vec_walks(edge_ds(pairs), walk_len=3,
-                           broadcast_limit_rows=0).to_pandas()
+        with force_shuffle():
+            b = node2vec_walks(edge_ds(pairs), walk_len=3).to_pandas()
         cols = ["start", "step", "vertex"]
         pd.testing.assert_frame_equal(_sorted(a, cols), _sorted(b, cols))
 
-    def test_assortativity_join_path(self):
+    def test_assortativity_join_path(self, force_shuffle):
         from tldr_ray.graph.triangles import degree_assortativity
 
         pairs = synth_edges(seed=23)
         m1, s1a, s2a, s11a, r1 = degree_assortativity(edge_ds(pairs))
-        m2, s1b, s2b, s11b, r2 = degree_assortativity(
-            edge_ds(pairs), broadcast_limit_rows=0)
+        with force_shuffle():
+            m2, s1b, s2b, s11b, r2 = degree_assortativity(edge_ds(pairs))
         assert (m1, s1a, s2a, s11a) == (m2, s1b, s2b, s11b)
         assert r1 == r2   # one IEEE division of equal ints: bit-equal
 
-    def test_edge_support_join_path(self):
+    def test_edge_support_join_path(self, force_shuffle):
         import ray.data as rd
         from tldr_ray.graph.triangles import edge_support
 
@@ -78,45 +78,44 @@ class TestGateEquality:
         und = rd.from_arrow(pa.table({
             "a": np.array([p[0] for p in pairs], np.int64),
             "b": np.array([p[1] for p in pairs], np.int64)}))
-        a = edge_support(und, broadcast_degrees=True).to_pandas()
-        b = edge_support(und, broadcast_degrees=False).to_pandas()
-        c = edge_support(und).to_pandas()     # auto gate (broadcast here)
-        d = edge_support(und, broadcast_limit_rows=0).to_pandas()  # forced
+        a = edge_support(und).to_pandas()     # broadcast on this input
+        with force_shuffle():
+            b = edge_support(und).to_pandas()
         cols = ["u", "v"]
         pd.testing.assert_frame_equal(_sorted(a, cols), _sorted(b, cols))
-        pd.testing.assert_frame_equal(_sorted(a, cols), _sorted(c, cols))
-        pd.testing.assert_frame_equal(_sorted(a, cols), _sorted(d, cols))
 
-    def test_triangle_counts_auto_gate_forced(self):
+    def test_triangle_counts_auto_gate_forced(self, force_shuffle):
         from tldr_ray.graph import triangle_counts
 
         pairs = synth_edges(seed=5)
         t_a, pv_a = triangle_counts(edge_ds(pairs))  # auto -> broadcast
-        t_f, pv_f = triangle_counts(edge_ds(pairs),
-                                    broadcast_limit_rows=0)  # auto -> join
+        with force_shuffle():
+            t_f, pv_f = triangle_counts(edge_ds(pairs))  # auto -> join
         assert t_a == t_f
         a = _sorted(pv_a.to_pandas(), ["vertex"])
         b = _sorted(pv_f.to_pandas(), ["vertex"])
         pd.testing.assert_frame_equal(a, b)
 
-    def test_reciprocity_join_path(self):
+    def test_reciprocity_join_path(self, force_shuffle):
         from tldr_ray.queries import reciprocity_hashgraph
 
         a = reciprocity_hashgraph(SF).to_pandas()
-        b = reciprocity_hashgraph(SF, broadcast_limit_rows=0).to_pandas()
+        with force_shuffle():
+            b = reciprocity_hashgraph(SF).to_pandas()
         pd.testing.assert_frame_equal(a, b)
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_ego_subgraph_paths_equal():
+def test_ego_subgraph_paths_equal(force_shuffle):
     """Broadcast ball membership == double semi-join past the gate."""
     from tldr_ray.queries import ego_subgraph_hashgraph
 
     sf = "/root/testdata/sf0.001"
     a = (ego_subgraph_hashgraph(sf).to_pandas()
          .sort_values(["u", "w"]).reset_index(drop=True))
-    b = (ego_subgraph_hashgraph(sf, _broadcast_budget=0).to_pandas()
-         .sort_values(["u", "w"]).reset_index(drop=True))
+    with force_shuffle():
+        b = (ego_subgraph_hashgraph(sf).to_pandas()
+             .sort_values(["u", "w"]).reset_index(drop=True))
     pd.testing.assert_frame_equal(a, b)
     assert len(a) > 0
 
@@ -194,14 +193,14 @@ def test_hyperball_series_and_effective_diameter():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_link_prediction_jaccard_paths_equal():
+def test_link_prediction_jaccard_paths_equal(force_shuffle):
     from tldr_ray.graph.triangles import link_prediction_jaccard
 
     ds = edge_ds(synth_edges())
     cols = ["u", "v", "n_common", "jaccard"]
     bc = _sorted(link_prediction_jaccard(ds).to_pandas(), ["u", "v"])
-    jn = _sorted(link_prediction_jaccard(
-        ds, broadcast_limit_rows=0).to_pandas(), ["u", "v"])
+    with force_shuffle():
+        jn = _sorted(link_prediction_jaccard(ds).to_pandas(), ["u", "v"])
     pd.testing.assert_frame_equal(bc[cols], jn[cols])
     # spot-check one row against a dense numpy recomputation
     src = ds.to_pandas()
@@ -256,7 +255,7 @@ def test_four_cycle_count_matches_bruteforce():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_boruvka_equals_kruskal_both_gate_paths():
+def test_boruvka_equals_kruskal_both_gate_paths(force_shuffle):
     from tldr_ray.graph.mst import boruvka_msf
 
     rng = np.random.RandomState(4)
@@ -288,6 +287,8 @@ def test_boruvka_equals_kruskal_both_gate_paths():
             want.append((a, b, wt))
     want = sorted(want)
 
-    for budget in (None, 0):    # broadcast vs join label path
-        got = boruvka_msf(ds, broadcast_limit_rows=budget)
-        assert list(map(tuple, got.to_numpy())) == want
+    got = boruvka_msf(ds)       # broadcast label path
+    assert list(map(tuple, got.to_numpy())) == want
+    with force_shuffle():       # join label path
+        got = boruvka_msf(ds)
+    assert list(map(tuple, got.to_numpy())) == want

@@ -1,4 +1,4 @@
-"""Tests: bucketed hash join, broadcast lookup, sentence-split stage,
+"""Tests: bucketed hash join, keyed lookup, sentence-split stage,
 pre-split sentences-table pipeline."""
 
 import numpy as np
@@ -40,14 +40,89 @@ class TestJoins:
         # null-filling the superset schema promotes ints to float64
         pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
-    def test_broadcast_lookup(self):
+    def test_lookup_contract(self, force_shuffle):
+        """inner / semi / anti over int64 and string keys, with a key
+        missing from ``dim``, an empty ``ds`` and an empty ``dim``: the
+        broadcast path and the forced shuffle path give the same rows."""
         import ray.data as rd
-        from tldr_ray.stages.joins import broadcast_lookup
+        from tldr_ray.stages.joins import lookup
 
-        ds = rd.from_pandas(pd.DataFrame({"k": [1, 2, 9]}))
-        out = broadcast_lookup(ds, {1: "a", 2: "b"}, "k", "v",
-                               default="?").to_pandas()
-        assert out.sort_values("k")["v"].tolist() == ["a", "b", "?"]
+        def rows(ds, cols):
+            df = ds.to_pandas()
+            return [] if df.empty else sorted(
+                map(tuple, df[cols].to_numpy().tolist()))
+
+        ints = pa.table({"k": pa.array([1, 2, 2, 3, 9], pa.int64()),
+                         "x": pa.array([10, 20, 21, 30, 90], pa.int64())})
+        idim = pa.table({"k": pa.array([1, 2, 3, 4], pa.int64()),
+                         "v": pa.array(["a", "b", "c", "d"])})
+        strs = pa.table({"s": pa.array(["x", "y", "z"]),
+                         "n": pa.array([1, 2, 3], pa.int64())})
+        sdim = pa.table({"s": pa.array(["y", "z", "w"]),
+                         "w": pa.array([20, 30, 40], pa.int64())})
+        cases = [
+            (ints, idim, "k", "inner", ["k", "x", "v"],
+             [(1, 10, "a"), (2, 20, "b"), (2, 21, "b"), (3, 30, "c")]),
+            (ints, idim, "k", "semi", ["k", "x"],
+             [(1, 10), (2, 20), (2, 21), (3, 30)]),
+            (ints, idim, "k", "anti", ["k", "x"], [(9, 90)]),
+            (strs, sdim, "s", "inner", ["s", "n", "w"],
+             [("y", 2, 20), ("z", 3, 30)]),
+            (strs, sdim, "s", "semi", ["s", "n"], [("y", 2), ("z", 3)]),
+            (strs, sdim, "s", "anti", ["s", "n"], [("x", 1)]),
+            (ints.slice(0, 0), idim, "k", "inner", ["k", "x", "v"], []),
+            (ints.slice(0, 0), idim, "k", "anti", ["k", "x"], []),
+            (ints, idim.slice(0, 0), "k", "inner", ["k", "x", "v"], []),
+            (ints, idim.slice(0, 0), "k", "semi", ["k", "x"], []),
+            (ints, idim.slice(0, 0), "k", "anti", ["k", "x"],
+             sorted(zip(ints["k"].to_pylist(), ints["x"].to_pylist()))),
+        ]
+        for t, dim, on, how, cols, want in cases:
+            ds = rd.from_arrow(t).repartition(2) if len(t) else \
+                rd.from_arrow(t)          # keeps the empty side's schema
+            got = rows(lookup(ds, rd.from_arrow(dim), on, how), cols)
+            with force_shuffle():
+                forced = rows(lookup(ds, rd.from_arrow(dim), on, how),
+                              cols)
+            assert got == want, (on, how, len(dim))
+            assert forced == want, (on, how, len(dim))
+        with pytest.raises(ValueError):
+            lookup(rd.from_arrow(ints), rd.from_arrow(idim), "k", "left")
+
+    def test_tagged_unions_share_one_schema(self, monkeypatch):
+        """A side's missing columns fill with nulls of the other side's
+        type, so both inputs of every tagged union have one schema (a
+        union never mixes ``text: string`` with ``text: null``)."""
+        import ray.data as rd
+        from ray.data import Dataset
+        from tldr_ray.stages import joins
+
+        seen = []
+        union = Dataset.union
+
+        def spy(self, *others):
+            seen.append([d.schema().base_schema for d in (self,) + others])
+            return union(self, *others)
+
+        monkeypatch.setattr(Dataset, "union", spy)
+        left = rd.from_arrow(pa.table({
+            "k": pa.array([1, 2, 3], pa.int64()),
+            "text": pa.array(["a", "b", "c"])}))
+        right = rd.from_arrow(pa.table({
+            "k": pa.array([2, 3, 4], pa.int64()),
+            "score": pa.array([0.5, 0.25, 0.125])}))
+        changes = rd.from_arrow(pa.table({
+            "k": pa.array([2], pa.int64()), "text": pa.array(["B"]),
+            "op": pa.array(["U"]), "ord": pa.array([1], pa.int64())}))
+        joins.bucketed_hash_join(left, right, "k").materialize()
+        joins.bucketed_anti_join(left, right, "k").materialize()
+        joins.bucketed_semi_join(left, right, "k").materialize()
+        joins.merge_upsert(left, changes, "k").materialize()
+        joins.cogroup(left, right, "k",
+                      lambda k, l, r: l.iloc[0:0]).materialize()
+        assert len(seen) == 5
+        for schemas in seen:
+            assert all(s == schemas[0] for s in schemas), schemas
 
     def test_bucketed_anti_join(self):
         import ray.data as rd
@@ -488,7 +563,7 @@ def test_interval_join_long_span_guard():
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_auto_join_paths_equal():
+def test_auto_join_paths_equal(force_shuffle):
     """The broadcast and bucketed sides of the auto_join gate produce
     identical frames (inner and left, incl. an unmatched left key)."""
     import ray.data as rd
@@ -508,10 +583,9 @@ def test_auto_join_paths_equal():
         return df.sort_values(list(df.columns)).reset_index(drop=True)
 
     for how in ("inner", "left"):
-        bc = norm(auto_join(left, right, "k", how=how,
-                            broadcast_limit_rows=1000).to_pandas())
-        bk = norm(auto_join(left, right, "k", how=how,
-                            broadcast_limit_rows=0).to_pandas())
+        bc = norm(auto_join(left, right, "k", how=how).to_pandas())
+        with force_shuffle():
+            bk = norm(auto_join(left, right, "k", how=how).to_pandas())
         # dtypes must agree too — no cast-away slack: both paths are
         # pandas merges, so NaN-promotion on left joins is identical
         pd.testing.assert_frame_equal(bc, bk, check_dtype=True)
@@ -522,10 +596,9 @@ def test_auto_join_paths_equal():
     right_num = rd.from_arrow(pa.table({
         "k": pa.array([1, 2, 3, 4], pa.int64()),
         "c": pa.array([7, 8, 9, 4], pa.int64())})).repartition(2)
-    bc = norm(auto_join(left, right_num, "k", how="left",
-                        broadcast_limit_rows=1000).to_pandas())
-    bk = norm(auto_join(left, right_num, "k", how="left",
-                        broadcast_limit_rows=0).to_pandas())
+    bc = norm(auto_join(left, right_num, "k", how="left").to_pandas())
+    with force_shuffle():
+        bk = norm(auto_join(left, right_num, "k", how="left").to_pandas())
     pd.testing.assert_frame_equal(bc, bk, check_dtype=True)
     assert bc["c"].dtype == np.float64 and bc["c"].isna().sum() == 1
 

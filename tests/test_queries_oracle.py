@@ -56,12 +56,12 @@ def test_rows_only_queries_run(name):
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_revenue_join_path_matches_broadcast():
+def test_revenue_join_path_matches_broadcast(force_shuffle):
     """The size-gated bucketed-join fallback must produce the same table
-    as the packed-array broadcast path."""
+    as the broadcast path."""
     a = normalize(to_pandas(q.revenue_by_nation(SF_DIR)))
-    b = normalize(to_pandas(q.revenue_by_nation(SF_DIR,
-                                                broadcast_limit_rows=0)))
+    with force_shuffle():
+        b = normalize(to_pandas(q.revenue_by_nation(SF_DIR)))
     pd.testing.assert_frame_equal(a, b)
 
 
@@ -78,7 +78,7 @@ def test_entry_smoke():
     assert set(mod.oracle_sql()) <= set(mod.queries())
 
 
-def test_tpch_q3_join_path_matches_broadcast():
+def test_tpch_q3_join_path_matches_broadcast(force_shuffle):
     """The size-gated broadcast path and the bucketed-join fallback
     must produce identical Q3 results."""
     import pandas as pd
@@ -87,8 +87,8 @@ def test_tpch_q3_join_path_matches_broadcast():
 
     sf = "/root/testdata/sf0.001"
     a = q.tpch_q3(sf).to_pandas().reset_index(drop=True)
-    b = q.tpch_q3(sf, broadcast_limit_rows=0) \
-        .to_pandas().reset_index(drop=True)
+    with force_shuffle():
+        b = q.tpch_q3(sf).to_pandas().reset_index(drop=True)
     pd.testing.assert_frame_equal(a, b)
 
 

@@ -2,7 +2,8 @@
 size-gated (broadcast within a row budget, bucketed joins past it) and
 bounded-output decorations / single-row lookups never read a fact-sized
 table to the driver. These tests pin both-paths equality at sf0.001:
-forcing the gate to 0 must produce identical results."""
+forcing every gate past its budget (the ``force_shuffle`` fixture) must
+produce identical results."""
 
 import numpy as np
 import pandas as pd
@@ -25,19 +26,35 @@ def _norm(df: pd.DataFrame) -> pd.DataFrame:
 
 
 class TestSizeGatedTpch:
-    def test_q5_both_paths_equal(self):
+    def test_q5_both_paths_equal(self, force_shuffle):
         from tldr_ray.queries import tpch_q5
 
         a = _norm(_df(tpch_q5(SF)))
-        b = _norm(_df(tpch_q5(SF, broadcast_limit_rows=0)))
+        with force_shuffle():
+            b = _norm(_df(tpch_q5(SF)))
         assert len(a) > 0
         pd.testing.assert_frame_equal(a, b)
 
-    def test_q7_both_paths_equal(self):
+    def test_q7_both_paths_equal(self, force_shuffle):
         from tldr_ray.queries import tpch_q7_trade_pairs
 
         a = _norm(_df(tpch_q7_trade_pairs(SF)))
-        b = _norm(_df(tpch_q7_trade_pairs(SF, broadcast_limit_rows=0)))
+        with force_shuffle():
+            b = _norm(_df(tpch_q7_trade_pairs(SF)))
+        assert len(a) > 0
+        pd.testing.assert_frame_equal(a, b)
+
+    @pytest.mark.parametrize("name", [
+        "tpch_q14", "tpch_q16_supplier_counts", "part_return_rates",
+        "revenue_pareto_top_decile", "quality_scorecard"])
+    def test_lookup_queries_both_paths_equal(self, name, force_shuffle):
+        """The five queries that read part / orders / customer whole
+        onto the driver before they went through stages.joins.lookup."""
+        from tldr_ray.queries import QUERIES
+
+        a = _norm(_df(QUERIES[name](SF)))
+        with force_shuffle():
+            b = _norm(_df(QUERIES[name](SF)))
         assert len(a) > 0
         pd.testing.assert_frame_equal(a, b)
 
@@ -83,7 +100,7 @@ class TestPrunedDriverReads:
 
 
 class TestDimDecorate:
-    def test_broadcast_and_bucketed_paths_equal(self):
+    def test_broadcast_and_bucketed_paths_equal(self, force_shuffle):
         """_dim_decorate (the reusable size-gated decoration) must
         produce identical rows on both sides of its gate."""
         from tldr_ray.queries import _dim_decorate, _read
@@ -92,10 +109,10 @@ class TestDimDecorate:
         a = _norm(_dim_decorate(
             line, SF, "supplier", "s_suppkey", "s_nationkey",
             on="l_suppkey", out_col="s_nat").to_pandas())
-        b = _norm(_dim_decorate(
-            line, SF, "supplier", "s_suppkey", "s_nationkey",
-            on="l_suppkey", out_col="s_nat",
-            broadcast_limit_rows=0).to_pandas())
+        with force_shuffle():
+            b = _norm(_dim_decorate(
+                line, SF, "supplier", "s_suppkey", "s_nationkey",
+                on="l_suppkey", out_col="s_nat").to_pandas())
         assert len(a) > 0
         pd.testing.assert_frame_equal(
             a, b.astype(a.dtypes.to_dict()))

@@ -214,7 +214,7 @@ class TestTextAnalysis:
             "'/root/testdata/sf0.001/documents.parquet' ORDER BY doc_id").df()
         assert got["md5"].tolist() == want["md5"].tolist()
 
-    def test_tfidf_broadcast_and_join_paths_equivalent(self):
+    def test_tfidf_broadcast_and_join_paths_equivalent(self, force_shuffle):
         """The size-gated vocab paths must agree bit-for-bit; top term
         of a hand-built corpus is the document's distinctive word."""
         import ray.data as rd
@@ -229,8 +229,9 @@ class TestTextAnalysis:
         ds = rd.from_arrow(docs).repartition(3)
         a = (tfidf_top_terms(ds, k=3).to_pandas()
              .sort_values(["doc_id", "rnk"]).reset_index(drop=True))
-        b = (tfidf_top_terms(ds, k=3, broadcast_vocab_max=0).to_pandas()
-             .sort_values(["doc_id", "rnk"]).reset_index(drop=True))
+        with force_shuffle():
+            b = (tfidf_top_terms(ds, k=3).to_pandas()
+                 .sort_values(["doc_id", "rnk"]).reset_index(drop=True))
         pd.testing.assert_frame_equal(a, b[a.columns], check_dtype=True)
         # doc 1's unique terms (df=1) outrank shared ones
         top1 = a[(a["doc_id"] == 1) & (a["rnk"] == 1)]["term"].iloc[0]
@@ -1367,7 +1368,7 @@ class TestKTruss:
                        [["u", "v"]].to_numpy().tolist()))
         assert got3 == got4 | {(0, 4), (3, 4), (0, 3)}
 
-    def test_matches_sequential_peeling_random(self):
+    def test_matches_sequential_peeling_random(self, force_shuffle):
         import ray.data as rd
         from tldr_ray.graph.triangles import k_truss
 
@@ -1382,7 +1383,8 @@ class TestKTruss:
             "src": pa.array(src, pa.int64()),
             "dst": pa.array(dst, pa.int64())}))
         for k in (3, 4, 5):
-            out = k_truss(ds, k, local_limit=0)   # force distributed
+            with force_shuffle():                # force distributed
+                out = k_truss(ds, k)
             assert out.schema().names == ["u", "v"]
             df = out.to_pandas()
             # Ray's to_pandas drops columns on 0-row datasets
@@ -1590,7 +1592,7 @@ class TestBpeMerges:
                 vocab[w] = out
         return merges, vocab
 
-    def test_matches_sequential_reference(self):
+    def test_matches_sequential_reference(self, force_shuffle):
         import ray.data as rd
         from tldr_ray.stages.text_analysis import learn_bpe_merges
 
@@ -1601,14 +1603,15 @@ class TestBpeMerges:
         want, want_vocab = self._seq_bpe(texts, 8)
         # distributed path AND the size-gated local finisher must both
         # match the reference exactly
-        for limit in (0, 200_000):
-            got, vocab_ds = learn_bpe_merges(ds, num_merges=8,
-                                             local_limit=limit)
-            assert got == want, f"local_limit={limit}"
+        with force_shuffle():                      # distributed
+            runs = [learn_bpe_merges(ds, num_merges=8)]
+        runs.append(learn_bpe_merges(ds, num_merges=8))  # local finisher
+        for i, (got, vocab_ds) in enumerate(runs):
+            assert got == want, f"run {i}"
             vd = vocab_ds.to_pandas()
             got_vocab = {r.word: list(r.symbols)
                          for r in vd.itertuples()}
-            assert got_vocab == want_vocab, f"local_limit={limit}"
+            assert got_vocab == want_vocab, f"run {i}"
 
 
 class TestCompressionRatio:

@@ -4,9 +4,10 @@ Each BSP round: every component nominates its lexicographically-
 minimum (weight, a, b) OUTGOING edge (a coarse per-component argmin
 sweep — one shuffle), the nominated component pairs contract through
 the size-gated cluster resolver (union-find below the counted budget,
-the distributed min-label CC engine past it), and component labels
-update through the counted graph gate (broadcast map under the
-budget, bucketed join past it). Components at least halve per round,
+the distributed min-label CC engine past it), and the edges pick up
+their endpoints' component labels through the keyed lookup
+(stages.joins.lookup: broadcast map under the budget, bucketed join
+past it). Components at least halve per round,
 so rounds = O(log V); with the strict (weight, a, b) total order the
 forest is UNIQUE and equal to Kruskal's under the same order — the
 pytest oracle.
@@ -22,8 +23,7 @@ import pandas as pd
 import pyarrow as pa
 
 
-def boruvka_msf(edges, max_rounds: int = 32,
-                broadcast_limit_rows: int | None = None):
+def boruvka_msf(edges, max_rounds: int = 32):
     """``edges``: Dataset (src, dst, weight). Returns pd.DataFrame
     (a, b, weight) of the minimum spanning forest edges, sorted by
     (a, b). Self-loops drop; parallel edges keep the minimum weight
@@ -36,10 +36,9 @@ def boruvka_msf(edges, max_rounds: int = 32,
     import ray
     from ray.data.aggregate import Min
 
-    from tldr_ray.graph.gate import fits_broadcast
     from tldr_ray.hashing import keyed_sweep
     from tldr_ray.stages.dedup import resolve_clusters
-    from tldr_ray.stages.joins import bucketed_hash_join
+    from tldr_ray.stages.joins import lookup
 
     def undirect(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch["src"], dtype=np.int64)
@@ -73,45 +72,13 @@ def boruvka_msf(edges, max_rounds: int = 32,
 
     forest = []          # (a, b, weight) picked so far — O(V) total
     for _ in range(max_rounds):
-        _, bcast = fits_broadcast(comp, broadcast_limit_rows)
-        if bcast:
-            cdf = comp.to_pandas()
-            vs = cdf["vertex"].to_numpy(np.int64)
-            cs = cdf["comp"].to_numpy(np.int64)
-            o = np.argsort(vs)
-            cref = ray.put((vs[o], cs[o]))
-
-            def decorate(batch: pa.Table) -> pa.Table:
-                v, c = ray.get(cref)
-                a = np.asarray(batch["a"], np.int64)
-                b = np.asarray(batch["b"], np.int64)
-                return pa.table({
-                    "a": batch["a"], "b": batch["b"],
-                    "weight": batch["weight"],
-                    "ca": pa.array(c[np.searchsorted(v, a)]),
-                    "cb": pa.array(c[np.searchsorted(v, b)])})
-
-            dec = und.map_batches(decorate, batch_format="pyarrow")
-        else:
-            def ren(key, out):
-                def fn(batch: pa.Table) -> pa.Table:
-                    return batch.rename_columns([key, out])
-                return fn
-
-            j = bucketed_hash_join(
-                und.map_batches(lambda t: t.rename_columns(
-                    ["va", "b", "weight"]), batch_format="pyarrow"),
-                comp.map_batches(ren("va", "ca"),
-                                 batch_format="pyarrow"), on="va")
-            j = bucketed_hash_join(
-                j.map_batches(lambda t: t.rename_columns(
-                    ["a", "vb", "weight", "ca"]),
-                    batch_format="pyarrow"),
-                comp.map_batches(ren("vb", "cb"),
-                                 batch_format="pyarrow"), on="vb")
-            dec = j.map_batches(lambda t: t.rename_columns(
-                ["a", "b", "weight", "ca", "cb"]),
+        def labels(col: str):
+            return comp.map_batches(
+                lambda t: pa.table({col: t["vertex"],
+                                    f"c{col}": t["comp"]}),
                 batch_format="pyarrow")
+
+        dec = lookup(lookup(und, labels("a"), "a"), labels("b"), "b")
 
         def tag(batch: pa.Table) -> pa.Table:
             ca = np.asarray(batch["ca"], np.int64)

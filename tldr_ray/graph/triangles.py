@@ -35,108 +35,80 @@ def _orient(a, b, da, db):
     return np.where(a_first, a, b), np.where(a_first, b, a)
 
 
-def triangle_counts(edges, broadcast_degrees: bool | None = None,
-                    broadcast_limit_rows: int | None = None):
-    """edges: Dataset (src, dst[, weight]) interpreted as undirected.
+def _undirect(batch: pa.Table) -> pa.Table:
+    """One batch's distinct undirected pairs (a < b) of (src, dst),
+    self-loops dropped."""
+    s = np.asarray(batch["src"], dtype=np.int64)
+    d = np.asarray(batch["dst"], dtype=np.int64)
+    keep = s != d
+    s, d = s[keep], d[keep]
+    lo, hi = np.minimum(s, d), np.maximum(s, d)
+    u = np.unique(np.stack([lo, hi], axis=1), axis=0)
+    return pa.table({"a": u[:, 0], "b": u[:, 1]})
 
-    Returns (total:int, per_vertex Dataset(vertex:int64, triangles:int64)).
 
-    ``broadcast_degrees=True`` ships the degree table to every orient
-    task as a PACKED pair of numpy arrays (sorted vertex ids +
-    degrees; 16 bytes/vertex, looked up via ``searchsorted``) — far
-    denser than a Python dict, but still O(V) per worker.
-    ``broadcast_degrees=False`` replaces the broadcast with two
-    bucketed hash joins of the degree table onto the edge endpoints —
-    two extra shuffles, no per-worker O(V) state. The default (None)
-    is the COUNTED auto gate (graph.gate.fits_broadcast): broadcast
-    while the degree table fits ``broadcast_limit_rows`` (2M), join
-    past it. Both paths are pinned equal by tests/test_graph_engine.
-    """
-    import ray
-    import ray.data as rd
+def _undirected(edges):
+    """The distinct undirected edge set (a, b), a < b, of ``edges``."""
+    return edges.map_batches(_undirect, batch_format="pyarrow") \
+        .groupby(["a", "b"]).count().select_columns(["a", "b"])
+
+
+def _degree_table(und):
+    """(vertex, degree) of a distinct undirected edge set (a, b)."""
     from ray.data.aggregate import Sum
-
-    from tldr_ray.graph.gate import fits_broadcast
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch["src"], dtype=np.int64)
-        d = np.asarray(batch["dst"], dtype=np.int64)
-        keep = s != d                     # drop self-loops
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        u = np.unique(np.stack([lo, hi], axis=1), axis=0)  # per-batch dedup
-        return pa.table({"a": u[:, 0], "b": u[:, 1]})
-
-    und = edges.map_batches(undirect, batch_format="pyarrow")
-    # global exact dedup of undirected pairs
-    und = und.groupby(["a", "b"]).count().select_columns(["a", "b"])
-    und = und.materialize()   # reused twice below (degrees + orientation)
 
     def degree_rows(batch: pa.Table) -> pa.Table:
         v = np.concatenate([np.asarray(batch["a"]), np.asarray(batch["b"])])
         vu, cnt = np.unique(v, return_counts=True)
-        return pa.table({"vertex": vu, "n": cnt.astype(np.int64)})
+        return pa.table({"vertex": pa.array(vu),
+                         "n": pa.array(cnt.astype(np.int64))})
 
-    degrees = (
-        und.map_batches(degree_rows, batch_format="pyarrow")
+    return und.map_batches(degree_rows, batch_format="pyarrow") \
         .groupby("vertex").aggregate(Sum("n", alias_name="degree"))
-        .materialize()
-    )
 
-    if broadcast_degrees is None:
-        _, broadcast_degrees = fits_broadcast(degrees,
-                                              broadcast_limit_rows)
-    if broadcast_degrees:
-        deg_df = degrees.to_pandas()
-        order = np.argsort(deg_df["vertex"].to_numpy())
-        deg_ref = ray.put((deg_df["vertex"].to_numpy(np.int64)[order],
-                           deg_df["degree"].to_numpy(np.int64)[order]))
 
-        class Orient:
-            def __init__(self):
-                self.vids, self.degs = ray.get(deg_ref)
+def _with_degrees(ds, degrees, a: str = "a", b: str = "b"):
+    """``ds`` plus ``deg_<a>`` and ``deg_<b>``, the degrees of its
+    endpoint columns: two keyed lookups (stages.joins.lookup) of the
+    degree table — broadcast while it fits the gate, bucketed joins
+    past it, so no O(V) state is needed anywhere."""
+    from tldr_ray.stages.joins import lookup
 
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                a = np.asarray(batch["a"], dtype=np.int64)
-                b = np.asarray(batch["b"], dtype=np.int64)
-                da = self.degs[np.searchsorted(self.vids, a)]
-                db = self.degs[np.searchsorted(self.vids, b)]
-                src, dst = _orient(a, b, da, db)
-                return pa.table({"src": src, "dst": dst})
+    degrees = degrees.materialize()
 
-        oriented = und.map_batches(Orient, batch_format="pyarrow",
-                                   concurrency=2)
-    else:
-        from tldr_ray.stages.joins import bucketed_hash_join
+    def keyed(col: str):
+        return degrees.map_batches(
+            lambda t: pa.table({col: t["vertex"],
+                                f"deg_{col}": t["degree"]}),
+            batch_format="pyarrow")
 
-        def rename_deg(col: str):
-            def fn(batch: pa.Table) -> pa.Table:
-                return batch.rename_columns([col, f"deg_{col}"])
-            return fn
+    return lookup(lookup(ds, keyed(a), a), keyed(b), b)
 
-        with_da = bucketed_hash_join(
-            und, degrees.map_batches(rename_deg("a"), batch_format="pyarrow"),
-            on="a")
-        with_db = bucketed_hash_join(
-            with_da,
-            degrees.map_batches(rename_deg("b"), batch_format="pyarrow"),
-            on="b")
 
-        def orient_joined(batch: pa.Table) -> pa.Table:
-            a = np.asarray(batch["a"], dtype=np.int64)
-            b = np.asarray(batch["b"], dtype=np.int64)
-            da = np.asarray(batch["deg_a"], dtype=np.int64)
-            db = np.asarray(batch["deg_b"], dtype=np.int64)
-            src, dst = _orient(a, b, da, db)
-            return pa.table({"src": src, "dst": dst})
+def _oriented(und):
+    """``und`` (a, b) oriented from the lower (degree, id) endpoint to
+    the higher: Dataset (src, dst), materialized."""
+    def orient(batch: pa.Table) -> pa.Table:
+        src, dst = _orient(np.asarray(batch["a"], np.int64),
+                           np.asarray(batch["b"], np.int64),
+                           np.asarray(batch["deg_a"], np.int64),
+                           np.asarray(batch["deg_b"], np.int64))
+        return pa.table({"src": src, "dst": dst})
 
-        oriented = with_db.map_batches(orient_joined, batch_format="pyarrow")
-    oriented = oriented.materialize()  # reused: wedge gen + closure probe
+    return _with_degrees(und, _degree_table(und)) \
+        .map_batches(orient, batch_format="pyarrow").materialize()
 
-    # wedge generation and closure both shuffle on COARSE partitions of
-    # their key (per-vertex / per-pair micro-groups would pay ~ms of
-    # map_groups invocation overhead each; a partition task sweeps all
-    # its keys with one sort + segment reductions)
+
+def _closure_probe(oriented):
+    """Wedges of the oriented edge set (src, dst) unioned with its
+    edges as (a, b, center) rows, a < b, edges carrying center -1: a
+    pair group that holds an edge row closes each of its wedges into a
+    triangle.
+
+    Wedge generation and closure both shuffle on COARSE partitions of
+    their key (per-vertex / per-pair micro-groups would pay ~ms of
+    map_groups invocation overhead each; a partition task sweeps all
+    its keys with one sort + segment reductions)."""
     def wedge_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["src", "dst"])
         src = g["src"].to_numpy(np.int64)
@@ -176,8 +148,28 @@ def triangle_counts(edges, broadcast_degrees: bool | None = None,
                          "center": np.asarray(batch["center"],
                                               dtype=np.int64)})
 
-    probe = oriented.map_batches(tag_edges, batch_format="pyarrow").union(
+    return oriented.map_batches(tag_edges, batch_format="pyarrow").union(
         wedge_ds.map_batches(tag_wedges, batch_format="pyarrow"))
+
+
+def triangle_counts(edges):
+    """edges: Dataset (src, dst[, weight]) interpreted as undirected.
+
+    Returns (total:int, per_vertex Dataset(vertex:int64, triangles:int64)).
+
+    The degrees that orient each edge arrive through the keyed lookup
+    (``_with_degrees``): the degree table ships to every orient task
+    while it fits the broadcast gate, and two bucketed hash joins of
+    it onto the edge endpoints replace the broadcast past it. Both
+    paths are pinned equal by tests/test_graph_engine and
+    tests/test_graph_gates.
+    """
+    from ray.data.aggregate import Sum
+
+    # global exact dedup of undirected pairs; reused twice below
+    # (degrees + orientation)
+    und = _undirected(edges).materialize()
+    probe = _closure_probe(_oriented(und))
 
     def close_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["a", "b", "center"])  # -1 edge rows first
@@ -231,18 +223,7 @@ def common_neighbors(edges, max_degree: int | None = None):
     """
     import pandas as pd
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch["src"], dtype=np.int64)
-        d = np.asarray(batch["dst"], dtype=np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        u = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        return pa.table({"a": u[:, 0], "b": u[:, 1]})
-
-    und = edges.map_batches(undirect, batch_format="pyarrow") \
-        .groupby(["a", "b"]).count().select_columns(["a", "b"]) \
-        .materialize()
+    und = _undirected(edges).materialize()
 
     def sym(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["a"], dtype=np.int64)
@@ -311,7 +292,7 @@ def common_neighbors(edges, max_degree: int | None = None):
     return keyed_sweep(probe, ["u", "v"], sum_part)
 
 
-def degree_assortativity(edges, broadcast_limit_rows: int | None = None):
+def degree_assortativity(edges):
     """Degree assortativity coefficient (Pearson correlation of
     endpoint degrees over the SYMMETRIC directed edge set — Newman
     2002, public formula) computed from exact integer moment sums:
@@ -323,88 +304,27 @@ def degree_assortativity(edges, broadcast_limit_rows: int | None = None):
     int64 partial sums bound: sum(du^2) <= 2E * max_deg^2 — beyond
     ~2^63 of that, move partials to float128 or split the sum.
 
-    Degrees broadcast as packed sorted arrays (the triangle_counts
-    idiom) while the COUNTED degree table fits ``broadcast_limit_rows``
-    (graph.gate, 2M default); past the gate they arrive via two
-    bucketed hash joins onto the edge endpoints instead — no O(V)
-    state anywhere. Both paths bit-equal (tests/test_graph_gates.py).
+    Degrees attach through the keyed lookup (``_with_degrees``):
+    broadcast while the degree table fits the gate, two bucketed hash
+    joins onto the edge endpoints past it. Both paths bit-equal
+    (tests/test_graph_gates.py).
 
     Returns (m_edges, s1, s2, s11, assortativity float)."""
-    import ray
     from ray.data.aggregate import Sum
 
-    from tldr_ray.graph.gate import fits_broadcast
+    und = _undirected(edges).materialize()
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch["src"], dtype=np.int64)
-        d = np.asarray(batch["dst"], dtype=np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        u = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        return pa.table({"a": u[:, 0], "b": u[:, 1]})
-
-    und = edges.map_batches(undirect, batch_format="pyarrow") \
-        .groupby(["a", "b"]).count().select_columns(["a", "b"]) \
-        .materialize()
-
-    def degree_rows(batch: pa.Table) -> pa.Table:
-        v = np.concatenate([np.asarray(batch["a"]), np.asarray(batch["b"])])
-        vu, cnt = np.unique(v, return_counts=True)
-        return pa.table({"vertex": pa.array(vu),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    deg_ds = und.map_batches(degree_rows, batch_format="pyarrow") \
-        .groupby("vertex").aggregate(Sum("n", alias_name="deg")) \
-        .materialize()
-    _, bcast = fits_broadcast(deg_ds, broadcast_limit_rows)
-
-    def _moments_tbl(n, du, dv):
+    def moments(batch: pa.Table) -> pa.Table:
+        du = np.asarray(batch["deg_a"], np.int64)
+        dv = np.asarray(batch["deg_b"], np.int64)
         return pa.table({
-            "m": pa.array([2 * n], pa.int64()),
+            "m": pa.array([2 * len(batch)], pa.int64()),
             "s1": pa.array([int((du + dv).sum())], pa.int64()),
             "s2": pa.array([int((du * du + dv * dv).sum())], pa.int64()),
             "s11": pa.array([int(2 * (du * dv).sum())], pa.int64())})
 
-    if bcast:
-        deg = deg_ds.to_pandas()
-        verts = deg["vertex"].to_numpy(np.int64)
-        ds_ = deg["deg"].to_numpy(np.int64)
-        order = np.argsort(verts)
-        dref = ray.put((verts[order], ds_[order]))
-
-        def moments(batch: pa.Table) -> pa.Table:
-            vs, dg = ray.get(dref)
-            du = dg[np.searchsorted(
-                vs, np.asarray(batch["a"], np.int64))]
-            dv = dg[np.searchsorted(
-                vs, np.asarray(batch["b"], np.int64))]
-            return _moments_tbl(len(batch), du, dv)
-
-        src = und.map_batches(moments, batch_format="pyarrow")
-    else:
-        from tldr_ray.stages.joins import bucketed_hash_join
-
-        def rename_deg(col: str):
-            def fn(batch: pa.Table) -> pa.Table:
-                return batch.rename_columns([col, f"deg_{col}"])
-            return fn
-
-        with_da = bucketed_hash_join(
-            und, deg_ds.map_batches(rename_deg("a"),
-                                    batch_format="pyarrow"), on="a")
-        with_db = bucketed_hash_join(
-            with_da, deg_ds.map_batches(rename_deg("b"),
-                                        batch_format="pyarrow"),
-            on="b")
-
-        def moments_joined(batch: pa.Table) -> pa.Table:
-            du = np.asarray(batch["deg_a"], np.int64)
-            dv = np.asarray(batch["deg_b"], np.int64)
-            return _moments_tbl(len(batch), du, dv)
-
-        src = with_db.map_batches(moments_joined,
-                                  batch_format="pyarrow")
+    src = _with_degrees(und, _degree_table(und)) \
+        .map_batches(moments, batch_format="pyarrow")
 
     agg = src.aggregate(
         Sum("m", alias_name="m"), Sum("s1", alias_name="s1"),
@@ -416,129 +336,19 @@ def degree_assortativity(edges, broadcast_limit_rows: int | None = None):
     return m, s1, s2, s11, r
 
 
-def edge_support(und, broadcast_degrees: bool | None = None,
-                 broadcast_limit_rows: int | None = None):
+def edge_support(und):
     """Per-edge triangle support of an undirected DISTINCT edge set
     ``und`` (Dataset (a, b) with a < b): for every edge, how many
     triangles contain it. Same plan as ``triangle_counts`` (degree
-    orientation -> coarse wedge sweep -> pair-partition closure probe)
-    but each CLOSED wedge emits its three edges, so the grouped sum is
-    keyed on edges, not vertices. Edges in no triangle are absent from
-    the output (support 0) — callers that need zeros outer-join back.
-
-    ``broadcast_degrees`` as in ``triangle_counts``: None (default) is
-    the COUNTED auto gate — packed-array broadcast while the degree
-    table fits ``broadcast_limit_rows``, two bucketed degree joins
-    past it (no O(V) state). Paths pinned equal in tests.
+    orientation through the keyed lookup -> coarse wedge sweep ->
+    pair-partition closure probe) but each CLOSED wedge emits its three
+    edges, so the grouped sum is keyed on edges, not vertices. Edges in
+    no triangle are absent from the output (support 0) — callers that
+    need zeros outer-join back. Both gate paths pinned equal in tests.
     """
-    import ray
     from ray.data.aggregate import Sum
 
-    from tldr_ray.graph.gate import fits_broadcast
-
-    def degree_rows(batch: pa.Table) -> pa.Table:
-        v = np.concatenate([np.asarray(batch["a"]),
-                            np.asarray(batch["b"])])
-        vu, cnt = np.unique(v, return_counts=True)
-        return pa.table({"vertex": vu, "n": cnt.astype(np.int64)})
-
-    degrees = (und.map_batches(degree_rows, batch_format="pyarrow")
-               .groupby("vertex").aggregate(Sum("n", alias_name="degree"))
-               .materialize())
-    if broadcast_degrees is None:
-        _, broadcast_degrees = fits_broadcast(degrees,
-                                              broadcast_limit_rows)
-
-    if broadcast_degrees:
-        deg_df = degrees.to_pandas()
-        order = np.argsort(deg_df["vertex"].to_numpy())
-        deg_ref = ray.put((deg_df["vertex"].to_numpy(np.int64)[order],
-                           deg_df["degree"].to_numpy(np.int64)[order]))
-
-        class Orient:
-            def __init__(self):
-                self.vids, self.degs = ray.get(deg_ref)
-
-            def __call__(self, batch: pa.Table) -> pa.Table:
-                a = np.asarray(batch["a"], dtype=np.int64)
-                b = np.asarray(batch["b"], dtype=np.int64)
-                da = self.degs[np.searchsorted(self.vids, a)]
-                db = self.degs[np.searchsorted(self.vids, b)]
-                src, dst = _orient(a, b, da, db)
-                return pa.table({"src": src, "dst": dst})
-
-        oriented = und.map_batches(Orient, batch_format="pyarrow",
-                                   concurrency=2).materialize()
-    else:
-        from tldr_ray.stages.joins import bucketed_hash_join
-
-        def rename_deg(col: str):
-            def fn(batch: pa.Table) -> pa.Table:
-                return batch.rename_columns([col, f"deg_{col}"])
-            return fn
-
-        with_da = bucketed_hash_join(
-            und, degrees.map_batches(rename_deg("a"),
-                                     batch_format="pyarrow"), on="a")
-        with_db = bucketed_hash_join(
-            with_da, degrees.map_batches(rename_deg("b"),
-                                         batch_format="pyarrow"),
-            on="b")
-
-        def orient_joined(batch: pa.Table) -> pa.Table:
-            a = np.asarray(batch["a"], dtype=np.int64)
-            b = np.asarray(batch["b"], dtype=np.int64)
-            da = np.asarray(batch["deg_a"], dtype=np.int64)
-            db = np.asarray(batch["deg_b"], dtype=np.int64)
-            src, dst = _orient(a, b, da, db)
-            return pa.table({"src": src, "dst": dst})
-
-        oriented = with_db.map_batches(orient_joined,
-                                       batch_format="pyarrow") \
-            .materialize()
-
-    def wedge_part(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.sort_values(["src", "dst"])
-        src = g["src"].to_numpy(np.int64)
-        dst = g["dst"].to_numpy(np.int64)
-        new = np.concatenate([[True], src[1:] != src[:-1]])
-        starts = np.flatnonzero(new)
-        sizes = np.diff(np.concatenate([starts, [len(g)]]))
-        ia, ib = [], []
-        for st, k in zip(starts.tolist(), sizes.tolist()):
-            if k < 2:
-                continue
-            ii, jj = np.triu_indices(k, 1)
-            ia.append(ii + st)
-            ib.append(jj + st)
-        if not ia:
-            return pd.DataFrame({"a": pd.array([], dtype="int64"),
-                                 "b": pd.array([], dtype="int64"),
-                                 "center": pd.array([], dtype="int64")})
-        ia = np.concatenate(ia)
-        ib = np.concatenate(ib)
-        return pd.DataFrame({"a": dst[ia], "b": dst[ib],
-                             "center": src[ia]})
-
-    wedge_ds = keyed_sweep(oriented, "src", wedge_part)
-
-    def tag_edges(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch["src"], dtype=np.int64)
-        b = np.asarray(batch["dst"], dtype=np.int64)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"a": lo, "b": hi,
-                         "center": np.full(a.size, -1, np.int64)})
-
-    def tag_wedges(batch: pa.Table) -> pa.Table:
-        a = np.asarray(batch["a"], dtype=np.int64)
-        b = np.asarray(batch["b"], dtype=np.int64)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        return pa.table({"a": lo, "b": hi,
-                         "center": np.asarray(batch["center"],
-                                              dtype=np.int64)})
-
-    probe = oriented.map_batches(tag_edges, batch_format="pyarrow").union(
-        wedge_ds.map_batches(tag_wedges, batch_format="pyarrow"))
+    probe = _closure_probe(_oriented(und))
 
     def close_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["a", "b", "center"])
@@ -595,8 +405,7 @@ def _seq_truss_peel(a: np.ndarray, b: np.ndarray, k: int):
     return arr[:, 0], arr[:, 1]
 
 
-def k_truss(edges, k: int, max_rounds: int = 30,
-            local_limit: int = 2_000_000):
+def k_truss(edges, k: int, max_rounds: int = 30):
     """k-truss decomposition: iteratively delete every edge whose
     triangle support (within the surviving subgraph) is below k-2
     until fixpoint (or ``max_rounds``). Returns the surviving
@@ -610,36 +419,29 @@ def k_truss(edges, k: int, max_rounds: int = 30,
     no-ops on a fixpoint).
 
     Size gate (the resolve_clusters discipline): a peel round costs
-    ~4 small all-to-alls of fixed latency, so once the COUNTED
-    surviving edge set fits ``local_limit`` the remaining rounds run
-    as one driver-local sequential peel — identical fixpoint, none of
-    the per-round coordination. Pass ``local_limit=0`` to force the
-    distributed path end to end (tests do)."""
+    ~4 small all-to-alls of fixed latency, so once the surviving edge
+    set passes the broadcast gate (stages.joins.fits_broadcast) the
+    remaining rounds run as one driver-local sequential peel —
+    identical fixpoint, none of the per-round coordination."""
     import ray.data as rd
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch["src"], dtype=np.int64)
-        d = np.asarray(batch["dst"], dtype=np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        u = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        return pa.table({"a": u[:, 0], "b": u[:, 1]})
+    from tldr_ray.stages.joins import fits_broadcast
 
-    cur = (edges.map_batches(undirect, batch_format="pyarrow")
-           .groupby(["a", "b"]).count().select_columns(["a", "b"])
-           .materialize())
+    cur = _undirected(edges).materialize()
     if k <= 2:
         def rename(batch: pa.Table) -> pa.Table:
             return pa.table({"u": batch["a"].cast(pa.int64()),
                              "v": batch["b"].cast(pa.int64())})
         return cur.map_batches(rename, batch_format="pyarrow")
     n_cur = cur.count()
+    # every round's unions and shuffles multiply the block count (x2 on
+    # the broadcast path, x6 past the gate); pin it to the input's
+    n_blocks = cur.num_blocks()
     thresh = k - 2
     for _ in range(max_rounds):
         if n_cur == 0:
             break
-        if n_cur <= local_limit:
+        if fits_broadcast(cur):
             df = cur.to_pandas()
             ua, ub = _seq_truss_peel(df["a"].to_numpy(np.int64),
                                      df["b"].to_numpy(np.int64), k)
@@ -653,7 +455,8 @@ def k_truss(edges, k: int, max_rounds: int = 30,
                 "a": pa.array(np.asarray(batch["u"], np.int64)[m]),
                 "b": pa.array(np.asarray(batch["v"], np.int64)[m])})
 
-        nxt = sup.map_batches(keep, batch_format="pyarrow").materialize()
+        nxt = sup.map_batches(keep, batch_format="pyarrow") \
+            .repartition(n_blocks).materialize()
         n_nxt = nxt.count()
         if n_nxt == n_cur:
             cur = nxt
@@ -672,7 +475,7 @@ def k_truss(edges, k: int, max_rounds: int = 30,
     return cur.map_batches(rename, batch_format="pyarrow")
 
 
-def link_prediction_jaccard(edges, broadcast_limit_rows: int | None = None):
+def link_prediction_jaccard(edges):
     """Jaccard link-prediction scores: for every NON-adjacent vertex
     pair at distance 2, ``|N(u) ∩ N(v)| / |N(u) ∪ N(v)|`` =
     ``cn / (deg_u + deg_v - cn)`` — the classic normalized variant of
@@ -681,86 +484,24 @@ def link_prediction_jaccard(edges, broadcast_limit_rows: int | None = None):
     ONE IEEE division of exact int64s, so the float hash-matches a SQL
     mirror).
 
-    Degrees decorate through the counted graph gate (graph.gate):
-    packed sorted-array broadcast while the degree table fits
-    ``broadcast_limit_rows``; two bucketed hash joins past it — no
-    O(V) driver state. Returns (u, v, n_common, jaccard), u < v.
+    Degrees attach through the keyed lookup (``_with_degrees``):
+    broadcast while the degree table fits the gate, two bucketed hash
+    joins past it — no O(V) driver state. Returns (u, v, n_common,
+    jaccard), u < v.
     """
-    import ray
-    from ray.data.aggregate import Sum
-
-    from tldr_ray.graph.gate import fits_broadcast
-
-    pairs = common_neighbors(edges)
-
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch["src"], dtype=np.int64)
-        d = np.asarray(batch["dst"], dtype=np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        u = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        return pa.table({"a": u[:, 0], "b": u[:, 1]})
-
-    und = edges.map_batches(undirect, batch_format="pyarrow") \
-        .groupby(["a", "b"]).count().select_columns(["a", "b"])
-
-    def degree_rows(batch: pa.Table) -> pa.Table:
-        v = np.concatenate([np.asarray(batch["a"]), np.asarray(batch["b"])])
-        vu, cnt = np.unique(v, return_counts=True)
-        return pa.table({"vertex": pa.array(vu),
-                         "n": pa.array(cnt.astype(np.int64))})
-
-    deg_ds = und.map_batches(degree_rows, batch_format="pyarrow") \
-        .groupby("vertex").aggregate(Sum("n", alias_name="deg")) \
-        .materialize()
-    _, bcast = fits_broadcast(deg_ds, broadcast_limit_rows)
-
-    def _score_tbl(u, v, cn, du, dv):
+    def score(batch: pa.Table) -> pa.Table:
+        cn = np.asarray(batch["n_common"], np.int64)
+        du = np.asarray(batch["deg_u"], np.int64)
+        dv = np.asarray(batch["deg_v"], np.int64)
         jac = cn.astype(np.float64) / (du + dv - cn).astype(np.float64)
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
+        return pa.table({"u": pa.array(np.asarray(batch["u"], np.int64)),
+                         "v": pa.array(np.asarray(batch["v"], np.int64)),
                          "n_common": pa.array(cn),
                          "jaccard": pa.array(jac)})
 
-    if bcast:
-        deg = deg_ds.to_pandas()
-        verts = deg["vertex"].to_numpy(np.int64)
-        dg = deg["deg"].to_numpy(np.int64)
-        order = np.argsort(verts)
-        dref = ray.put((verts[order], dg[order]))
-
-        def score(batch: pa.Table) -> pa.Table:
-            vs, d = ray.get(dref)
-            u = np.asarray(batch["u"], np.int64)
-            v = np.asarray(batch["v"], np.int64)
-            cn = np.asarray(batch["n_common"], np.int64)
-            return _score_tbl(u, v, cn, d[np.searchsorted(vs, u)],
-                              d[np.searchsorted(vs, v)])
-
-        return pairs.map_batches(score, batch_format="pyarrow")
-
-    from tldr_ray.stages.joins import bucketed_hash_join
-
-    def rename_deg(key: str, out: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            return batch.rename_columns([key, out])
-        return fn
-
-    j = bucketed_hash_join(
-        pairs, deg_ds.map_batches(rename_deg("u", "deg_u"),
-                                  batch_format="pyarrow"), on="u")
-    j = bucketed_hash_join(
-        j, deg_ds.map_batches(rename_deg("v", "deg_v"),
-                              batch_format="pyarrow"), on="v")
-
-    def score_joined(batch: pa.Table) -> pa.Table:
-        return _score_tbl(np.asarray(batch["u"], np.int64),
-                          np.asarray(batch["v"], np.int64),
-                          np.asarray(batch["n_common"], np.int64),
-                          np.asarray(batch["deg_u"], np.int64),
-                          np.asarray(batch["deg_v"], np.int64))
-
-    return j.map_batches(score_joined, batch_format="pyarrow")
+    degrees = _degree_table(_undirected(edges))
+    return _with_degrees(common_neighbors(edges), degrees, "u", "v") \
+        .map_batches(score, batch_format="pyarrow")
 
 
 def four_cycle_count(edges, max_degree: int | None = None):
@@ -782,17 +523,7 @@ def four_cycle_count(edges, max_degree: int | None = None):
 
     from ray.data.aggregate import Sum
 
-    def undirect(batch: pa.Table) -> pa.Table:
-        s = np.asarray(batch["src"], dtype=np.int64)
-        d = np.asarray(batch["dst"], dtype=np.int64)
-        keep = s != d
-        s, d = s[keep], d[keep]
-        lo, hi = np.minimum(s, d), np.maximum(s, d)
-        u = np.unique(np.stack([lo, hi], axis=1), axis=0)
-        return pa.table({"a": u[:, 0], "b": u[:, 1]})
-
-    und = edges.map_batches(undirect, batch_format="pyarrow") \
-        .groupby(["a", "b"]).count().select_columns(["a", "b"])
+    und = _undirected(edges)
 
     def sym(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["a"], dtype=np.int64)

@@ -16,10 +16,9 @@ Distribution shape: the ranked adjacency (one row per (vertex,
 neighbor-rank)) is built with ONE coarse-partition sweep; each step is
 ONE bucketed hash join of the walk frontier against it on a composite
 (vertex, rank) key — walk_len shuffles total, the inherent cost of
-distributed walks. The degree table broadcasts as packed sorted arrays
-(the triangle_counts idiom) only while it passes the COUNTED gate
-(graph.gate.fits_broadcast); past it, each step joins the frontier
-against the degree table instead — no O(V) state anywhere.
+distributed walks. Each step's degrees arrive through the keyed lookup
+(stages.joins.lookup): broadcast while the degree table passes the
+gate, a frontier<->degree join past it — no O(V) state anywhere.
 """
 
 from __future__ import annotations
@@ -31,25 +30,20 @@ import pyarrow as pa
 _WALK_K = 0x9E3779B97F4A7C15
 
 
-def random_walks(edges, walk_len: int = 4, num_partitions: int = 64,
-                 broadcast_limit_rows: int | None = None):
+def random_walks(edges, walk_len: int = 4, num_partitions: int = 64):
     """edges: Dataset (src, dst[, weight]) interpreted as undirected.
     Returns Dataset (start:int64, step:int64, vertex:int64) — one walk
     per vertex, rows for steps 0..walk_len.
 
-    The degree table broadcasts as packed sorted arrays while its
-    COUNTED row total fits ``broadcast_limit_rows`` (gate.py default
-    2M); past the gate each step instead bucket-joins the frontier
-    against the degree Dataset — one extra join per step, zero O(V)
-    driver/worker state. Both paths are pick-for-pick identical
-    (pinned by tests/test_graph_gates.py)."""
-    import ray
+    Each step looks the frontier's degrees up in the degree table
+    (``lookup``: broadcast within the gate, a bucketed join past it —
+    zero O(V) driver/worker state on that path). Both paths are
+    pick-for-pick identical (pinned by tests/test_graph_gates.py)."""
     from ray.data.aggregate import Sum
 
-    from tldr_ray.graph.gate import fits_broadcast
     from tldr_ray.hashing import keyed_sweep
     from tldr_ray.stages.dedup import _mix64
-    from tldr_ray.stages.joins import bucketed_hash_join
+    from tldr_ray.stages.joins import bucketed_hash_join, lookup
 
     def undirect(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch["src"], dtype=np.int64)
@@ -81,16 +75,8 @@ def random_walks(edges, walk_len: int = 4, num_partitions: int = 64,
     deg_ds = symd.map_batches(degree_rows, batch_format="pyarrow") \
         .groupby("vertex").aggregate(Sum("n", alias_name="deg")) \
         .materialize()
-    n_v, bcast = fits_broadcast(deg_ds, broadcast_limit_rows)
-    max_deg = deg_ds.max("deg") if n_v else None
+    max_deg = deg_ds.max("deg") if deg_ds.count() else None
     stride = int(max_deg) + 1 if max_deg is not None else 1
-    if bcast:
-        deg = deg_ds.to_pandas()
-        verts = deg["vertex"].to_numpy(np.int64)
-        degs = deg["deg"].to_numpy(np.int64)
-        order = np.argsort(verts)
-        verts, degs = verts[order], degs[order]
-        dref = ray.put((verts, degs))
 
     def rank_part(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(["v", "nbr"])
@@ -107,19 +93,6 @@ def random_walks(edges, walk_len: int = 4, num_partitions: int = 64,
     adj = keyed_sweep(symd, "v", rank_part, num_partitions).materialize()
 
     def key_frontier(step: int):
-        def fn(batch: pa.Table) -> pa.Table:
-            vs, dg = ray.get(dref)
-            cur = np.asarray(batch["vertex"], dtype=np.int64)
-            h = _mix64(cur.astype(np.uint64) * np.uint64(_WALK_K)
-                       + np.uint64(step))
-            d = dg[np.searchsorted(vs, cur)]
-            idx = (h % d.astype(np.uint64)).astype(np.int64)
-            return pa.table({"start": batch["start"],
-                             "akey": pa.array(cur * stride + idx)})
-        return fn
-
-    def key_frontier_joined(step: int):
-        # past-gate path: deg arrives via the frontier<->degree join
         def fn(batch: pa.Table) -> pa.Table:
             cur = np.asarray(batch["vertex"], dtype=np.int64)
             d = np.asarray(batch["deg"], dtype=np.int64)
@@ -148,13 +121,8 @@ def random_walks(edges, walk_len: int = 4, num_partitions: int = 64,
 
     out = frontier.map_batches(stamp(0), batch_format="pyarrow")
     for t in range(1, walk_len + 1):
-        if bcast:
-            keyed = frontier.map_batches(key_frontier(t),
-                                         batch_format="pyarrow")
-        else:
-            keyed = bucketed_hash_join(frontier, deg_ds, on="vertex") \
-                .map_batches(key_frontier_joined(t),
-                             batch_format="pyarrow")
+        keyed = lookup(frontier, deg_ds, "vertex") \
+            .map_batches(key_frontier(t), batch_format="pyarrow")
         joined = bucketed_hash_join(keyed, adj, on="akey")
         frontier = joined.map_batches(
             lambda b: pa.table({"start": b["start"].cast(pa.int64()),
@@ -172,8 +140,7 @@ N2V_W_RETURN, N2V_W_COMMON, N2V_W_EXPLORE = 1, 4, 2
 _N2V_PREV_MIX = 1_000_003
 
 
-def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
-                   broadcast_limit_rows: int | None = None):
+def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64):
     """Second-order (node2vec) biased walks, hash-driven and therefore
     reproducible / SQL-mirrorable: at step t a walk on ``cur`` that
     arrived from ``prev`` weighs each neighbor ``nbr`` by the INTEGER
@@ -185,9 +152,9 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
 
     (sorted-neighbor order). One walk per vertex, like random_walks.
 
-    Distribution shape, COUNTED-gated (graph.gate.fits_broadcast):
-    while the distinct undirected edge set fits ``broadcast_limit_rows``
-    (default 2M) each step is ONE coarse shuffle — frontier rows and
+    Distribution shape, COUNTED-gated (stages.joins.fits_broadcast):
+    while the distinct undirected edge set fits the gate each step is
+    ONE coarse shuffle — frontier rows and
     adjacency rows co-partition on hash(cur), and each partition task
     does the candidate merge, the common-neighbor membership probe
     (broadcast sorted edge-composite array — the triangle degree
@@ -200,11 +167,10 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
     Both paths are pick-for-pick identical (tests/test_graph_gates.py).
     """
     import ray
-    from ray.data.aggregate import Sum
 
-    from tldr_ray.graph.gate import fits_broadcast
     from tldr_ray.hashing import keyed_sweep
     from tldr_ray.stages.dedup import _mix64
+    from tldr_ray.stages.joins import fits_broadcast
 
     def undirect(batch: pa.Table) -> pa.Table:
         s = np.asarray(batch["src"], dtype=np.int64)
@@ -218,7 +184,7 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
     und = edges.map_batches(undirect, batch_format="pyarrow") \
         .groupby(["a", "b"]).count().select_columns(["a", "b"]) \
         .materialize()
-    n_und, bcast = fits_broadcast(und, broadcast_limit_rows)
+    bcast = fits_broadcast(und)
     if bcast:
         und_df = und.to_pandas()
         a_arr = und_df["a"].to_numpy(np.int64)
@@ -228,8 +194,8 @@ def node2vec_walks(edges, walk_len: int = 3, num_partitions: int = 64,
         eset = np.sort(a_arr * np.int64(maxv) + b_arr)
         eref = ray.put(eset)
     else:
-        ma = und.max("a") if n_und else None
-        mb = und.max("b") if n_und else None
+        ma = und.max("a") if und.count() else None
+        mb = und.max("b") if und.count() else None
         maxv = int(max(ma or 0, mb or 0)) + 1
         eref = None
 

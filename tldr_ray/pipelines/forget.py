@@ -7,10 +7,10 @@ are rewritten as partitioned parquet, and an exact audit report
 tombstone-propagation shape every governed data platform runs, here
 as a streaming Ray Data pipeline.
 
-Scale discipline: the deletion list goes through the counted
-broadcast gate (graph.gate budget): below it the sorted key array
-ships once via ray.put and every batch masks with a searchsorted
-probe; past it the drop is stages.joins.bucketed_anti_join — nothing
+Scale discipline: the drop is an anti ``stages.joins.lookup`` of the
+deletion list (and the verification a semi one): below the broadcast
+gate the key set ships once and every batch masks with an Arrow
+probe; past it they are bucketed anti/semi joins — nothing
 key-set-sized ever sits on the driver. Row counts come from parquet
 FOOTERS (before: the input's own metadata path via ds.count();
 after: the written files' metadata), so the audit costs no extra data
@@ -24,7 +24,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 
@@ -38,64 +37,31 @@ def _written_rows(out_dir: str) -> int:
     return total
 
 
-def forget_keys(tables, del_keys, out_dir: str,
-                broadcast_limit_rows: int | None = None,
-                verify: bool = True):
+def forget_keys(tables, del_keys, out_dir: str, verify: bool = True):
     """``tables``: list of (name, Dataset, key_col). ``del_keys``:
     Dataset with one int64 column of keys to erase. Writes survivors
     to ``out_dir/<name>/`` and returns a pa.Table audit report
     (table_name, rows_before, rows_deleted, rows_after), sorted by
     table_name. See module docstring for the scale plan."""
-    import ray
+    import ray.data as rd
 
-    from tldr_ray.graph.gate import fits_broadcast
-    from tldr_ray.stages.joins import bucketed_anti_join
+    from tldr_ray.stages.joins import lookup
 
     kcol = del_keys.schema().names[0]
     dk = del_keys.groupby(kcol).count().select_columns([kcol]) \
         .materialize()
-    _, bcast = fits_broadcast(dk, broadcast_limit_rows)
-    if bcast:
-        keys = np.sort(dk.to_pandas()[kcol].to_numpy(np.int64))
-        kref = ray.put(keys)
 
     names, before, after = [], [], []
     for name, ds, key in sorted(tables):
         n0 = ds.count()
-        if bcast:
-            def drop(batch: pa.Table, _key=key) -> pa.Table:
-                ks = ray.get(kref)
-                v = np.asarray(batch[_key], dtype=np.int64)
-                if ks.size == 0:
-                    return batch
-                pos = np.minimum(np.searchsorted(ks, v), ks.size - 1)
-                return batch.filter(pa.array(ks[pos] != v))
-
-            kept = ds.map_batches(drop, batch_format="pyarrow")
-        else:
-            kept = bucketed_anti_join(
-                ds, dk.map_batches(
-                    lambda t, _key=key: t.rename_columns([_key]),
-                    batch_format="pyarrow"), on=key)
+        keys = dk.map_batches(lambda t, _key=key: t.rename_columns([_key]),
+                              batch_format="pyarrow")
         dest = os.path.join(out_dir, name)
-        kept.write_parquet(dest)
+        lookup(ds, keys, key, "anti").write_parquet(dest)
         n1 = _written_rows(dest)
-        if verify:
-            import ray.data as rd
+        if verify and n1:
             chk = rd.read_parquet(dest).select_columns([key])
-            if bcast:
-                leak = chk.map_batches(
-                    lambda t, _key=key: pa.table({"n": pa.array(
-                        [int(np.isin(np.asarray(t[_key], np.int64),
-                                     keys).sum())], pa.int64())}),
-                    batch_format="pyarrow").sum("n") if n1 else 0
-            else:
-                from tldr_ray.stages.joins import bucketed_semi_join
-                leak = bucketed_semi_join(
-                    chk, dk.map_batches(
-                        lambda t, _key=key: t.rename_columns([_key]),
-                        batch_format="pyarrow"), on=key).count() \
-                    if n1 else 0
+            leak = lookup(chk, keys, key, "semi").count()
             if leak:
                 raise AssertionError(
                     f"forget_keys verification FAILED for {name!r}: "

@@ -21,7 +21,7 @@ from tldr_ray.stages.text_analysis import (
     token_counts,
     fingerprints,
 )
-from tldr_ray.stages.joins import broadcast_lookup, bucketed_hash_join
+from tldr_ray.stages.joins import bucketed_hash_join, lookup
 from tldr_ray.stages.multimodal import (
     extract_media_features,
     sample_frames,
@@ -40,7 +40,7 @@ __all__ = [
     "ngram_jaccard_pairs", "embedding_cosine_pairs", "resolve_clusters",
     "knn_brute", "knn_lsh",
     "language_id", "quality_scores", "token_counts", "fingerprints",
-    "broadcast_lookup", "bucketed_hash_join",
+    "bucketed_hash_join", "lookup",
     "extract_media_features", "sample_frames", "synth_media_table",
     "assign_tumbling", "assign_sliding", "session_windows",
 ]

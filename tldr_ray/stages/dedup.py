@@ -519,8 +519,7 @@ def simhash_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
 # ---------------------------------------------------------------------------
 
 def candidate_endpoint_docs(ds, cand, id_col: str = "doc_id",
-                            text_col: str = "text",
-                            broadcast_pairs_limit: int = 2_000_000):
+                            text_col: str = "text"):
     """Restrict a document Dataset to rows whose id appears as an
     endpoint of ``cand`` (an (id_a, id_b, ...) candidate-pair Dataset).
 
@@ -529,17 +528,19 @@ def candidate_endpoint_docs(ds, cand, id_col: str = "doc_id",
     distinct endpoint ids ride the object store once as a sorted numpy
     array (8 B/id) and every read task filters its batch with
     ``searchsorted`` — so non-candidate documents' texts never enter
-    any shuffle. Past the size gate the filter is skipped (returns the
-    full Dataset) and the caller's verify shuffle carries every text —
-    correct, with the gate surfaced in the return flag. Mirrors the
-    counted size gate of ``resolve_clusters``.
+    any shuffle. Past the broadcast gate (stages.joins.fits_broadcast)
+    the filter is skipped (returns the full Dataset) and the caller's
+    verify shuffle carries every text — correct, with the gate surfaced
+    in the return flag.
 
     Returns (filtered_docs, used_filter: bool, n_pairs: int).
     """
     import ray
 
+    from tldr_ray.stages.joins import fits_broadcast
+
     n_pairs = cand.count()
-    if n_pairs > broadcast_pairs_limit:
+    if not fits_broadcast(cand):
         return ds, False, n_pairs
     chunks = []
     for batch in cand.select_columns(["id_a", "id_b"]).iter_batches(
@@ -569,7 +570,6 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                         shingle_k: int = 5, threshold: float = 0.8,
                         num_perm: int = 64, bands: int = 16,
                         max_bucket: int = 200, num_partitions: int = 64,
-                        broadcast_pairs_limit: int = 2_000_000,
                         metric: str = "jaccard"):
     """EXACT n-gram Jaccard pairs >= threshold, using MinHash-LSH only as
     the blocking stage (recall filter at a lower estimate cut), then
@@ -603,21 +603,18 @@ def ngram_jaccard_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                              num_partitions=num_partitions).materialize()
     return _verify_pairs(ds, cand, id_col, text_col,
                          lambda t: _shingle_hashes(t, shingle_k),
-                         threshold, num_partitions, metric,
-                         broadcast_pairs_limit)
+                         threshold, num_partitions, metric)
 
 
 def _verify_pairs(ds, cand, id_col: str, text_col: str, shingle_fn,
-                  threshold: float, num_partitions: int, metric: str,
-                  broadcast_pairs_limit: int):
+                  threshold: float, num_partitions: int, metric: str):
     """The semi-joined distributed verify shuffle shared by every
     exact-set-similarity path (LSH-blocked n-gram Jaccard, prefix-
     filtered set-similarity join): given a candidate pair Dataset
     (id_a, id_b, ...), recompute the TRUE score on the shingle sets
     ``shingle_fn(text) -> sorted unique uint64[]`` of the surviving
     pairs — steps 1-3 of the ngram_jaccard_pairs docstring."""
-    docs, _, _ = candidate_endpoint_docs(ds, cand, id_col, text_col,
-                                         broadcast_pairs_limit)
+    docs, _, _ = candidate_endpoint_docs(ds, cand, id_col, text_col)
 
     def expand(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["id_a"], dtype=np.int64)
@@ -774,20 +771,21 @@ def embedding_cosine_pairs(ds, id_col: str = "vec_id",
 # duplicate-cluster resolution
 # ---------------------------------------------------------------------------
 
-def resolve_clusters(pairs, small_limit: int = 2_000_000,
-                     num_partitions: int = 4):
+def resolve_clusters(pairs, num_partitions: int = 4):
     """Pairs Dataset (id_a, id_b, ...) -> DataFrame (id, cluster_id).
 
-    Union-find on the driver while the pair set is provably small (it is
-    counted first); beyond ``small_limit`` the distributed
-    min-label-propagation engine (graph.connected_components) takes over
-    — same fixpoint, exact.
+    Union-find on the driver while the pair set passes the broadcast
+    gate (stages.joins.fits_broadcast — it is counted first); beyond it
+    the distributed min-label-propagation engine
+    (graph.connected_components) takes over — same fixpoint, exact.
     """
-    n = pairs.count()
-    if n == 0:
+    from tldr_ray.stages.joins import fits_broadcast
+
+    pairs = pairs.materialize()
+    if pairs.count() == 0:
         return pd.DataFrame({"id": pd.array([], dtype="int64"),
                              "cluster_id": pd.array([], dtype="int64")})
-    if n <= small_limit:
+    if fits_broadcast(pairs):
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -1000,8 +998,7 @@ def fuzzy_jaro_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                      threshold: float = 0.9, block_cut: float = 0.4,
                      shingle_k: int = 5, num_perm: int = 64,
                      bands: int = 16, max_bucket: int = 200,
-                     num_partitions: int = 64,
-                     broadcast_pairs_limit: int = 2_000_000):
+                     num_partitions: int = 64):
     """Fuzzy string-similarity pairs: textbook Jaro >= ``threshold``
     among MinHash-LSH candidates (estimate >= ``block_cut`` — the
     blocking heuristic; Jaro itself is exact on every candidate).
@@ -1019,8 +1016,7 @@ def fuzzy_jaro_pairs(ds, id_col: str = "doc_id", text_col: str = "text",
                              shingle_k, threshold=block_cut,
                              max_bucket=max_bucket,
                              num_partitions=num_partitions).materialize()
-    docs, _, _ = candidate_endpoint_docs(ds, cand, id_col, text_col,
-                                         broadcast_pairs_limit)
+    docs, _, _ = candidate_endpoint_docs(ds, cand, id_col, text_col)
 
     def expand(batch: pa.Table) -> pa.Table:
         a = np.asarray(batch["id_a"], dtype=np.int64)
@@ -1252,7 +1248,6 @@ def set_similarity_join(ds, id_col: str = "doc_id",
                         threshold_num: int = 1, threshold_den: int = 2,
                         num_partitions: int = 64,
                         max_bucket: int = 10_000,
-                        broadcast_pairs_limit: int = 2_000_000,
                         oversized: str = "raise"):
     """EXACT all-pairs set-similarity join: every document pair whose
     k-word-shingle sets have Jaccard >= threshold_num/threshold_den —
@@ -1411,8 +1406,7 @@ def set_similarity_join(ds, id_col: str = "doc_id",
     return _verify_pairs(ds, cand, id_col, text_col,
                          lambda t: _word_shingle_hashes(t, kk),
                          float(threshold_num) / float(threshold_den),
-                         num_partitions, "jaccard",
-                         broadcast_pairs_limit)
+                         num_partitions, "jaccard")
 
 
 def sorted_neighborhood_pairs(ds, col: str, window: int = 3,

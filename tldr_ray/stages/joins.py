@@ -1,8 +1,10 @@
 """Join strategies (SURVEY.md §2.4 + ray_guide join patterns).
 
-- ``broadcast_lookup``: small side rides the object store once
-  (``ray.put``), every task maps the key column through it — no shuffle.
-  Used by queries.revenue_by_nation.
+- ``fits_broadcast`` / ``lookup``: THE broadcast-or-shuffle gate. A
+  keyed lookup counts its small side once; within
+  ``BROADCAST_BUDGET_ROWS`` that side rides the object store once
+  (``ray.put``) and every task probes it with Arrow ``index_in`` — no
+  shuffle; past the budget it becomes a bucketed hash/semi/anti join.
 - ``bucketed_hash_join``: both sides large — add ``bucket =
   part_key(key, B)`` to each side, tag provenance, union,
   ``groupby(bucket)``, and join matching buckets pairwise inside
@@ -21,31 +23,115 @@ import pyarrow.compute as pc
 
 from tldr_ray.hashing import keyed_sweep, part_key
 
+# Rows a table may have and still be shipped whole to every task
+# (2M rows ~= 32 MB packed: one worker holds it comfortably).
+BROADCAST_BUDGET_ROWS = 2_000_000
 
-def broadcast_lookup(ds, mapping: dict, key_col: str, out_col: str,
-                     default=None):
-    """Map ``key_col`` through a broadcast dict into ``out_col``."""
+
+def fits_broadcast(ds) -> bool:
+    """The one broadcast-or-shuffle gate: COUNT ``ds`` against
+    ``BROADCAST_BUDGET_ROWS`` (read at call time, so a test can lower
+    it to force every shuffle path). Pass a materialized Dataset — the
+    count is then a metadata lookup, not a run of its pipeline."""
+    return ds.count() <= BROADCAST_BUDGET_ROWS
+
+
+def lookup(ds, dim, on: str, how: str = "inner"):
+    """Keyed lookup of ``ds`` rows in the table ``dim`` on column ``on``:
+
+    - ``"inner"``: keep the rows whose key is in ``dim`` and append
+      ``dim``'s other columns (their names must not clash with
+      ``ds``'s, and ``dim``'s keys must be unique);
+    - ``"semi"``: keep the rows whose key is in ``dim``;
+    - ``"anti"``: keep the rows whose key is not in ``dim``.
+
+    ``dim`` is materialized and counted once. While it fits the gate
+    it ships to every task once and each batch probes it with Arrow
+    ``index_in`` + ``take`` (any key type; the probe column is cast to
+    ``dim``'s key type). Past the gate the lookup runs as
+    ``bucketed_hash_join`` / ``bucketed_semi_join`` /
+    ``bucketed_anti_join``. Both paths give the same rows."""
     import ray
 
-    ref = ray.put(mapping)
+    if how not in ("inner", "semi", "anti"):
+        raise ValueError(f"lookup how must be inner/semi/anti, not {how!r}")
+    keep = [on] if how != "inner" else None
+    # an Arrow pass, not select_columns: Ray's select_columns leaves 0-row
+    # blocks unprojected, and their stale columns would reach the schema
+    # the shuffle joins read; map_batches drops those blocks
+    dim = dim.map_batches(lambda t: t.select(keep) if keep else t,
+                          batch_format="pyarrow").materialize()
+    if not fits_broadcast(dim):
+        join = {"inner": bucketed_hash_join, "semi": bucketed_semi_join,
+                "anti": bucketed_anti_join}[how]
+        return join(ds, dim, on)
+    tables = [t for t in ray.get(dim.to_arrow_refs()) if t.num_rows]
+    if tables:
+        t = pa.concat_tables(tables, promote_options="default")
+    else:
+        sch = dim.schema()
+        base = getattr(sch, "base_schema", None) if sch else None
+        t = base.empty_table() if base is not None else \
+            pa.table({on: pa.array([], pa.null())})
+    ref = ray.put((t[on].combine_chunks(), t.drop_columns([on])))
 
-    class Lookup:
-        def __init__(self):
-            # dict -> two parallel Arrow arrays ONCE per actor; the
-            # per-batch path is pure C (hash probe + gather), no
-            # per-row Python
-            m = ray.get(ref)
-            self.keys = pa.array(list(m.keys()))
-            self.vals = pa.array(list(m.values()))
+    def probe(batch: pa.Table) -> pa.Table:
+        keys, vals = ray.get(ref)
+        key = batch[on]
+        if len(keys) == 0:
+            idx = pa.nulls(len(batch), pa.int32())
+        else:
+            idx = pc.index_in(key if key.type == keys.type
+                              else key.cast(keys.type), value_set=keys)
+        if how == "anti":
+            return batch.filter(pc.is_null(idx))
+        hit = pc.is_valid(idx)
+        out = batch.filter(hit)
+        if how == "inner":
+            idx = idx.filter(hit)
+            for c in vals.column_names:
+                out = out.append_column(c, vals[c].take(idx))
+        return out
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            idx = pc.index_in(batch[key_col], value_set=self.keys)
-            out = pc.take(self.vals, idx)     # null where key missing
-            if default is not None:
-                out = pc.fill_null(out, default)
-            return batch.append_column(out_col, out)
+    return ds.map_batches(probe, batch_format="pyarrow")
 
-    return ds.map_batches(Lookup, batch_format="pyarrow", concurrency=2)
+
+def _arrow_types(*datasets) -> dict:
+    """Column name -> Arrow type over the datasets' schemas (first one
+    wins): the types a tagged union null-fills a side's missing columns
+    with, so both sides of the union agree on the schema. Ray Schema
+    types may hold non-Arrow entries (numpy dtypes from pandas-born
+    blocks) and an empty Dataset may have no schema; those fill as
+    untyped nulls."""
+    types = {}
+    for sch in filter(None, (ds.schema() for ds in datasets)):
+        for n, t in zip(sch.names, sch.types):
+            if isinstance(t, pa.DataType):
+                types.setdefault(n, t)
+    return types
+
+
+def _tag(side: str, cols: list[str], types: dict):
+    """Batch fn of a tagged union: the batch's ``cols`` in order (the
+    ones it lacks as nulls typed by ``types``) plus a ``__side`` tag."""
+    def fn(batch: pa.Table) -> pa.Table:
+        n = len(batch)
+        have = batch.column_names
+        out = {c: batch[c] if c in have else pa.nulls(n, types.get(c))
+               for c in cols}
+        out["__side"] = pa.array([side] * n)
+        return pa.table(out)
+    return fn
+
+
+def _tagged_union(left, right, cols: list[str], types: dict,
+                  sides=("l", "r")):
+    """``left`` and ``right`` as one Dataset over ``cols`` + ``__side``,
+    ready for one keyed shuffle; every block has the same schema."""
+    return left.map_batches(_tag(sides[0], cols, types),
+                            batch_format="pyarrow").union(
+        right.map_batches(_tag(sides[1], cols, types),
+                          batch_format="pyarrow"))
 
 
 def _int_cols(schema) -> list[str]:
@@ -150,6 +236,7 @@ def bucketed_hash_join(left, right, on: str, num_buckets: int = 64,
     rints = _int_cols(right.schema())
     shared_extra = (set(lcols) & set(rcols)) - {on}
     all_cols = list(dict.fromkeys(lcols + rcols))
+    types = _arrow_types(left, right)
 
     lhot, rhot = [], []
     if skew is True:
@@ -174,22 +261,17 @@ def bucketed_hash_join(left, right, on: str, num_buckets: int = 64,
         return np.asarray(
             pc.is_valid(pc.index_in(batch[on], value_set=vset)))
 
-    def tag(side: str, have: list[str]):
+    def tag(side: str):
         # per side: SALT its own hot rows, REPLICATE the other side's
         salt_keys = lhot_set if side == "l" else rhot_set
         repl_keys = rhot_set if side == "l" else lhot_set
 
         def fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            cols = {}
-            for c in all_cols:
-                cols[c] = batch[c] if c in have else pa.nulls(n)
-            t = pa.table(cols)
+            t = _tag(side, all_cols, types)(batch)
             base = part_key(batch[on], num_buckets).astype(np.int64)
-            if n == 0 or (not salt_keys and not repl_keys):
-                t = t.append_column(
+            if len(t) == 0 or (not salt_keys and not repl_keys):
+                return t.append_column(
                     "__bucket", pa.array(base.astype(np.int32)))
-                return t.append_column("__side", pa.array([side] * n))
             is_salt = _member(batch, salt_keys)
             is_repl = _member(batch, repl_keys) & ~is_salt
             plain = ~is_salt & ~is_repl
@@ -211,15 +293,12 @@ def bucketed_hash_join(left, right, on: str, num_buckets: int = 64,
                 for j in range(S):
                     parts.append(rt)
                     bks.append(((rb + j) % num_buckets).astype(np.int32))
-            out = pa.concat_tables(parts)
-            out = out.append_column(
+            return pa.concat_tables(parts).append_column(
                 "__bucket", pa.array(np.concatenate(bks)))
-            return out.append_column(
-                "__side", pa.array([side] * len(out)))
         return fn
 
-    both = left.map_batches(tag("l", lcols), batch_format="pyarrow").union(
-        right.map_batches(tag("r", rcols), batch_format="pyarrow"))
+    both = left.map_batches(tag("l"), batch_format="pyarrow").union(
+        right.map_batches(tag("r"), batch_format="pyarrow"))
 
     def join_bucket(group: pd.DataFrame) -> pd.DataFrame:
         l = _restore_ints(group[group["__side"] == "l"][lcols].copy(), lints)
@@ -272,27 +351,11 @@ def asof_join(left, right, on: str, left_ts: str, right_ts: str,
     rints = _int_cols(right.schema())
     all_cols = list(dict.fromkeys(lcols + rcols))
     # typed null-fill so timestamps survive the union schema intact
-    types = {}
-    for sch in (left.schema(), right.schema()):
-        for n, t in zip(sch.names, sch.types):
-            if isinstance(t, pa.DataType):
-                types.setdefault(n, t)
+    types = _arrow_types(left, right)
     out_r = [c for c in rcols if c != on]
     ren = {c: c + suffixes[1] for c in out_r if c in lcols}
 
-    def tag(side: str, have: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            cols = {}
-            for c in all_cols:
-                cols[c] = batch[c] if c in have else \
-                    pa.nulls(n, types.get(c))
-            cols["__side"] = pa.array([side] * n)
-            return pa.table(cols)
-        return fn
-
-    both = left.map_batches(tag("l", lcols), batch_format="pyarrow").union(
-        right.map_batches(tag("r", rcols), batch_format="pyarrow"))
+    both = _tagged_union(left, right, all_cols, types)
 
     def _ts_i64(s: pd.Series) -> np.ndarray:
         v = s.to_numpy()
@@ -361,20 +424,8 @@ def bucketed_anti_join(left, right, on: str, num_buckets: int = 64):
     "broadcast a Python id-set" anti-join pattern)."""
     lcols = list(left.schema().names)
     lints = _int_cols(left.schema())
-
-    def tag(side: str, cols: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            out = {}
-            for c in lcols:
-                out[c] = batch[c] if c in cols else pa.nulls(n)
-            out["__side"] = pa.array([side] * n)
-            return pa.table(out)
-        return fn
-
-    both = left.map_batches(tag("l", lcols), batch_format="pyarrow").union(
-        right.select_columns([on]).map_batches(tag("r", [on]),
-                                               batch_format="pyarrow"))
+    both = _tagged_union(left, right.select_columns([on]), lcols,
+                         _arrow_types(left))
 
     def filter_bucket(group: pd.DataFrame) -> pd.DataFrame:
         l = _restore_ints(group[group["__side"] == "l"][lcols].copy(), lints)
@@ -416,27 +467,11 @@ def range_join(left, right, on: str, left_ts: str, right_ts: str,
     lints = _int_cols(left.schema())
     rints = _int_cols(right.schema())
     all_cols = list(dict.fromkeys(lcols + rcols))
-    types = {}
-    for sch in (left.schema(), right.schema()):
-        for n, t in zip(sch.names, sch.types):
-            if isinstance(t, pa.DataType):
-                types.setdefault(n, t)
+    types = _arrow_types(left, right)
     out_r = [c for c in rcols if c != on]
     ren = {c: c + suffixes[1] for c in out_r if c in lcols}
 
-    def tag(side: str, have: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            cols = {}
-            for c in all_cols:
-                cols[c] = batch[c] if c in have else \
-                    pa.nulls(n, types.get(c))
-            cols["__side"] = pa.array([side] * n)
-            return pa.table(cols)
-        return fn
-
-    both = left.map_batches(tag("l", lcols), batch_format="pyarrow").union(
-        right.map_batches(tag("r", rcols), batch_format="pyarrow"))
+    both = _tagged_union(left, right, all_cols, types)
 
     def _ts_i64(s: pd.Series) -> np.ndarray:
         v = s.to_numpy()
@@ -556,20 +591,8 @@ def bucketed_semi_join(left, right, on: str, num_buckets: int = 64):
     column of the right side ever moves."""
     lcols = list(left.schema().names)
     lints = _int_cols(left.schema())
-
-    def tag(side: str, cols: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            out = {}
-            for c in lcols:
-                out[c] = batch[c] if c in cols else pa.nulls(n)
-            out["__side"] = pa.array([side] * n)
-            return pa.table(out)
-        return fn
-
-    both = left.map_batches(tag("l", lcols), batch_format="pyarrow").union(
-        right.select_columns([on]).map_batches(tag("r", [on]),
-                                               batch_format="pyarrow"))
+    both = _tagged_union(left, right.select_columns([on]), lcols,
+                         _arrow_types(left))
 
     def filter_bucket(group: pd.DataFrame) -> pd.DataFrame:
         l = _restore_ints(group[group["__side"] == "l"][lcols].copy(), lints)
@@ -699,20 +722,8 @@ def merge_upsert(snapshot, changes, key_col: str, order_col: str = "ord",
     sints = _int_cols(snapshot.schema())
     ccols = scols + [op_col, order_col]
     all_cols = list(dict.fromkeys(scols + [op_col, order_col]))
-
-    def tag(side: str, have: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            out = {}
-            for c in all_cols:
-                out[c] = batch[c] if c in have else pa.nulls(n)
-            out["__side"] = pa.array([side] * n)
-            return pa.table(out)
-        return fn
-
-    both = snapshot.map_batches(tag("s", scols),
-                                batch_format="pyarrow").union(
-        changes.map_batches(tag("c", ccols), batch_format="pyarrow"))
+    both = _tagged_union(snapshot, changes, all_cols,
+                         _arrow_types(snapshot, changes), ("s", "c"))
 
     def resolve(group: pd.DataFrame) -> pd.DataFrame:
         snap = _restore_ints(
@@ -753,20 +764,7 @@ def cogroup(left, right, on: str, fn, num_buckets: int = 64,
     lcols = [c for c in left.schema().names]
     rcols = [c for c in right.schema().names]
     all_cols = list(dict.fromkeys(lcols + rcols))
-
-    def tag(side: str, have: list[str]):
-        def tfn(batch: pa.Table) -> pa.Table:
-            n = len(batch)
-            cols = {}
-            for c in all_cols:
-                cols[c] = batch[c] if c in have else pa.nulls(n)
-            t = pa.table(cols)
-            return t.append_column("__side", pa.array([side] * n))
-        return tfn
-
-    both = left.map_batches(tag("l", lcols), batch_format="pyarrow") \
-        .union(right.map_batches(tag("r", rcols),
-                                 batch_format="pyarrow"))
+    both = _tagged_union(left, right, all_cols, _arrow_types(left, right))
 
     def sweep(group: pd.DataFrame) -> pd.DataFrame:
         g = group.sort_values(on, kind="stable")
@@ -1074,33 +1072,29 @@ def multiset_op(left, right, on_left: str, on_right: str,
 
 
 def auto_join(left, right, on: str, how: str = "inner",
-              broadcast_limit_rows: int = 2_000_000,
               num_buckets: int = 64, skew=False,
               suffixes=("_l", "_r"), right_schema=None):
-    """SIZE-GATED join strategy selector — the engine-level form of
-    the counted gates the TPC-H queries grew one by one: COUNT the
-    right side; while it fits one broadcast object it ships via
-    ray.put exactly once and every left batch merges against the
+    """SIZE-GATED many-to-many join: the right side is materialized
+    and counted through ``fits_broadcast``; within the budget it ships
+    via ray.put exactly once and every left batch merges against the
     zero-copy plasma view (NO shuffle at all — the fact side never
     moves); past the gate it falls back to the partitioned
     ``bucketed_hash_join`` (optionally skew-aware via the hot-key
     replicate-right path). Both paths produce identical frames —
     pinned by the both-paths equality pytest. ``on`` must name the
     key column on BOTH sides (rename first); broadcast supports
-    inner/left, everything else routes to the bucketed path."""
+    inner/left, everything else routes to the bucketed path. For a
+    right side with unique keys prefer ``lookup``."""
     import ray
 
-    if how not in ("inner", "left"):
-        return bucketed_hash_join(left, right, on,
-                                  num_buckets=num_buckets, how=how,
-                                  suffixes=suffixes, skew=skew)
-    n_right = right.count()
-    if n_right > broadcast_limit_rows:
+    if how in ("inner", "left"):
+        right = right.materialize()
+    if how not in ("inner", "left") or not fits_broadcast(right):
         return bucketed_hash_join(left, right, on,
                                   num_buckets=num_buckets, how=how,
                                   suffixes=suffixes, skew=skew)
     rdf = right.to_pandas()
-    if n_right == 0:
+    if right.count() == 0:
         # 0-row to_pandas drops columns; rebuild from the sealed
         # schema so the broadcast merge still sees the key column.
         # An empty groupby output has schema None — callers that can

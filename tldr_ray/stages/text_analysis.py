@@ -13,6 +13,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from tldr_ray.stages.joins import fits_broadcast
+
 # tiny built-in stopword profiles for the n-gram/stopword language
 # heuristic (public common-word lists; good enough for a coarse router)
 _LANG_STOPWORDS = {
@@ -293,8 +295,7 @@ def _topk_rows(ids, terms, tf, dfs, n_docs: int, k: int):
 
 
 def tfidf_top_terms(ds, id_col: str = "doc_id", text_col: str = "text",
-                    k: int = 5, num_partitions: int = 64,
-                    broadcast_vocab_max: int = 2_000_000):
+                    k: int = 5, num_partitions: int = 64):
     """Dataset of each document's k highest-tf-idf terms:
     (id_col, term, tf, df, rnk, score), rnk 1-based by
     (score desc, term asc).
@@ -351,9 +352,8 @@ def tfidf_top_terms(ds, id_col: str = "doc_id", text_col: str = "text",
     n_docs = int(df_all.map_batches(only_sentinel, batch_format="pyarrow")
                  .to_pandas()["df"].sum())
     df_tbl = df_all.map_batches(drop_sentinel, batch_format="pyarrow")
-    vocab_n = max(df_all.count() - 1, 0)
 
-    if vocab_n <= broadcast_vocab_max:
+    if fits_broadcast(df_all):
         vdf = df_tbl.to_pandas()
         vterms = vdf["term"].to_numpy()
         vorder = np.argsort(vterms, kind="stable")
@@ -449,8 +449,7 @@ def repetition_scores(ds, id_col: str = "doc_id", text_col: str = "text"):
         fn, batch_format="pyarrow")
 
 
-def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
-                    broadcast_vocab_max: int = 2_000_000):
+def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text"):
     """Corpus-unigram language-model scoring: pass 1 builds the corpus
     word-count table (per-batch distinct combiner -> one small
     groupby), pass 2 broadcasts the (sorted vocab, counts) arrays and
@@ -462,8 +461,8 @@ def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
     Rows-only by nature: log2 is a libm call whose last ulp is not
     cross-engine stable (repo oracle rule) — the pytest oracle
     recomputes the identical formula in numpy. The vocab broadcast is
-    size-gated like tfidf's (raise when the corpus vocabulary exceeds
-    ``broadcast_vocab_max``; route through a bucketed join at that
+    size-gated like tfidf's (raise when the corpus vocabulary fails
+    stages.joins.fits_broadcast; route through a bucketed join at that
     scale)."""
     import ray
     from ray.data.aggregate import Sum
@@ -486,11 +485,10 @@ def unigram_logprob(ds, id_col: str = "doc_id", text_col: str = "text",
     vocab = (src.map_batches(count_fn, batch_format="pyarrow")
              .groupby("word").aggregate(Sum("n", alias_name="n"))
              .materialize())
-    V = vocab.count()
-    if V > broadcast_vocab_max:
+    if not fits_broadcast(vocab):
         raise ValueError(
-            f"vocabulary {V} exceeds broadcast_vocab_max="
-            f"{broadcast_vocab_max}; use a bucketed-join scorer")
+            f"vocabulary {vocab.count()} exceeds the broadcast budget; "
+            "use a bucketed-join scorer")
     vdf = vocab.to_pandas()
     order = np.argsort(vdf["word"].to_numpy(), kind="stable")
     words_s = vdf["word"].to_numpy()[order]
@@ -650,8 +648,7 @@ def _seq_bpe_merges(words, counts, syms, num_merges):
     return merges, syms
 
 
-def learn_bpe_merges(ds, text_col: str = "text", num_merges: int = 20,
-                     local_limit: int = 200_000):
+def learn_bpe_merges(ds, text_col: str = "text", num_merges: int = 20):
     """Distributed BPE tokenizer training (the Sennrich et al. merge
     loop): learn ``num_merges`` merge rules over the corpus.
 
@@ -701,10 +698,10 @@ def learn_bpe_merges(ds, text_col: str = "text", num_merges: int = 20,
 
     # size gate (the k_truss discipline): each distributed merge round
     # costs two small Ray jobs of fixed latency; once the COUNTED
-    # word-type table fits ``local_limit`` the rounds run driver-local
-    # on the same table — identical merges (equality is test-pinned).
-    # local_limit=0 forces the distributed path end to end.
-    if cur.count() <= local_limit:
+    # word-type table passes the broadcast gate the rounds run
+    # driver-local on the same table — identical merges (equality is
+    # test-pinned).
+    if fits_broadcast(cur):
         import ray.data as rd
 
         df = cur.to_pandas()

@@ -203,8 +203,7 @@ def incremental_exact_dedup(state_dir: str, new_docs,
     return fresh.drop_columns(["h1", "h2"]), version
 
 
-def update_join_view(view_dir: str, delta_facts, dim_ds, on: str,
-                     broadcast_limit_rows: int | None = None):
+def update_join_view(view_dir: str, delta_facts, dim_ds, on: str):
     """Incremental JOIN-view maintenance (the delta-join law
     Δ(F ⋈ D) = ΔF ⋈ D for a STATIC dimension — dimension changes
     need the SCD2 / backfill path, documented contract): the new
@@ -221,11 +220,7 @@ def update_join_view(view_dir: str, delta_facts, dim_ds, on: str,
 
     from tldr_ray.stages.joins import auto_join
 
-    joined = auto_join(delta_facts, dim_ds, on=on,
-                       broadcast_limit_rows=(
-                           broadcast_limit_rows
-                           if broadcast_limit_rows is not None
-                           else 2_000_000))
+    joined = auto_join(delta_facts, dim_ds, on=on)
     cur = _current_version(view_dir)
     nxt = cur + 1
     seg = os.path.join(view_dir, f"seg-{nxt}")
