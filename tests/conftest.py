@@ -1,5 +1,6 @@
-"""Session-scoped Ray fixture (ONE ray.init per pytest session) and the
-one switch that forces the shuffle path of every broadcast gate."""
+"""Session-scoped Ray fixture (ONE ray.init per pytest session), the
+one switch that forces the shuffle path of every broadcast gate and the
+one that forces the graph engine's by-ref message path."""
 
 import pytest
 
@@ -37,6 +38,25 @@ def force_shuffle(monkeypatch):
     def forced():
         with monkeypatch.context() as m:
             m.setattr(joins, "BROADCAST_BUDGET_ROWS", 0)
+            yield
+
+    return forced
+
+
+@pytest.fixture
+def force_msg_refs(monkeypatch):
+    """Context manager that lowers ``graph.engine._MSG_REF_BYTES_DEFAULT``
+    to 1 byte while it is open, so the shards of every engine built
+    inside ship each superstep message as a plasma ref (the driver only
+    relays refs) instead of by value."""
+    import contextlib
+
+    import tldr_ray.graph.engine as engine
+
+    @contextlib.contextmanager
+    def forced():
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_MSG_REF_BYTES_DEFAULT", 1)
             yield
 
     return forced

@@ -1,13 +1,17 @@
-"""GraphEngine contracts: bit-exact outputs, empty graphs, no temp state.
+"""GraphEngine contracts: bit-exact outputs and round counts, one
+superstep loop, empty graphs, no temp state.
 
 The digests below pin every engine algorithm bit-for-bit on one seeded
-random weighted graph at P=3. The other engine tests compare floats with
-allclose, so without these a change in summation order would pass
-unnoticed. A digest changes only when an algorithm's output does.
+random weighted graph at P=3, next to the number of rounds it runs. The
+other engine tests compare floats with allclose, so without these a
+change in summation order would pass unnoticed. A digest changes only
+when an algorithm's output does.
 """
 
+import ast
 import glob
 import hashlib
+import inspect
 
 import numpy as np
 import pyarrow as pa
@@ -52,14 +56,18 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def _run_all(msg_ref_bytes):
+def _rounds(info):
+    """The round count of a run: PageRank and CC call it iterations."""
+    return info["iterations"] if "iterations" in info else info["rounds"]
+
+
+def _run_all():
     from tldr_ray.graph import GraphEngine
 
     ids, src, dst, w = _graph()
     seeds = [int(ids[0]), int(ids[7])]
     out = {}
-    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P,
-                                 msg_ref_bytes=msg_ref_bytes)
+    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P)
     try:
         runs = {
             "pagerank": lambda: eng.pagerank(tolerance=1e-12),
@@ -72,13 +80,12 @@ def _run_all(msg_ref_bytes):
             "widest_path": lambda: eng.widest_path(seeds),
         }
         for name, run in runs.items():
-            got_ids, vals, _ = run()
-            out[name] = _digest(got_ids, vals)
+            got_ids, vals, info = run()
+            out[name] = (_digest(got_ids, vals), _rounds(info))
     finally:
         eng.shutdown()
     eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P,
-                                 symmetrize=True,
-                                 msg_ref_bytes=msg_ref_bytes)
+                                 symmetrize=True)
     try:
         runs = {
             "connected_components": lambda: eng.connected_components(),
@@ -95,39 +102,46 @@ def _run_all(msg_ref_bytes):
             "eigenvector_centrality": lambda: eng.eigenvector_centrality(),
         }
         for name, run in runs.items():
-            got_ids, vals, _ = run()
-            out[name] = _digest(got_ids, vals)
+            got_ids, vals, info = run()
+            out[name] = (_digest(got_ids, vals), _rounds(info))
     finally:
         eng.shutdown()
     return out
 
 
+# name -> (output digest, rounds run)
 EXPECTED = {
-    "pagerank": "4f4c1a3e3c6aff5b5d7ccb0e",
-    "pagerank_personalized": "649a45d472ba3d1f50046afe",
-    "sssp": "c3affeb6d7b511a941e4bc37",
-    "temporal_reachability": "1992b43b65b6ede8e10fd309",
-    "widest_path": "5568d9d419e25a090c42630b",
-    "connected_components": "efb2f2c5f3d3c69be8d9f579",
-    "bfs": "df0d7829449e6297b67412f5",
-    "betweenness_sampled": "d69302984ec1105dd1155a21",
-    "label_propagation": "51d723d86afb96ec5649fb19",
-    "label_spread": "4813b2a6e97741eddeac67e9",
-    "kcore": "0e37d690d2c0401357ea9bf6",
-    "maximal_matching": "88a9443705e2c7e48afd572e",
-    "maximal_independent_set": "601080b0572100f75054507b",
-    "greedy_coloring": "81f2c797193c65f86b4e7019",
-    "eigenvector_centrality": "471fba24c8d09077c9dec063",
+    "pagerank": ("4f4c1a3e3c6aff5b5d7ccb0e", 70),
+    "pagerank_personalized": ("649a45d472ba3d1f50046afe", 74),
+    "sssp": ("c3affeb6d7b511a941e4bc37", 12),
+    "temporal_reachability": ("1992b43b65b6ede8e10fd309", 7),
+    "widest_path": ("5568d9d419e25a090c42630b", 11),
+    "connected_components": ("efb2f2c5f3d3c69be8d9f579", 7),
+    "bfs": ("df0d7829449e6297b67412f5", 6),
+    "betweenness_sampled": ("d69302984ec1105dd1155a21", 35),
+    "label_propagation": ("51d723d86afb96ec5649fb19", 20),
+    "label_spread": ("4813b2a6e97741eddeac67e9", 10),
+    "kcore": ("0e37d690d2c0401357ea9bf6", 7),
+    "maximal_matching": ("88a9443705e2c7e48afd572e", 7),
+    "maximal_independent_set": ("601080b0572100f75054507b", 2),
+    "greedy_coloring": ("81f2c797193c65f86b4e7019", 8),
+    "eigenvector_centrality": ("471fba24c8d09077c9dec063", 114),
 }
 
-EXPECTED_HITS = "be3f6a4e2f4621188a8775c6"
+EXPECTED_HITS = ("be3f6a4e2f4621188a8775c6", 200)
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("msg_ref_bytes", [None, 1],
+@pytest.mark.parametrize("by_ref", [False, True],
                          ids=["by-value", "by-ref"])
-def test_engine_outputs_bit_identical(msg_ref_bytes):
-    got = _run_all(msg_ref_bytes)
+def test_engine_outputs_bit_identical(by_ref, force_msg_refs):
+    """Every message by value (the default gate), then every message
+    as a plasma ref: the same bits and the same rounds."""
+    if by_ref:
+        with force_msg_refs():
+            got = _run_all()
+    else:
+        got = _run_all()
     assert got == EXPECTED
 
 
@@ -136,8 +150,71 @@ def test_hits_bit_identical():
     from tldr_ray.graph import hits
 
     _, src, dst, w = _graph()
-    ids, hubs, auth, _ = hits(_edge_ds(src, dst, w), num_partitions=P)
-    assert _digest(ids, hubs, auth) == EXPECTED_HITS
+    ids, hubs, auth, info = hits(_edge_ds(src, dst, w), num_partitions=P)
+    assert (_digest(ids, hubs, auth), info["rounds"]) == EXPECTED_HITS
+
+
+# -- one superstep loop --------------------------------------------------
+
+def _exchange_callers(tree) -> set:
+    """Names of the innermost functions that call ``_exchange``."""
+    found = set()
+
+    def visit(node, fn):
+        if isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "_exchange":
+            found.add(fn)
+        for child in ast.iter_child_nodes(node):
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(tree, None)
+    return found
+
+
+def test_exchange_only_in_the_superstep_loop():
+    """Every round of every algorithm runs in ``_until_stable``: the
+    engine module calls ``_exchange`` there and in ``__init__`` (the
+    one-time vocabulary exchange) only, and ``_until_stable`` holds its
+    only ``while`` loop."""
+    import tldr_ray.graph.engine as engine
+
+    tree = ast.parse(inspect.getsource(engine))
+    assert _exchange_callers(tree) == {"_until_stable", "__init__"}
+    loops = {fn.name for fn in ast.walk(tree)
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn) if isinstance(node, ast.While)}
+    assert loops == {"_until_stable"}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_one_exchange_per_round(monkeypatch):
+    """A CC or an LPA round is one fused superstep: one ``_exchange``
+    per round, and one ``_all`` (the start) per run, with no
+    per-round emit call."""
+    from tldr_ray.graph import GraphEngine
+
+    _, src, dst, w = _graph()
+    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P, symmetrize=True)
+    calls = []
+    for name in ("_exchange", "_all"):
+        real = getattr(GraphEngine, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(GraphEngine, name, counted)
+    try:
+        for run, key in ((eng.connected_components, "iterations"),
+                         (eng.label_propagation, "rounds")):
+            calls.clear()
+            _, _, info = run(collect=False)
+            assert info[key] > 1
+            assert calls.count("_exchange") == info[key]
+            assert calls.count("_all") == 1
+    finally:
+        eng.shutdown()
 
 
 # -- empty graphs --------------------------------------------------------

@@ -62,10 +62,11 @@ class TestPagerank:
         assert np.array_equal(ids, o_ids)
         np.testing.assert_allclose(scores, o_scores, atol=1e-6)
 
-    def test_matches_oracle_ref_exchange(self):
-        """msg_ref_bytes=1 forces every mass array through the
+    def test_matches_oracle_ref_exchange(self, force_msg_refs):
+        """``force_msg_refs`` sends every mass array through the
         actor-to-actor ObjectRef shipping path (the driver only relays
-        refs); scores must be identical to the by-value exchange."""
+        refs); scores must match the oracle as the by-value exchange
+        does."""
         from tldr_ray.graph import GraphEngine
 
         rng = np.random.default_rng(11)
@@ -75,8 +76,8 @@ class TestPagerank:
                               rng.integers(0, n, 2 * n)])
         w = np.ones(src.size)
         edges = list(zip(src.tolist(), dst.tolist(), w.tolist()))
-        eng = GraphEngine.from_edges(edge_ds(edges), num_partitions=3,
-                                     msg_ref_bytes=1)
+        with force_msg_refs():
+            eng = GraphEngine.from_edges(edge_ds(edges), num_partitions=3)
         try:
             ids, scores, info = eng.pagerank()
         finally:

@@ -42,8 +42,9 @@ class TestJoins:
 
     def test_lookup_contract(self, force_shuffle):
         """inner / semi / anti over int64 and string keys, with a key
-        missing from ``dim``, an empty ``ds`` and an empty ``dim``: the
-        broadcast path and the forced shuffle path give the same rows."""
+        missing from ``dim``, an empty ``ds`` (with and without a
+        schema) and an empty ``dim``: the broadcast path and the forced
+        shuffle path give the same rows."""
         import ray.data as rd
         from tldr_ray.stages.joins import lookup
 
@@ -77,9 +78,17 @@ class TestJoins:
             (ints, idim.slice(0, 0), "k", "anti", ["k", "x"],
              sorted(zip(ints["k"].to_pylist(), ints["x"].to_pylist()))),
         ]
+        # an empty ds whose repartition dropped its schema
+        bare = rd.from_arrow(ints.slice(0, 0)).repartition(2)
+        assert bare.schema() is None
+        cases += [(bare, idim, "k", how, ["k", "x"], [])
+                  for how in ("inner", "semi", "anti")]
         for t, dim, on, how, cols, want in cases:
-            ds = rd.from_arrow(t).repartition(2) if len(t) else \
-                rd.from_arrow(t)          # keeps the empty side's schema
+            if isinstance(t, rd.Dataset):
+                ds = t
+            else:
+                ds = rd.from_arrow(t).repartition(2) if len(t) else \
+                    rd.from_arrow(t)      # keeps the empty side's schema
             got = rows(lookup(ds, rd.from_arrow(dim), on, how), cols)
             with force_shuffle():
                 forced = rows(lookup(ds, rd.from_arrow(dim), on, how),

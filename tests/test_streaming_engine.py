@@ -60,9 +60,9 @@ def test_ingest_duplicate_digest_dropped_distinct_kept():
     import numpy as np
     import ray
 
-    from tldr_ray.graph.engine import _shard_actor_cls
+    from tldr_ray.graph.engine import _MSG_REF_BYTES_DEFAULT, _shard_actor_cls
 
-    actor = _shard_actor_cls().remote(0, 1)
+    actor = _shard_actor_cls().remote(0, 1, _MSG_REF_BYTES_DEFAULT)
     src = np.array([0, 1], np.int64)
     dst = np.array([1, 0], np.int64)
     w = np.ones(2, np.float64)

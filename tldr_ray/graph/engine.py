@@ -8,7 +8,7 @@ PRE-COMBINING: every shard bincounts its outgoing mass per destination
 vertex before anything leaves the process, so a hub destination receives
 at most P partial sums per iteration regardless of its in-degree — the
 skew-salting requirement is structural, not reactive (SURVEY.md §4).
-Only scalars (dangling mass, L1 delta, change counts) cross the driver.
+Only scalars (L1 deltas, norms, change counts) cross the driver.
 
 Why raw actors and not per-iteration Dataset ops: Ray Data has no
 iterate-to-fixpoint primitive (SURVEY.md §7.4); re-launching a shuffle
@@ -36,28 +36,36 @@ EMITS one pre-combined message per destination partition
 (``CsrShard._combine`` for per-vertex arrays, or sorted per-(vertex,
 key) triples), ``GraphEngine._exchange`` hands shard q the messages
 addressed to it, and shard q MERGES them into its state in sender order
-(``CsrShard._gather``, or the triple merges). ``GraphEngine._until_stable``
-loops until no vertex changes. The algorithms differ only in what they
-emit, how they merge and when they stop:
+(``CsrShard._gather``, or the triple merges). Merge and the next emit
+are ONE RPC (``CsrShard.superstep``), so a round costs one driver round
+trip per exchange. ``GraphEngine._until_stable`` is the one rounds loop:
+an algorithm supplies its first outboxes (``CsrShard.start``: init plus
+emit) and its phases — one (merge, emit) exchange per round, two for the
+hashed-priority rounds, and for the power iterations a driver reduce
+that normalizes by the global L2 norm (a zero norm ends the run). The
+loop stops once the summed stop signal of the round's last phase is
+<= tol, or at the round cap. The algorithms differ only in what they
+emit, how they merge and what they signal:
 
   algorithm                emit (combiner)             merge                   stop
-  pagerank                 rank*w/out (sum)            restart + add           L1 delta <= tol
-  eigenvector_centrality   state*w (sum)               add onto state (+I)     L1 delta < tol*n
-  hits (two pools)         state*w (sum)               add onto zeros          L1 delta < tol*n
-  connected_components     label (min)                 min                     no change
-  bfs                      hops+1 (min)                min                     no change
-  sssp                     dist+w (min)                min                     no change
-  temporal_reachability    usable departure (min)      min                     no change
-  widest_path              min(width, w) (max)         max                     no change
-  label_propagation,       (dst, label, weight sum)    heaviest label,         no change
+  pagerank                 rank*w/out (sum), dangling  restart + add           L1 delta <= tol
+  eigenvector_centrality   state*w (sum)               add onto state (+I), L2 L1 delta < tol*n
+  hits (two pools, a       state*w (sum)               add onto zeros, L2,     L1 delta of the
+    phase per pool)                                    hand over               hubs < tol*n
+  connected_components     label (min)                 min                     changed == 0
+  bfs                      hops+1 (min)                min                     changed == 0
+  sssp                     dist+w (min)                min                     changed == 0
+  temporal_reachability    usable departure (min)      min                     changed == 0
+  widest_path              min(width, w) (max)         max                     changed == 0
+  label_propagation,       (dst, label, weight sum)    heaviest label,         changed == 0
     label_spread                                       smallest on ties
-  kcore                    (dst, value, count)         H-index, min            no change
-  maximal_matching         min-priority unmatched      mutual proposals        no new match
-                           neighbor; then proposals
-  maximal_independent_set  min-priority active         Luby win; OR of         none undecided
+  kcore                    (dst, value, count)         H-index, min            changed == 0
+  maximal_matching         min-priority unmatched      proposals; then         new matches == 0
+                           neighbor; then proposals    mutual proposals
+  maximal_independent_set  min-priority active         Luby win; then OR of    undecided == 0
                            neighbor; new-member flag   new-member flags
-  greedy_coloring          max-priority uncolored      local-max win; OR of    none uncolored
-                           neighbor; color bits (OR)   neighbor color bits
+  greedy_coloring          max-priority uncolored      local-max win; then OR  uncolored == 0
+                           neighbor; color bits (OR)   of neighbor color bits
   betweenness_sampled      sigma, then dependency      add                     frontier empty,
                            (sum)                                               then level 1
 
@@ -66,20 +74,24 @@ shard joins the pushed slices in the order of their blocks' content
 keys, not in arrival order, and every fold then runs in edge order on
 the emitting side and in sender order on the receiving side.
 
-Checkpoint/resume: every ``checkpoint_every`` iterations each shard
-writes its state slice ``part=<p>.parquet`` (atomic rename) and the
-driver commits ``manifest.json`` with the iteration and per-partition
-lineage; ``resume=True`` loads the newest complete checkpoint and
-continues — bit-identical to an uninterrupted run (state is exactly the
-rank/label vector; updates are deterministic).
+Checkpoint/resume: ``_until_stable`` takes a checkpoint hook (used by
+PageRank's ``checkpoint_every``): after every ``every``-th round each
+shard writes its state slice ``iter=<round>/part=<p>.parquet`` (atomic
+rename) and the driver commits ``manifest.json`` with the round, the
+per-partition lineage and the restart-vector digest the hook was given;
+``resume=True`` loads the newest complete checkpoint and starts the loop
+at its round — bit-identical to an uninterrupted run (state is exactly
+the rank vector; updates are deterministic).
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import time as _time
 import uuid
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -92,9 +104,9 @@ from tldr_ray.hashing import part_key
 # (measured: 1024 refs/iter cost more than relaying 80 MB by value on
 # one box), so only messages big enough to amortize that — or to
 # threaten the driver heap / double network hops on a real cluster —
-# are shipped as refs. Pass a lower ``msg_ref_bytes`` on a multi-node
-# cluster, where the driver relay also means two network crossings per
-# message.
+# are shipped as refs. ``from_edges`` reads it when it builds the
+# shards; a multi-node cluster, where the driver relay also means two
+# network crossings per message, would want it lower.
 _MSG_REF_BYTES_DEFAULT = 8 * 1024 * 1024
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -144,13 +156,12 @@ def _shard_actor_cls():
     @ray.remote(num_cpus=0)
     class CsrShard:
         def __init__(self, part: int, num_partitions: int,
-                     msg_ref_bytes: int | None = None):
+                     msg_ref_bytes: int):
             """Cheap construction, so actor process spawn overlaps the
             Ray Data build that pushes the edges in (``ingest``)."""
             self.part = part
             self.P = num_partitions
-            self.msg_ref_bytes = msg_ref_bytes if msg_ref_bytes is not None \
-                else _MSG_REF_BYTES_DEFAULT
+            self.msg_ref_bytes = msg_ref_bytes
             self._chunks = []           # (key, src, dst, w) per slice
             self._vchunks = []          # vertex candidates per slice
             self._seen_digests = set()
@@ -252,7 +263,12 @@ def _shard_actor_cls():
 
             self.incoming_idx = None   # per sender p: local positions
             self.state = None          # float ranks or int labels
-            self.n_total = None
+            self.round = 0             # the superstep round (``superstep``)
+            self.n_total = None        # PageRank: global vertex count,
+            self.alpha = None          # damping,
+            self.pvec = None           # restart vector (None = uniform)
+            self.emitted = None        # power iteration: last emitted state
+            self._clamp = None         # label_spread: clamped seeds
 
         # -- actor-to-actor message shipping ---------------------------
         @staticmethod
@@ -289,7 +305,23 @@ def _shard_actor_cls():
                     items[i] = v
             return items
 
-        # -- the two halves of a superstep -----------------------------
+        # -- the superstep and its two halves -------------------------
+        def start(self, init: str, emit: str, *args):
+            """Round 0: ``init(*args)``, then emit the first outbox in
+            the same RPC. Returns (what ``init`` returned, outbox)."""
+            self.round = 0
+            return getattr(self, init)(*args), getattr(self, emit)()
+
+        def superstep(self, inbox, merge: str, emit: str | None, r: int):
+            """One fused BSP superstep: merge the inbox of round ``r``
+            (``merge`` sees ``self.round == r``), then emit the outbox
+            of round r + 1 in the same RPC. Returns (``merge``'s stop
+            signal, outbox); with no ``emit`` the outbox is None."""
+            self.round = r
+            signal = getattr(self, merge)(inbox)
+            self.round = r + 1
+            return signal, getattr(self, emit)() if emit else None
+
         def _combine(self, values, ufunc, fill):
             """Emit: fold the per-edge ``values`` into one array per
             destination partition q, aligned to ``dvocabs[q]`` (each
@@ -380,14 +412,27 @@ def _shard_actor_cls():
             return int(hit.sum())
 
         # -- pagerank --------------------------------------------------
-        def pr_init(self, n_total: int):
-            self.n_total = n_total
+        def pr_setup(self, n_total: int, alpha: float, seed):
+            """Damping, uniform start state and restart vector: this
+            shard's slice of ``seed`` = (sorted ids, weights), a plasma
+            ref the driver rescales by the global coverage, or None for
+            the uniform one. Returns the local seed weight."""
+            self.n_total, self.alpha = n_total, alpha
             self.state = np.full(self.verts.size, 1.0 / n_total) \
                 if n_total else np.zeros(0)
+            self.pvec = None
+            if seed is None:
+                return 0.0
+            seed_ids, seed_w = seed
+            self.pvec = np.zeros(self.verts.size)
+            hit, at = self._find(seed_ids)
+            self.pvec[hit] = seed_w[at]
+            return float(self.pvec.sum())
 
-        def pr_set_total(self, n_total: int):
-            """Resume path: restore n_total without resetting state."""
-            self.n_total = n_total
+        def pr_rescale_personalization(self, factor: float):
+            """Normalize the restart vector and start from it."""
+            self.pvec = self.pvec * factor
+            self.state = self.pvec.copy()
 
         def pr_warm_start(self, warm, fill: float) -> float:
             """Seed the rank state from a prior run's (sorted ids,
@@ -406,53 +451,29 @@ def _shard_actor_cls():
         def pr_scale_state(self, factor: float):
             self.state = self.state * factor
 
-        def pr_set_personalization(self, seed):
-            """Personalized restart vector: (sorted seed ids, weights),
-            passed as an ObjectRef that Ray resolves to zero-copy plasma
-            views; each shard keeps only its local slice. None resets to
-            the uniform vector."""
-            if seed is None:
-                self.pvec = None
-                return 0.0
-            seed_ids, seed_w = seed
-            p = np.zeros(self.verts.size)
-            hit, at = self._find(seed_ids)
-            p[hit] = seed_w[at]
-            self.pvec = p
-            local = float(p.sum())
-            # start from the restart vector itself
-            self.state = p.copy()
-            return local
-
-        def pr_rescale_personalization(self, factor: float):
-            self.pvec = self.pvec * factor
-            self.state = self.state * factor
-
         def pr_messages(self):
-            """(dangling mass, per-destination-partition pre-combined
-            rank mass). Small message sets travel by value; large ones
-            are ray.put() here so the bytes move plasma-to-plasma
-            between shard actors and the driver only relays ObjectRefs
-            — O(P^2) refs per iteration instead of O(P * V) floats
-            through one process."""
+            """Per destination partition: (this shard's dangling mass,
+            its pre-combined rank mass). Every receiver sums the
+            dangling masses in sender order, so the driver relays no
+            scalar. Large mass arrays are ray.put() here (``_ship``), so
+            the bytes move plasma-to-plasma between shard actors."""
             masses = self._combine(self.state[self.e_src_local]
                                    * self.e_wnorm, np.add, 0.0)
-            return float(self.state[self.dangling_mask].sum()), masses
+            dangling = float(self.state[self.dangling_mask].sum())
+            return [(dangling, m) for m in masses]
 
-        def pr_step(self, masses, dangling_total: float, alpha: float):
-            """Fused apply + emit: one RPC round per iteration instead of
-            two (halves the BSP coordination cost that dominates small
-            graphs). Returns (delta, dangling_next, masses_next)."""
-            coef = (1.0 - alpha) + alpha * dangling_total
-            if getattr(self, "pvec", None) is not None:
-                new = coef * self.pvec      # personalized restart
-            else:
-                new = np.full(self.verts.size, coef / self.n_total)
-            new = self._gather([alpha * np.asarray(m)
-                                for m in self._fetch(masses)], np.add, new)
+        def pr_apply(self, inbox) -> float:
+            """Restart (uniform or personalized) plus the damped
+            incoming mass; returns the L1 change of the rank state."""
+            coef = (1.0 - self.alpha) + self.alpha * sum(d for d, _ in inbox)
+            new = coef * self.pvec if self.pvec is not None \
+                else np.full(self.verts.size, coef / self.n_total)
+            masses = self._fetch([m for _, m in inbox])
+            new = self._gather([self.alpha * np.asarray(m) for m in masses],
+                               np.add, new)
             delta = float(np.abs(new - self.state).sum())
             self.state = new
-            return (delta, *self.pr_messages())
+            return delta
 
         # -- min / max label fixpoints ---------------------------------
         def label_init(self):
@@ -537,16 +558,16 @@ def _shard_actor_cls():
             self.bc_sigma = (self.bc_dist == 0).astype(np.float64)
             return int((self.bc_dist == 0).sum())
 
-        def bc_fwd_messages(self, level: int):
-            self._level = level
-            sig = np.where(self.bc_dist[self.e_src_local] == level,
+        def bc_fwd_messages(self):
+            """Path counts of the level-``round`` frontier."""
+            sig = np.where(self.bc_dist[self.e_src_local] == self.round,
                            self.bc_sigma[self.e_src_local], 0.0)
             return self._combine(sig, np.add, 0.0)
 
         def bc_fwd_apply(self, sums) -> int:
             inc = self._gather(sums, np.add, np.zeros(self.verts.size))
             newly = (self.bc_dist == _INT64_MAX) & (inc > 0.0)
-            self.bc_dist[newly] = self._level + 1
+            self.bc_dist[newly] = self.round + 1
             self.bc_sigma[newly] = inc[newly]
             return int(newly.sum())
 
@@ -554,16 +575,18 @@ def _shard_actor_cls():
             m = self.bc_dist[self.bc_dist != _INT64_MAX]
             return int(m.max()) if m.size else 0
 
-        def bc_bwd_init(self):
+        def bc_bwd_init(self, max_level: int):
+            """Sweep levels ``max_level`` .. 1 back, one per round."""
             self.bc_delta = np.zeros(self.verts.size)
+            self._max_level = max_level
 
-        def bc_bwd_messages(self, level: int):
-            """Level-k vertices send (1 + delta)/sigma over every
-            out-edge; a receiver at level k-1 is NECESSARILY a
-            predecessor on some shortest path (BFS level property), so
-            multiplying the received sum by its own sigma is exactly
-            Brandes' dependency accumulation."""
-            self._level = level
+        def bc_bwd_messages(self):
+            """Level-k vertices (k = max_level - round) send
+            (1 + delta)/sigma over every out-edge; a receiver at level
+            k-1 is NECESSARILY a predecessor on some shortest path (BFS
+            level property), so multiplying the received sum by its own
+            sigma is exactly Brandes' dependency accumulation."""
+            level = self._max_level - self.round
             d = self.bc_dist[self.e_src_local]
             sig = np.where(self.bc_sigma[self.e_src_local] > 0.0,
                            self.bc_sigma[self.e_src_local], 1.0)
@@ -572,10 +595,13 @@ def _shard_actor_cls():
                 (1.0 + self.bc_delta[self.e_src_local]) / sig, 0.0)
             return self._combine(contrib, np.add, 0.0)
 
-        def bc_bwd_apply(self, sums):
+        def bc_bwd_apply(self, sums) -> int:
+            """Accumulate into level k-1; returns the levels left."""
+            level = self._max_level - self.round
             inc = self._gather(sums, np.add, np.zeros(self.verts.size))
-            mask = self.bc_dist == (self._level - 1)
+            mask = self.bc_dist == (level - 1)
             self.bc_delta[mask] += self.bc_sigma[mask] * inc[mask]
+            return level - 1
 
         def bc_accumulate(self, seed) -> None:
             acc = self.bc_delta.copy()
@@ -671,14 +697,15 @@ def _shard_actor_cls():
             best_v[pos] = ids
             return has, best_k, best_v
 
-        def match_unmatched_messages(self, r: int):
+        def match_unmatched_messages(self):
             """Each destination's unmatched source neighbor with the
-            SMALLEST round-salted priority splitmix64(src * K + r)
-            (ties -> smaller id). The per-round re-salt is what makes
-            the handshake converge in O(log n) expected rounds
+            SMALLEST round-salted priority splitmix64(src * K + round
+            + 1) (ties -> smaller id). The per-round re-salt is what
+            makes the handshake converge in O(log n) expected rounds
             (Israeli-Itai) — min-by-raw-id serializes on paths/rings.
             MIS uses the same message for its active neighbors."""
-            return self._best_nbr_messages(self._priority(r), False)
+            return self._best_nbr_messages(self._priority(self.round + 1),
+                                           False)
 
         def match_set_proposals(self, trips):
             """p(v) = the min-(key, id) unmatched neighbor across all
@@ -720,13 +747,13 @@ def _shard_actor_cls():
                 new += int(tgt.size)
             return new
 
-        def mis_decide(self, trips, r: int) -> int:
+        def mis_decide(self, trips) -> int:
             """An ACTIVE vertex joins the MIS iff its own round-salted
             (priority, id) beats the minimum over its ACTIVE neighbors
             (match_unmatched_messages, same priorities). No active
             neighbor -> joins. Returns new members on this shard."""
             has, best_k, best_v = self._best_nbr(trips, False)
-            own_k = self._priority(r)
+            own_k = self._priority(self.round + 1)
             win = (self.state == -1) & (
                 ~has | (own_k < best_k)
                 | ((own_k == best_k) & (self.verts < best_v)))
@@ -797,9 +824,18 @@ def _shard_actor_cls():
             return int((self.state == -1).sum())
 
         # -- eigenvector centrality and HITS (power iteration) ---------
-        def eig_init(self):
-            self.state = np.ones(self.verts.size)
-            self._eig_prev = self.state.copy()
+        def power_init(self, value: float):
+            """Every vertex starts at ``value``."""
+            self.state = self.emitted = np.full(self.verts.size, value)
+
+        def weighted_messages(self):
+            """Raw-weight SpMV messages from the current state, which is
+            kept as ``emitted`` (by reference: every update REBINDS
+            state, never mutates it) to measure the next change
+            against."""
+            self.emitted = self.state
+            return self._combine(self.state[self.e_src_local]
+                                 * self.e_weight_sorted, np.add, 0.0)
 
         def eig_apply(self, masses) -> float:
             """Consume incoming raw-weight masses and form (A + I) x
@@ -807,30 +843,8 @@ def _shard_actor_cls():
             iteration converge on bipartite components too). Returns
             the local sum of squares so the driver can assemble the
             global L2 norm."""
-            self._eig_prev = self.state
             self.state = self._gather(masses, np.add, self.state.copy())
             return float((self.state * self.state).sum())
-
-        def eig_scale_emit(self, factor: float):
-            """Normalize by the global L2 factor, then emit next-round
-            messages FROM the normalized vector (fused so one RPC round
-            covers normalize + emit). Returns (l1_delta_vs_prev,
-            masses)."""
-            self.state = self.state * factor
-            d = float(np.abs(self.state - self._eig_prev).sum())
-            return d, self.emit_state_messages()
-
-        def emit_state_messages(self):
-            """Emit raw-weight SpMV messages from the CURRENT state —
-            no normalization, no delta (the mutual-recursion loops own
-            that sequencing). The emitted vector is stashed (by
-            reference — every update REBINDS state, never mutates) so
-            ``set_state_with_delta`` can measure change across a full
-            mutual-recursion round even though intermediate applies
-            overwrite ``state``."""
-            self._stash = self.state
-            return self._combine(self.state[self.e_src_local]
-                                 * self.e_weight_sorted, np.add, 0.0)
 
         def hits_apply(self, masses) -> float:
             """state = incoming masses only (NO +I shift — A^T A is
@@ -839,6 +853,18 @@ def _shard_actor_cls():
             self.state = self._gather(masses, np.add,
                                       np.zeros(self.verts.size))
             return float((self.state * self.state).sum())
+
+        def _emit_from(self, new):
+            """Adopt ``new`` and emit from it; returns (L1 change vs
+            the last emitted state, outbox)."""
+            d = float(np.abs(new - self.emitted).sum())
+            self.state = new
+            return d, self.weighted_messages()
+
+        def eig_scale_emit(self, factor: float):
+            """Normalize by the global L2 factor and emit from the
+            normalized vector."""
+            return self._emit_from(self.state * factor)
 
         def scale_and_state_ref(self, factor: float):
             """Normalize by the global factor and hand the state out as
@@ -850,20 +876,11 @@ def _shard_actor_cls():
             self.state = self.state * factor
             return ray.put(self.state)
 
-        def set_state_with_delta(self, arr) -> float:
-            """Overwrite state with the handed-off array (auto-deref'd
-            zero-copy from plasma); returns the L1 change vs the vector
-            this shard last EMITTED (the stash) — the convergence
-            signal across one full mutual-recursion round."""
-            arr = np.asarray(arr, dtype=np.float64)
-            ref = getattr(self, "_stash", None)
-            if ref is None:
-                ref = self.state
-            d = float(np.abs(arr - ref).sum()) \
-                if ref is not None and ref.shape == arr.shape \
-                else float("inf")
-            self.state = arr.copy()
-            return d
+        def take_state(self, arr):
+            """Adopt the twin shard's handed-off state (auto-deref'd
+            zero-copy from plasma) and emit from it: across one full
+            HITS round the L1 change is the convergence signal."""
+            return self._emit_from(np.asarray(arr, dtype=np.float64).copy())
 
         # -- k-core decomposition (distributed H-index iteration) ------
         def kcore_init(self) -> int:
@@ -911,25 +928,35 @@ def _shard_actor_cls():
             return pa.table({"vertex": pa.array(self.verts),
                              value_name: pa.array(self.state)})
 
-        def write_state(self, ckpt_dir: str, dtype: str):
+        def write_state(self, ckpt_dir: str):
             os.makedirs(ckpt_dir, exist_ok=True)
-            col = pa.array(self.state.astype(np.float64 if dtype == "f8"
-                                             else np.int64))
-            t = pa.table({"vertex": pa.array(self.verts), "value": col})
+            t = pa.table({"vertex": pa.array(self.verts),
+                          "value": pa.array(self.state)})
             tmp = f"{ckpt_dir}/part={self.part}.parquet.tmp-{uuid.uuid4().hex[:6]}"
             pq.write_table(t, tmp)
             os.replace(tmp, f"{ckpt_dir}/part={self.part}.parquet")
             return int(self.verts.size)
 
-        def load_state(self, ckpt_dir: str, dtype: str):
+        def load_state(self, ckpt_dir: str):
             t = pq.read_table(f"{ckpt_dir}/part={self.part}.parquet",
                               use_threads=False)
             v = np.asarray(t["vertex"], dtype=np.int64)
             assert np.array_equal(v, self.verts), "checkpoint/partition mismatch"
-            self.state = np.asarray(
-                t["value"], dtype=np.float64 if dtype == "f8" else np.int64)
+            self.state = t["value"].to_numpy()
 
     return CsrShard
+
+
+class _Phase(NamedTuple):
+    """One exchange of a superstep: every shard of ``pool`` (default:
+    the engine running ``_until_stable``) merges its inbox with
+    ``merge`` and emits with ``emit`` in one RPC. ``reduce``, if given,
+    maps the per-shard (signal, outbox) results to new ones on the
+    driver (a power iteration's L2 norm), or to None to end the run."""
+    merge: str
+    emit: str | None = None
+    reduce: Callable | None = None
+    pool: GraphEngine | None = None
 
 
 class GraphEngine:
@@ -945,8 +972,7 @@ class GraphEngine:
 
     @classmethod
     def from_edges(cls, edges, num_partitions: int = 8,
-                   symmetrize: bool = False,
-                   msg_ref_bytes: int | None = None):
+                   symmetrize: bool = False):
         """Push-based shuffle straight into the actor pool: the actors
         are spawned first, so their start-up overlaps the Ray Data
         build, whose tasks scatter each block by source partition and
@@ -961,7 +987,7 @@ class GraphEngine:
 
         P = num_partitions
         actor_cls = _shard_actor_cls()
-        shards = [actor_cls.remote(p, P, msg_ref_bytes=msg_ref_bytes)
+        shards = [actor_cls.remote(p, P, _MSG_REF_BYTES_DEFAULT)
                   for p in range(P)]
 
         def push(batch: pa.Table) -> pa.Table:
@@ -1034,44 +1060,78 @@ class GraphEngine:
                 [outs[p][q] for p in range(self.P)], *args)
             for q in range(self.P)])
 
-    def _until_stable(self, init, emit, apply: str, max_rounds: int):
-        """The BSP loop of every fixpoint algorithm. ``init()`` runs
-        once; then each round r exchanges the outboxes ``emit(r)``
-        returns into the shards' ``apply`` method, whose results (how
-        many vertices changed, or are still undecided) sum to the stop
-        signal: the loop ends when it is 0 or after ``max_rounds``
-        rounds. Returns (what ``init()`` returned, rounds, whether it
-        ended at 0, per-round wall seconds)."""
-        first = init()
-        it, left, secs = 0, 1, []
-        while left and it < max_rounds:
-            t0 = _time.time()
-            left = sum(self._exchange(emit(it), apply))
-            it += 1
-            secs.append(round(_time.time() - t0, 4))
-        return first, it, left == 0, secs
+    def _start(self, init: str, emit: str, *args):
+        """Round 0 on every shard (``CsrShard.start``): returns (the
+        per-shard ``init`` results, the first outboxes)."""
+        res = self._all("start", init, emit, *args)
+        return [r[0] for r in res], [r[1] for r in res]
 
-    def _seeded(self, error: str, method: str, *args) -> int:
-        """Run the seeding ``method`` on every shard and return how many
-        seeds the graph holds; raise ``error`` if a non-empty graph
-        holds none (an empty graph has an empty answer)."""
-        found = sum(self._all(method, *args))
+    def _seeded(self, error: str, init: str, emit: str, *args):
+        """``_start`` with a seeding ``init`` that returns how many
+        seeds each shard owns; returns (seeds in the graph, first
+        outboxes). Raises ``error`` if a non-empty graph holds none (an
+        empty graph has an empty answer)."""
+        counts, outs = self._start(init, emit, *args)
+        found = sum(counts)
         if found == 0 and self.n_total:
             raise ValueError(error)
-        return found
+        return found, outs
+
+    def _until_stable(self, outs, phases: list, max_rounds: int,
+                      tol: float = 0.0, first_round: int = 0,
+                      signal: float = np.inf, checkpoint=None):
+        """The BSP loop of every engine algorithm. Each round r runs
+        the ``phases`` in order, one ``_exchange`` each: the outboxes
+        ``outs`` go to every shard's fused ``superstep``, whose
+        outboxes feed the next phase or round. The last phase's summed
+        signal (changed or undecided vertices, an L1 change) is the
+        stop signal: the loop ends once it is <= ``tol``, or after
+        round ``max_rounds`` (counting from ``first_round``, a resumed
+        run's round), or when a phase's ``reduce`` returns None.
+        ``signal`` is the signal before round 1 (0 runs no round).
+        ``checkpoint`` = (dir, every, restart-vector digest) writes
+        the state and manifest after every ``every``-th round.
+        Returns (rounds, whether the signal ended <= ``tol``, per-round
+        wall seconds)."""
+        it, secs = first_round, []
+        while signal > tol and it < max_rounds:
+            t0 = _time.time()
+            for ph in phases:
+                res = (ph.pool or self)._exchange(
+                    outs, "superstep", ph.merge, ph.emit, it)
+                if ph.reduce is not None:
+                    res = ph.reduce(res)
+                    if res is None:
+                        return it, False, secs
+                outs = [o for _, o in res]
+            signal = sum(s for s, _ in res)
+            it += 1
+            secs.append(round(_time.time() - t0, 4))
+            if checkpoint and it % checkpoint[1] == 0:
+                self._checkpoint(checkpoint[0], it, checkpoint[2])
+        return it, bool(signal <= tol), secs
 
     def _relax(self, name: str, seeds, at_seed, elsewhere, emit: str,
-               apply: str, max_rounds: int, dtype, collect: bool):
+               merge: str, max_rounds: int, dtype, collect: bool):
         """Seeded monotone fixpoint shared by bfs, sssp, temporal
         reachability and widest path."""
-        n_seed, it, done, secs = self._until_stable(
-            lambda: self._seeded(
-                f"{name}: no seed vertex present in the graph",
-                "seed_init", [int(x) for x in seeds], at_seed, elsewhere),
-            lambda r: self._all(emit), apply, max_rounds)
+        n_seed, outs = self._seeded(
+            f"{name}: no seed vertex present in the graph", "seed_init",
+            emit, [int(x) for x in seeds], at_seed, elsewhere)
+        it, done, secs = self._until_stable(outs, [_Phase(merge, emit)],
+                                            max_rounds)
         ids, vals = self._collect(dtype) if collect else (None, None)
         return ids, vals, {"rounds": it, "converged": done,
                            "seeds_found": n_seed, "iter_secs": secs}
+
+    def _l2_normalize(self, then: str):
+        """Driver reduce of a power-iteration phase: the global L2 norm
+        of the merged state, then ``then(1 / norm)`` on every shard. A
+        zero norm ends the run."""
+        def reduce(res):
+            norm = math.sqrt(sum(s for s, _ in res))
+            return self._all(then, 1.0 / norm) if norm else None
+        return reduce
 
     # -- algorithms ----------------------------------------------------
     def pagerank(self, damping: float = 0.85, tolerance: float = 1e-4,
@@ -1116,21 +1176,6 @@ class GraphEngine:
             pers_digest = hashlib.blake2b(
                 pers_sorted[0].tobytes() + pers_sorted[1].tobytes(),
                 digest_size=8).hexdigest()
-        self._pers_digest = pers_digest
-
-        def _set_restart():
-            """Install the restart vector (uniform when not
-            personalized) on every shard."""
-            if pers_sorted is None:
-                self._all("pr_set_personalization", None)
-                return
-            self._all("pr_set_total", self.n_total)
-            covered = sum(self._all("pr_set_personalization",
-                                    ray.put(pers_sorted)))
-            if covered <= 0:
-                raise ValueError("no personalization seed is present in "
-                                 "the graph")
-            self._all("pr_rescale_personalization", 1.0 / covered)
 
         start_iter = 0
         ck = read_manifest(checkpoint_dir) if (resume and checkpoint_dir) \
@@ -1152,14 +1197,19 @@ class GraphEngine:
                     f"{pers_digest} — resume a personalized run with the "
                     "same personalization it was started with")
             start_iter = ck["iteration"]
-            _set_restart()      # rebuild (or clear) each shard's pvec
-            # the checkpointed rank state overwrites the init above
-            self._all("load_state", f"{checkpoint_dir}/iter={start_iter}",
-                      "f8")
-            self._all("pr_set_total", self.n_total)
+
+        covered = sum(self._all("pr_setup", self.n_total, damping,
+                                None if pers_sorted is None
+                                else ray.put(pers_sorted)))
+        if pers_sorted is not None:
+            if covered <= 0:
+                raise ValueError("no personalization seed is present in "
+                                 "the graph")
+            self._all("pr_rescale_personalization", 1.0 / covered)
+        if ck is not None:
+            # the checkpointed rank state overwrites the start state
+            self._all("load_state", f"{checkpoint_dir}/iter={start_iter}")
         elif warm_start is not None:
-            _set_restart()
-            self._all("pr_set_total", self.n_total)
             ids_w = np.asarray(warm_start[0], dtype=np.int64)
             sc_w = np.asarray(warm_start[1], dtype=np.float64)
             order = np.argsort(ids_w)
@@ -1168,39 +1218,19 @@ class GraphEngine:
             total = sum(self._all("pr_warm_start", wref, fill))
             if total > 0:
                 self._all("pr_scale_state", 1.0 / total)
-        else:
-            _set_restart()
-            if pers_sorted is None:
-                self._all("pr_init", self.n_total)
 
-        if self.n_total == 0:
-            return (np.empty(0, np.int64), np.empty(0, np.float64),
-                    {"iterations": 0, "converged": True})
-
-        delta = np.inf
-        it = start_iter
-        iter_secs: list[float] = []
-        # bootstrap round: every shard emits its first message set
-        outs = self._all("pr_messages")
-        dangling_total = sum(o[0] for o in outs)
-        masses = [o[1] for o in outs]
-        while delta > tolerance and it < max_iterations:
-            _t = _time.time()
-            step = self._exchange(masses, "pr_step", dangling_total, damping)
-            delta = float(sum(s_[0] for s_ in step))
-            dangling_total = sum(s_[1] for s_ in step)
-            masses = [s_[2] for s_ in step]
-            it += 1
-            iter_secs.append(round(_time.time() - _t, 4))
-            if checkpoint_every and checkpoint_dir and it % checkpoint_every == 0:
-                self._checkpoint(checkpoint_dir, it, "f8")
-
+        it, converged, iter_secs = self._until_stable(
+            self._all("pr_messages"), [_Phase("pr_apply", "pr_messages")],
+            max_iterations, tol=tolerance, first_round=start_iter,
+            signal=np.inf if self.n_total else 0.0,
+            checkpoint=(checkpoint_dir, checkpoint_every, pers_digest)
+            if checkpoint_every and checkpoint_dir else None)
         # collect=False leaves the result sharded (consume with
         # to_dataset / write_parquet — no O(V) arrays on the driver)
         ids, scores = self._collect(np.float64) if collect else (None, None)
         return ids, scores, {
             "iterations": it,
-            "converged": delta <= tolerance,
+            "converged": converged,
             "iter_secs": iter_secs,
             "sec_per_iteration": round(float(np.mean(iter_secs)), 4)
             if iter_secs else 0.0,
@@ -1222,18 +1252,16 @@ class GraphEngine:
         vertex no longer reachable) — rerun cold after removals."""
         import ray
 
-        def init():
-            if warm_start is None:
-                return self._all("label_init")
+        if warm_start is None:
+            _, outs = self._start("label_init", "cc_messages")
+        else:
             ids_w = np.asarray(warm_start[0], dtype=np.int64)
             lb_w = np.asarray(warm_start[1], dtype=np.int64)
             order = np.argsort(ids_w)
-            return self._all("label_warm", ray.put((ids_w[order],
-                                                    lb_w[order])))
-
-        _, it, done, secs = self._until_stable(
-            init, lambda r: self._all("cc_messages"), "min_apply",
-            max_iterations)
+            _, outs = self._start("label_warm", "cc_messages",
+                                  ray.put((ids_w[order], lb_w[order])))
+        it, done, secs = self._until_stable(
+            outs, [_Phase("min_apply", "cc_messages")], max_iterations)
         ids, labels = self._collect(np.int64) if collect else (None, None)
         return ids, labels, {"iterations": it, "converged": done,
                              "iter_secs": secs}
@@ -1260,18 +1288,19 @@ class GraphEngine:
         self._all("bc_begin")
         total_rounds = 0
         for s0 in seeds:
-            _, rounds, _, _ = self._until_stable(
-                lambda: self._seeded(
-                    f"betweenness: pivot {s0} not in the graph",
-                    "bc_fwd_init", [int(s0)]),
-                lambda lev: self._all("bc_fwd_messages", lev),
-                "bc_fwd_apply", max_rounds)
-            maxlev = max(self._all("bc_max_level"))
-            self._all("bc_bwd_init")
-            for lev in range(maxlev, 0, -1):
-                self._exchange(self._all("bc_bwd_messages", lev),
-                               "bc_bwd_apply")
-            total_rounds += rounds + maxlev
+            _, outs = self._seeded(f"betweenness: pivot {s0} not in the "
+                                   "graph", "bc_fwd_init",
+                                   "bc_fwd_messages", [int(s0)])
+            fwd, _, _ = self._until_stable(
+                outs, [_Phase("bc_fwd_apply", "bc_fwd_messages")],
+                max_rounds)
+            max_level = max(self._all("bc_max_level"))
+            _, outs = self._start("bc_bwd_init", "bc_bwd_messages",
+                                  max_level)
+            bwd, _, _ = self._until_stable(
+                outs, [_Phase("bc_bwd_apply", "bc_bwd_messages")],
+                max_level)
+            total_rounds += fwd + bwd
             self._all("bc_accumulate", [int(s0)])
         self._all("bc_finish")
         ids, bc = self._collect(np.float64) if collect else (None, None)
@@ -1288,20 +1317,16 @@ class GraphEngine:
                            "min_apply", max_rounds, np.float64, collect)
 
     def temporal_reachability(self, seeds, max_rounds: int = 10_000,
-                              start_time: float = 0.0,
                               collect: bool = True):
         """Earliest-arrival time-respecting reachability: edge
         weights are departure timestamps, an edge is traversable only
         after its source has been reached (arr[u] <= tau), and each
         traversal arrives at its own tau — so arrival times along any
-        valid path are non-decreasing. Seeds start at ``start_time``;
-        unreached vertices keep +inf. Synchronous min-relaxation
-        rounds; a finite ``max_rounds`` gives the exact
-        <=max_rounds-hop bounded form, mirrored by the unrolled SQL
-        oracle."""
-        if start_time != 0.0:
-            raise NotImplementedError(
-                "non-zero start_time: shift timestamps instead")
+        valid path are non-decreasing. Seeds start at time 0 (shift the
+        timestamps for another start); unreached vertices keep +inf.
+        Synchronous min-relaxation rounds; a finite ``max_rounds`` gives
+        the exact <=max_rounds-hop bounded form, mirrored by the
+        unrolled SQL oracle."""
         return self._relax("temporal_reachability", seeds, 0.0, np.inf,
                            "temporal_messages", "min_apply", max_rounds,
                            np.float64, collect)
@@ -1322,9 +1347,9 @@ class GraphEngine:
     def label_propagation(self, max_rounds: int = 20, collect: bool = True):
         """Synchronous weighted LPA, smallest-label tie-break.
         Returns (vertex_ids, labels, info)."""
-        _, it, stable, secs = self._until_stable(
-            lambda: self._all("label_init"),
-            lambda r: self._all("lpa_messages"), "lpa_apply", max_rounds)
+        _, outs = self._start("label_init", "lpa_messages")
+        it, stable, secs = self._until_stable(
+            outs, [_Phase("lpa_apply", "lpa_messages")], max_rounds)
         ids, labels = self._collect(np.int64) if collect else (None, None)
         return ids, labels, {"rounds": it, "stable": stable,
                              "iter_secs": secs}
@@ -1343,10 +1368,10 @@ class GraphEngine:
 
         sref = ray.put((np.asarray(seeds[0], dtype=np.int64),
                         np.asarray(seeds[1], dtype=np.int64)))
-        n_seed, it, stable, secs = self._until_stable(
-            lambda: self._seeded("label_spread: no seed vertex in graph",
-                                 "lpa_seed_init", sref),
-            lambda r: self._all("lpa_messages"), "lpa_apply", max_rounds)
+        n_seed, outs = self._seeded("label_spread: no seed vertex in graph",
+                                    "lpa_seed_init", "lpa_messages", sref)
+        it, stable, secs = self._until_stable(
+            outs, [_Phase("lpa_apply", "lpa_messages")], max_rounds)
         ids_out, labels = self._collect(np.int64) if collect \
             else (None, None)
         return ids_out, labels, {"rounds": it, "stable": stable,
@@ -1358,10 +1383,9 @@ class GraphEngine:
         the H-index of its neighbors' values — converges exactly to the
         k-core decomposition. Supply SYMMETRIZED, DEDUPED, weight-1
         edges. Returns (vertex_ids, core_numbers, info)."""
-        _, it, stable, secs = self._until_stable(
-            lambda: self._all("kcore_init"),
-            lambda r: self._all("kcore_messages"), "kcore_apply",
-            max_rounds)
+        _, outs = self._start("kcore_init", "kcore_messages")
+        it, stable, secs = self._until_stable(
+            outs, [_Phase("kcore_apply", "kcore_messages")], max_rounds)
         ids, cores = self._collect(np.int64)
         return ids, cores, {"rounds": it, "stable": stable,
                             "iter_secs": secs}
@@ -1378,13 +1402,10 @@ class GraphEngine:
         gives O(log n) expected rounds, and the whole trajectory is
         deterministic and SQL-mirrorable round for round. Returns
         (vertex_ids, partner int64 with -1 = unmatched, info)."""
-        def emit(r):
-            self._exchange(self._all("match_unmatched_messages", r + 1),
-                           "match_set_proposals")
-            return self._all("match_propose_messages")
-
-        _, it, stable, secs = self._until_stable(
-            lambda: self._all("undecided_init"), emit, "match_resolve",
+        _, outs = self._start("undecided_init", "match_unmatched_messages")
+        it, stable, secs = self._until_stable(outs, [
+            _Phase("match_set_proposals", "match_propose_messages"),
+            _Phase("match_resolve", "match_unmatched_messages")],
             max_rounds)
         ids, partner = self._collect(np.int64) if collect \
             else (None, None)
@@ -1400,14 +1421,10 @@ class GraphEngine:
         pre-combined exchanges per round, O(log n) expected rounds,
         fully deterministic -> SQL-mirrorable. Returns (vertex_ids,
         membership 1/0, info)."""
-        def emit(r):
-            self._exchange(self._all("match_unmatched_messages", r + 1),
-                           "mis_decide", r + 1)
-            return self._all("mis_notify_messages")
-
-        _, it, done, secs = self._until_stable(
-            lambda: self._all("undecided_init"), emit, "mis_exclude",
-            max_rounds)
+        _, outs = self._start("undecided_init", "match_unmatched_messages")
+        it, done, secs = self._until_stable(outs, [
+            _Phase("mis_decide", "mis_notify_messages"),
+            _Phase("mis_exclude", "match_unmatched_messages")], max_rounds)
         ids, member = self._collect(np.int64) if collect \
             else (None, None)
         return ids, member, {"rounds": it, "done": done, "iter_secs": secs}
@@ -1421,14 +1438,10 @@ class GraphEngine:
         conflict). Two pre-combined exchanges per round; O(log n)
         expected rounds; deterministic -> SQL-mirrorable. Returns
         (vertex_ids, colors int64 >= 0, info)."""
-        def emit(r):
-            self._exchange(self._all("color_nbr_max_messages"),
-                           "color_decide")
-            return self._all("color_mask_messages")
-
-        _, it, done, secs = self._until_stable(
-            lambda: self._all("color_init"), emit, "color_assign",
-            max_rounds)
+        _, outs = self._start("color_init", "color_nbr_max_messages")
+        it, done, secs = self._until_stable(outs, [
+            _Phase("color_decide", "color_mask_messages"),
+            _Phase("color_assign", "color_nbr_max_messages")], max_rounds)
         ids, colors = self._collect(np.int64) if collect \
             else (None, None)
         return ids, colors, {"rounds": it, "done": done, "iter_secs": secs}
@@ -1442,36 +1455,29 @@ class GraphEngine:
         one raw-weight SpMV exchange (same pre-combined per-partition
         masses and plasma-ref gating as PageRank) + one fused
         normalize-and-emit RPC; the driver only relays the scalar L2
-        factor. Scores are L2-normalized, all non-negative. An empty
-        graph is converged at once."""
-        import math
-
+        factor. Stops once the L1 change is below ``tolerance`` times
+        the vertex count. Scores are L2-normalized, all non-negative.
+        An empty graph is converged at once."""
         n = max(self.n_total, 1)
-        self._all("eig_init")
-        outs = [r[1] for r in self._all("eig_scale_emit",
-                                        1.0 / math.sqrt(n))]
-        it, converged, secs = 0, self.n_total == 0, []
-        while not converged and it < max_iterations:
-            t0 = _time.time()
-            norm = math.sqrt(sum(self._exchange(outs, "eig_apply")))
-            if norm == 0.0:
-                break
-            res = self._all("eig_scale_emit", 1.0 / norm)
-            outs = [r[1] for r in res]
-            it += 1
-            secs.append(round(_time.time() - t0, 4))
-            converged = sum(r[0] for r in res) < tolerance * n
+        _, outs = self._start("power_init", "weighted_messages",
+                              1.0 / math.sqrt(n))
+        it, converged, secs = self._until_stable(
+            outs, [_Phase("eig_apply",
+                          reduce=self._l2_normalize("eig_scale_emit"))],
+            max_iterations, tol=np.nextafter(tolerance * n, -np.inf),
+            signal=np.inf if self.n_total else 0.0)
         ids, scores = self._collect(np.float64) if collect \
             else (None, None)
         return ids, scores, {"rounds": it, "converged": converged,
                              "iter_secs": secs}
 
     # -- plumbing ------------------------------------------------------
-    def _checkpoint(self, checkpoint_dir: str, iteration: int, dtype: str):
+    def _checkpoint(self, checkpoint_dir: str, iteration: int,
+                    personalization_digest: str | None):
         from tldr_ray.state import write_manifest
 
         d = f"{checkpoint_dir}/iter={iteration}"
-        counts = self._all("write_state", d, dtype)
+        counts = self._all("write_state", d)
         write_manifest(checkpoint_dir, {
             "iteration": iteration,
             "n_total": self.n_total,
@@ -1480,7 +1486,7 @@ class GraphEngine:
             "n_edges": self.manifest.get("n_edges"),
             # restart-vector lineage: None for uniform PageRank, the
             # seed digest for personalized runs (resume digest-checks it)
-            "personalization_digest": getattr(self, "_pers_digest", None),
+            "personalization_digest": personalization_digest,
         })
 
     def _collect(self, dtype):
@@ -1643,59 +1649,51 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
     partition function and the endpoint sets coincide, same-index
     shards own IDENTICAL sorted vertex arrays, so the per-iteration
     state handoff is P plasma refs moving actor-to-actor — the driver
-    relays refs and scalars only. No +I shift needed: A^T A is PSD,
-    the alternation cannot oscillate. An empty graph is converged at
-    once.
+    relays refs and scalars only. One round of the forward pool's loop
+    is two phases, one per pool. No +I shift needed: A^T A is PSD,
+    the alternation cannot oscillate. Stops once the hubs' L1 change
+    is below ``tolerance`` times the vertex count; an empty graph is
+    converged at once.
 
     Returns (vertex_ids, hubs, authorities, info); both vectors
     L2-normalized, non-negative."""
-    import math
-
     import ray
 
     def rev(batch: pa.Table) -> pa.Table:
         return pa.table({"src": batch["dst"], "dst": batch["src"],
                          "weight": batch["weight"]})
 
-    def half_step(eng):
-        """state = normalize(A^T state) on ``eng``'s pool; returns the
-        per-shard state refs, or None if the product is zero."""
-        norm = math.sqrt(sum(eng._exchange(eng._all("emit_state_messages"),
-                                           "hits_apply")))
-        return eng._all("scale_and_state_ref", 1.0 / norm) if norm else None
+    def half(pool, twin):
+        """Phase on ``pool``: state = normalize(A^T state), handed to
+        ``twin``'s same-index shards, which emit from it and report
+        their L1 change."""
+        normalize = pool._l2_normalize("scale_and_state_ref")
 
-    def hand_over(refs, eng):
-        """Same-index shards own the same vertices: install each state
-        ref on ``eng``'s twin shard; returns the summed L1 change."""
-        return sum(ray.get([s.set_state_with_delta.remote(ref)
-                            for s, ref in zip(eng.shards, refs)]))
+        def reduce(res):
+            refs = normalize(res)
+            return None if refs is None else ray.get(
+                [s.take_state.remote(ref)
+                 for s, ref in zip(twin.shards, refs)])
+        return _Phase("hits_apply", reduce=reduce, pool=pool)
 
     eng_f = GraphEngine.from_edges(edges, num_partitions)
     eng_r = GraphEngine.from_edges(
         edges.map_batches(rev, batch_format="pyarrow"), num_partitions)
     try:
         n = max(eng_f.n_total, 1)
-        eng_f._all("eig_init")
-        eng_f._all("pr_scale_state", 1.0 / math.sqrt(n))
-        it, converged, secs = 0, eng_f.n_total == 0, []
-        while not converged and it < max_iterations:
-            t0 = _time.time()
-            arefs = half_step(eng_f)
-            if arefs is None:
-                break
-            hand_over(arefs, eng_r)
-            hrefs = half_step(eng_r)
-            if hrefs is None:
-                break
-            delta = hand_over(hrefs, eng_f)
-            it += 1
-            secs.append(round(_time.time() - t0, 4))
-            converged = delta < tolerance * n
-        # both pools hold h at loop exit (engR computed it, engF
+        to_auth, to_hubs = half(eng_f, eng_r), half(eng_r, eng_f)
+        eng_r._all("power_init", 1.0 / math.sqrt(n))
+        _, outs = eng_f._start("power_init", "weighted_messages",
+                               1.0 / math.sqrt(n))
+        it, converged, secs = eng_f._until_stable(
+            outs, [to_auth, to_hubs], max_iterations,
+            tol=np.nextafter(tolerance * n, -np.inf),
+            signal=np.inf if eng_f.n_total else 0.0)
+        # both pools hold h at loop exit (eng_r computed it, eng_f
         # received it) — collect hubs, then ONE extra half-step on
         # eng_f re-derives the authorities from the final hubs
         ids, hubs = eng_f._collect(np.float64)
-        half_step(eng_f)
+        eng_f._until_stable(eng_f._all("weighted_messages"), [to_auth], 1)
         _, auth = eng_f._collect(np.float64)
         return ids, hubs, auth, {"rounds": it, "converged": converged,
                                  "iter_secs": secs}

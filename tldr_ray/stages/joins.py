@@ -62,6 +62,10 @@ def lookup(ds, dim, on: str, how: str = "inner"):
     dim = dim.map_batches(lambda t: t.select(keep) if keep else t,
                           batch_format="pyarrow").materialize()
     if not fits_broadcast(dim):
+        if ds.schema() is None:
+            # an empty Dataset can lose its schema (e.g. in a
+            # repartition): no rows, and no columns for the joins to read
+            return ds
         join = {"inner": bucketed_hash_join, "semi": bucketed_semi_join,
                 "anti": bucketed_anti_join}[how]
         return join(ds, dim, on)
