@@ -15,7 +15,9 @@ IDENTICAL job (fixed RAY_GRAFT_PARTITIONS shard layout, like a job
 moved between cluster sizes) and each leg is pinned to that many
 PHYSICAL cores via sched_setaffinity (inherited by raylet + workers),
 because Ray's logical num_cpus does not stop oversubscribed actors
-from using every physical core. Efficiency = (T_lo / T_hi) / (hi/lo);
+from using every physical core. The cores come from this process's own
+affinity mask; a leg that asks for more cores than the mask holds is
+reported unmeasured, not run. Efficiency = (T_lo / T_hi) / (hi/lo);
 the north rule wants >= 0.8.
 """
 
@@ -58,18 +60,19 @@ CACHE = (f"/tmp/tldr_ray/bench_transcripts_n{N_CONVS}_s{SEED}"
 
 
 def _corpus_digest(path: str) -> str:
-    """Content digest of the cached corpus parquet bytes — recorded in
-    the bench JSON so cross-round BENCH artifacts are comparable only
-    when they state the same input."""
-    import hashlib
+    """Content digest of the rows of the cached corpus Parquet files —
+    recorded in the bench JSON so cross-round BENCH artifacts are
+    comparable only when they state the same input. It is the
+    benchmark's ``table_digest``: independent of row order, block
+    layout and Parquet encoding."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
 
-    h = hashlib.blake2b(digest_size=8)
-    for fn in sorted(os.listdir(path)):
-        if fn.endswith(".parquet"):
-            with open(os.path.join(path, fn), "rb") as fh:
-                for chunk in iter(lambda: fh.read(1 << 22), b""):
-                    h.update(chunk)
-    return h.hexdigest()
+    from perfbench.inputs import table_digest
+
+    files = sorted(fn for fn in os.listdir(path) if fn.endswith(".parquet"))
+    tabs = [pq.read_table(os.path.join(path, fn)) for fn in files]
+    return table_digest(pa.concat_tables(tabs) if tabs else pa.table({}))
 
 
 def ensure_transcripts():
@@ -88,7 +91,7 @@ def bench_headline(results: dict, meta: dict):
     """transcripts -> edge table -> distributed PageRank (the north star).
 
     ``GraphEngine.from_edges`` ships the scatter slices directly into
-    the shard actor pool (no disk round-trip)."""
+    the shard host actors (no disk round-trip)."""
     import ray.data as rd
     from tldr_ray.stages.edges import transcript_graph
     from tldr_ray.graph import GraphEngine
@@ -307,13 +310,25 @@ def run_once(headline_only: bool) -> dict:
     }
 
 
+def _leg_cpus(ncpu: int):
+    """The first ``ncpu`` cores of this process's affinity mask, or None
+    when the mask holds fewer: pinning a leg to cores it may not use
+    would leave it on the cores it has, and its time would say nothing
+    about ``ncpu``."""
+    mine = sorted(os.sched_getaffinity(0))
+    return set(mine[:ncpu]) if len(mine) >= ncpu else None
+
+
 def run_scaling() -> dict:
-    """8- vs 32-CPU legs run the IDENTICAL job (fixed partition count)
+    """N- vs 4N-CPU legs run the IDENTICAL job (fixed partition count)
     in fresh processes; parallelism is enforced with PHYSICAL core
     affinity (sched_setaffinity, inherited by the raylet and every
     worker), because Ray's logical num_cpus does not stop oversubscribed
-    actors from using all physical cores."""
+    actors from using all physical cores. If this process may use fewer
+    cores than a leg needs, no leg runs and the legs that lack cores
+    are reported as unmeasured."""
     hi = int(os.environ.get("RAY_GRAFT_SCALING_HI", "16"))
+    lo = int(os.environ.get("RAY_GRAFT_SCALING_LO", str(max(1, hi // 4))))
     # RAY_GRAFT_SCALING_LO/HI pick the N and 4N levels; the default is
     # 4 vs 16 on a 40 K-conv corpus: the job is long enough to amortize
     # the box's fixed ~4 s executor/shuffle floor the way a real
@@ -325,6 +340,19 @@ def run_scaling() -> dict:
     # identical partitioned job); default = the hi leg's core count
     scaling_parts = os.environ.get("RAY_GRAFT_SCALING_PARTITIONS", str(hi))
 
+    masks = {n: _leg_cpus(n) for n in (lo, hi)}
+    if None in masks.values():
+        return {
+            "metric": "scaling_efficiency (headline pipeline, fresh ray.init "
+                      f"at num_cpus={lo} vs {hi})",
+            "value": None,
+            "unit": "ratio",
+            "cpus_lo": lo,
+            "cpus_hi": hi,
+            "cpus_available": len(os.sched_getaffinity(0)),
+            "unmeasured": [n for n, m in masks.items() if m is None],
+        }
+
     def sub(ncpu: int, ensure_only: bool = False) -> dict:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    RAY_GRAFT_HEADLINE_ONLY="1",
@@ -335,13 +363,12 @@ def run_scaling() -> dict:
         out = subprocess.run(
             [sys.executable, __file__], env=env,
             capture_output=True, text=True, check=True,
-            preexec_fn=lambda: os.sched_setaffinity(0, set(range(ncpu))),
+            preexec_fn=lambda: os.sched_setaffinity(0, masks[ncpu]),
         ).stdout
         return json.loads(out.strip().splitlines()[-1])
 
     sub(hi, ensure_only=True)   # generate + cache the corpus untimed
 
-    lo = int(os.environ.get("RAY_GRAFT_SCALING_LO", str(max(1, hi // 4))))
     reps = int(os.environ.get("RAY_GRAFT_SCALING_REPS", "3"))
     # min over repetitions: OS page cache / worker churn add 10-30% noise
     runs_lo = [sub(lo) for _ in range(reps)]

@@ -7,9 +7,9 @@
 
 Reads a transcript Parquet directory, materializes the similarity +
 tool-co-occurrence edge table, runs the chosen iterative algorithm on
-the CSR shard actor pool, and writes (vertex, value) partitioned
-Parquet plus a metrics JSON (iterations, convergence, edge counts,
-wall times) for lineage.
+the CSR partitions in their shard host actors, and writes (vertex,
+value) partitioned Parquet plus a metrics JSON (iterations,
+convergence, edge counts, wall times) for lineage.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Session-scoped Ray fixture (ONE ray.init per pytest session), the
-one switch that forces the shuffle path of every broadcast gate and the
-one that forces the graph engine's by-ref message path."""
+one switch that forces the shuffle path of every broadcast gate, the
+one that forces the graph engine's by-ref message path and the one
+that sets its shard host count."""
 
 import pytest
 
@@ -57,6 +58,25 @@ def force_msg_refs(monkeypatch):
     def forced():
         with monkeypatch.context() as m:
             m.setattr(engine, "_MSG_REF_BYTES_DEFAULT", 1)
+            yield
+
+    return forced
+
+
+@pytest.fixture
+def force_hosts(monkeypatch):
+    """Context manager ``forced(h)`` that replaces
+    ``graph.engine._num_hosts`` while it is open, so every engine built
+    inside holds its P partitions in min(h, P) shard hosts instead of
+    min(P, cluster CPUs)."""
+    import contextlib
+
+    import tldr_ray.graph.engine as engine
+
+    @contextlib.contextmanager
+    def forced(h: int):
+        with monkeypatch.context() as m:
+            m.setattr(engine, "_num_hosts", lambda p: min(h, p))
             yield
 
     return forced

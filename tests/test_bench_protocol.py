@@ -26,14 +26,50 @@ def test_stale_unversioned_cache_never_satisfies_new_key():
 
 
 def test_corpus_digest_tracks_content(tmp_path):
+    """The digest follows the rows of the *.parquet files, not their
+    bytes: other rows change it, the same rows in another file layout
+    or order do not, and other files are ignored."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    def write(name, ids, texts):
+        pq.write_table(pa.table({"id": ids, "text": texts}), str(d / name))
+
     d = tmp_path / "c"
     d.mkdir()
-    (d / "a.parquet").write_bytes(b"one")
+    write("a.parquet", [1, 2, 3], ["one", "two", "three"])
     g1 = bench._corpus_digest(str(d))
-    (d / "a.parquet").write_bytes(b"two")
+    write("a.parquet", [1, 2, 3], ["one", "two", "four"])
     g2 = bench._corpus_digest(str(d))
     assert g1 != g2
-    (d / "a.parquet").write_bytes(b"one")
+    write("a.parquet", [1, 2, 3], ["one", "two", "three"])
     assert bench._corpus_digest(str(d)) == g1
     (d / "notes.txt").write_bytes(b"ignored")   # non-parquet excluded
     assert bench._corpus_digest(str(d)) == g1
+    write("a.parquet", [3, 1], ["three", "one"])  # same rows, new layout
+    write("b.parquet", [2], ["two"])
+    assert bench._corpus_digest(str(d)) == g1
+
+
+def test_leg_cpus_stay_inside_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {3, 5, 9})
+    assert bench._leg_cpus(2) == {3, 5}
+    assert bench._leg_cpus(3) == {3, 5, 9}
+    assert bench._leg_cpus(4) is None
+
+
+def test_scaling_legs_without_cores_are_unmeasured(monkeypatch):
+    """With one usable core neither the 4- nor the 16-core leg can be
+    pinned to its cores: nothing runs and both are reported
+    unmeasured, with no efficiency."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a leg ran")
+
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(bench.subprocess, "run", no_run)
+    for var in ("RAY_GRAFT_SCALING_LO", "RAY_GRAFT_SCALING_HI"):
+        monkeypatch.delenv(var, raising=False)
+    out = bench.run_scaling()
+    assert out["value"] is None
+    assert out["unmeasured"] == [4, 16]
+    assert out["cpus_available"] == 1

@@ -95,3 +95,38 @@ def test_personalized_resume_bit_identical(star_edges, tmp_path):
     assert np.array_equal(ids_a, ids_b)
     assert np.array_equal(scores_a, scores_b)   # bitwise, not allclose
     assert info_b["iterations"] == info_a["iterations"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_resume_across_host_counts(star_edges, tmp_path, force_hosts):
+    """Checkpoint files are keyed by partition, not by shard host: a
+    run checkpointed with its 3 partitions in 3 hosts resumes in 1
+    host on the bits of an uninterrupted run."""
+    from tldr_ray.graph import GraphEngine
+
+    ckpt = str(tmp_path / "ckpt")
+
+    eng = GraphEngine.from_edges(star_edges(), 3)
+    ids_a, scores_a, info_a = eng.pagerank(tolerance=1e-10, max_iterations=50)
+    eng.shutdown()
+
+    with force_hosts(3):
+        eng = GraphEngine.from_edges(star_edges(), 3)
+    assert eng.H == 3
+    eng.pagerank(tolerance=1e-10, max_iterations=5,
+                 checkpoint_every=1, checkpoint_dir=ckpt)
+    eng.shutdown()
+    assert sorted(os.listdir(f"{ckpt}/iter=5")) == [
+        f"part={p}.parquet" for p in range(3)]
+
+    with force_hosts(1):
+        eng = GraphEngine.from_edges(star_edges(), 3)
+    assert eng.H == 1
+    ids_b, scores_b, info_b = eng.pagerank(tolerance=1e-10, max_iterations=50,
+                                           checkpoint_dir=ckpt, resume=True)
+    eng.shutdown()
+
+    assert np.array_equal(ids_a, ids_b)
+    assert np.array_equal(scores_a, scores_b)   # bitwise, not allclose
+    assert info_b["iterations"] == info_a["iterations"]
+    assert info_a["converged"] and info_b["converged"]

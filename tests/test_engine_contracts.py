@@ -1,14 +1,17 @@
-"""GraphEngine contracts: bit-exact outputs and round counts, one
-superstep loop, empty graphs, no temp state.
+"""GraphEngine contracts: bit-exact outputs and round counts at every
+shard host count, one superstep loop, empty graphs, no temp state, one
+host process per CPU.
 
 The digests below pin every engine algorithm bit-for-bit on one seeded
 random weighted graph at P=3, next to the number of rounds it runs. The
 other engine tests compare floats with allclose, so without these a
 change in summation order would pass unnoticed. A digest changes only
-when an algorithm's output does.
+when an algorithm's output does; the number of shard hosts carrying
+the three partitions must never change one.
 """
 
 import ast
+import contextlib
 import glob
 import hashlib
 import inspect
@@ -131,27 +134,57 @@ EXPECTED = {
 EXPECTED_HITS = ("be3f6a4e2f4621188a8775c6", 200)
 
 
+# (by_ref, forced host count): the unforced cases take the host count
+# the engine derives, min(P, the session's 4 CPUs) = 3
+HOST_CASES = [pytest.param(by_ref, hosts, id=f"{name}-H{hosts}"
+                           if hosts else name)
+              for hosts in (None, 1, 2, 3)
+              for by_ref, name in ((False, "by-value"), (True, "by-ref"))]
+
+
+@contextlib.contextmanager
+def _messages(by_ref: bool, hosts, force_msg_refs, force_hosts):
+    """Every message by value (the default gate) or as a plasma ref
+    where it crosses hosts, with ``hosts`` shard hosts (None: the
+    derived count)."""
+    with force_msg_refs() if by_ref else contextlib.nullcontext(), \
+            force_hosts(hosts) if hosts else contextlib.nullcontext():
+        yield
+
+
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("by_ref", [False, True],
-                         ids=["by-value", "by-ref"])
-def test_engine_outputs_bit_identical(by_ref, force_msg_refs):
-    """Every message by value (the default gate), then every message
-    as a plasma ref: the same bits and the same rounds."""
-    if by_ref:
-        with force_msg_refs():
-            got = _run_all()
-    else:
+@pytest.mark.parametrize("by_ref,hosts", HOST_CASES)
+def test_engine_outputs_bit_identical(by_ref, hosts, force_msg_refs,
+                                      force_hosts):
+    """By value and by ref, with the three partitions in one, two or
+    three shard hosts: the same bits and the same rounds."""
+    with _messages(by_ref, hosts, force_msg_refs, force_hosts):
         got = _run_all()
     assert got == EXPECTED
 
 
-@pytest.mark.usefixtures("ray_session")
-def test_hits_bit_identical():
+def _hits_result():
     from tldr_ray.graph import hits
 
     _, src, dst, w = _graph()
     ids, hubs, auth, info = hits(_edge_ds(src, dst, w), num_partitions=P)
-    assert (_digest(ids, hubs, auth), info["rounds"]) == EXPECTED_HITS
+    return _digest(ids, hubs, auth), info["rounds"]
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_hits_bit_identical():
+    assert _hits_result() == EXPECTED_HITS
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("by_ref,hosts", [c for c in HOST_CASES
+                                          if c.values[1]])
+def test_hits_bit_identical_across_hosts(by_ref, hosts, force_msg_refs,
+                                         force_hosts):
+    """HITS's two pools hand their state over partition by partition,
+    so each pool's host count cannot change the bits either."""
+    with _messages(by_ref, hosts, force_msg_refs, force_hosts):
+        assert _hits_result() == EXPECTED_HITS
 
 
 # -- one superstep loop --------------------------------------------------
@@ -201,9 +234,9 @@ def test_one_exchange_per_round(monkeypatch):
     for name in ("_exchange", "_all"):
         real = getattr(GraphEngine, name)
 
-        def counted(self, *args, _real=real, _name=name):
+        def counted(self, *args, _real=real, _name=name, **kwargs):
             calls.append(_name)
-            return _real(self, *args)
+            return _real(self, *args, **kwargs)
         monkeypatch.setattr(GraphEngine, name, counted)
     try:
         for run, key in ((eng.connected_components, "iterations"),
@@ -213,6 +246,79 @@ def test_one_exchange_per_round(monkeypatch):
             assert info[key] > 1
             assert calls.count("_exchange") == info[key]
             assert calls.count("_all") == 1
+    finally:
+        eng.shutdown()
+
+
+class _RecordingPool:
+    """Stands in for the engine in ``_until_stable``: records the
+    (merge, emit, round) of every exchange and reports one changed
+    vertex, or none once ``stable_from`` rounds have run."""
+
+    def __init__(self, stable_from: int = 10**9):
+        self.calls, self.stable_from = [], stable_from
+
+    def _exchange(self, outs, merge, emit, r):
+        self.calls.append((merge, emit, r))
+        return [int(r + 1 < self.stable_from)], ["outbox"]
+
+
+def test_cap_round_emits_no_unconsumed_outbox():
+    """No round follows the round cap, so its last phase merges without
+    emitting (an LPA stopped by its cap skipped one ``lpa_messages``
+    no one read); earlier phases, phases with a ``reduce`` and runs
+    that stop on their signal still emit."""
+    from tldr_ray.graph.engine import GraphEngine, _Phase
+
+    def run(phases, max_rounds, **pool):
+        rec = _RecordingPool(**pool)
+        GraphEngine._until_stable(rec, ["outbox"], phases, max_rounds)
+        return rec.calls
+
+    lpa = _Phase("lpa_apply", "lpa_messages")
+    assert run([lpa], 3) == [("lpa_apply", "lpa_messages", 0),
+                             ("lpa_apply", "lpa_messages", 1),
+                             ("lpa_apply", None, 2)]
+    assert run([lpa], 5, stable_from=2) == [
+        ("lpa_apply", "lpa_messages", 0), ("lpa_apply", "lpa_messages", 1)]
+    mis = [_Phase("mis_decide", "mis_notify_messages"),
+           _Phase("mis_exclude", "match_unmatched_messages")]
+    assert run(mis, 1) == [("mis_decide", "mis_notify_messages", 0),
+                           ("mis_exclude", None, 0)]
+    reduced = _Phase("eig_apply", "weighted_messages",
+                     reduce=lambda res: res)
+    assert run([reduced], 1) == [("eig_apply", "weighted_messages", 0)]
+
+
+# -- one host process per CPU --------------------------------------------
+
+def _live_hosts() -> set:
+    import ray
+
+    return {k for k, a in ray._private.state.actors().items()
+            if a["ActorClassName"].endswith("ShardHost")
+            and a["State"] == "ALIVE"}
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_one_host_process_on_one_cpu(monkeypatch):
+    """On a cluster of one CPU, a P=4 engine starts exactly one shard
+    host actor, counted among the cluster's live actors; the
+    partitions stay four."""
+    import ray
+
+    from tldr_ray.graph import GraphEngine
+
+    _, src, dst, w = _graph()
+    before = _live_hosts()
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), 4)
+    try:
+        assert len(_live_hosts() - before) == 1
+        assert (eng.H, eng.P, len(eng.manifest["n_local"])) == (1, 4, 4)
+        assert eng.n_total == sum(eng.manifest["n_local"])
+        assert ray.get([h.n_local.remote() for h in eng.shards]) == \
+            [eng.n_total]
     finally:
         eng.shutdown()
 
@@ -283,7 +389,7 @@ def test_hits_empty_graph_converged():
 
 @pytest.mark.usefixtures("ray_session")
 def test_build_and_run_leave_nothing_in_tmp():
-    """The build pushes edges straight into the shard actors, so a
+    """The build pushes edges straight into the shard hosts, so a
     build, a run and a shutdown create nothing under /tmp/tldr_ray."""
     from tldr_ray.graph import GraphEngine
 

@@ -278,7 +278,7 @@ def test_no_hand_rolled_part_sweeps():
 
 
 def test_engine_import_leaves_pandas_out():
-    """A CsrShard actor imports tldr_ray.graph.engine; that must not
+    """A ShardHost actor imports tldr_ray.graph.engine; that must not
     drag in pandas through the tldr_ray.graph package."""
     import subprocess
     import sys

@@ -53,29 +53,40 @@ def test_streaming_symmetrize_components():
     assert got == {0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3}
 
 
+@pytest.mark.usefixtures("ray_session")
 def test_ingest_duplicate_digest_dropped_distinct_kept():
     """Retry idempotency: a second delivery with the SAME content
-    digest is dropped (counted); distinct digests accumulate. Built
-    via the raw shard actor so the dedup path is pinned directly."""
-    import numpy as np
+    digest is dropped (counted); distinct digests accumulate. The
+    digest set is per partition: one pushed batch sends the same digest
+    to every partition, so partitions 0 and 1 of one host both keep
+    it. Built via a raw shard host holding both partitions so the
+    dedup path is pinned directly."""
     import ray
 
     from tldr_ray.graph.engine import _MSG_REF_BYTES_DEFAULT, _shard_actor_cls
 
-    actor = _shard_actor_cls().remote(0, 1, _MSG_REF_BYTES_DEFAULT)
+    host = _shard_actor_cls().remote(0, 1, 2, _MSG_REF_BYTES_DEFAULT)
     src = np.array([0, 1], np.int64)
     dst = np.array([1, 0], np.int64)
     w = np.ones(2, np.float64)
     verts = np.array([0, 1], np.int64)
-    n1 = ray.get(actor.ingest.remote(b"a", src, dst, w, verts, digest=b"A"))
-    n2 = ray.get(actor.ingest.remote(b"a", src, dst, w, verts, digest=b"A"))
-    n3 = ray.get(actor.ingest.remote(b"b", src + 2, dst + 2, w,
-                                     verts + 2, digest=b"B"))
+    n1 = ray.get(host.ingest.remote(b"a", [(src, dst, w, verts), None],
+                                    b"A"))
+    n2 = ray.get(host.ingest.remote(b"a", [(src, dst, w, verts), None],
+                                    b"A"))
+    n3 = ray.get(host.ingest.remote(
+        b"b", [(src + 2, dst + 2, w, verts + 2), None], b"B"))
     assert (n1, n2, n3) == (2, 2, 2)      # retry reports success
-    n_edges = ray.get(actor.finalize.remote())
+    # partition 1's slice of the batch whose digest A partition 0 holds
+    n4 = ray.get(host.ingest.remote(
+        b"a", [None, (src + 4, dst + 4, w, verts + 4)], b"A"))
+    assert n4 == 2
+    n_edges = ray.get(host.finalize.remote())
     # digest A counted once + digest B: 4 edges, not 6
-    assert n_edges == 4
-    ray.kill(actor)
+    assert n_edges[0] == 4
+    # the same digest on partition 1 is kept
+    assert n_edges[1] == 2
+    ray.kill(host)
 
 
 def _digest(*arrays):
@@ -99,11 +110,18 @@ MULTI_BLOCK_EXPECTED = {
 
 
 @pytest.mark.usefixtures("ray_session")
-@pytest.mark.parametrize("symmetrize", [False, True],
-                         ids=["plain", "symmetrize"])
-def test_multi_block_build_is_deterministic(symmetrize):
+@pytest.mark.parametrize("symmetrize,hosts", [
+    pytest.param(False, None, id="plain"),
+    pytest.param(True, None, id="symmetrize"),
+    pytest.param(False, 1, id="plain-H1"),
+    pytest.param(True, 1, id="symmetrize-H1")])
+def test_multi_block_build_is_deterministic(symmetrize, hosts, force_hosts):
     """Three builds of a 16-block edge Dataset at P=4 give the same
-    PageRank and LPA bits, whatever order the push tasks finish in."""
+    PageRank and LPA bits, whatever order the push tasks finish in:
+    with the derived host count, and with all four partitions in one
+    shard host (H1)."""
+    import contextlib
+
     import pyarrow as pa
     import ray.data as rd
 
@@ -120,9 +138,11 @@ def test_multi_block_build_is_deterministic(symmetrize):
 
     got = set()
     for _ in range(3):
-        eng = GraphEngine.from_edges(rd.from_arrow(table).repartition(16), 4,
-                                     symmetrize=symmetrize)
+        with force_hosts(hosts) if hosts else contextlib.nullcontext():
+            eng = GraphEngine.from_edges(rd.from_arrow(table).repartition(16),
+                                         4, symmetrize=symmetrize)
         try:
+            assert eng.H == (hosts or 4)
             assert eng.manifest["n_edges"] == m * (2 if symmetrize else 1)
             got.add((_digest(*eng.pagerank(tolerance=1e-10)[:2]),
                      _digest(*eng.label_propagation()[:2])))

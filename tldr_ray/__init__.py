@@ -11,7 +11,8 @@ analytics over Parquet conversation-transcript tables:
   tables,
 - a distributed iterative graph engine (``tldr_ray.graph``) running
   PageRank / connected components / label propagation / triangle counting
-  over hash-partitioned CSR shards held by a Ray actor pool, and
+  over hash-partitioned CSR partitions held by Ray shard host actors
+  (one per CPU), and
 - large-scale training-data operators (``tldr_ray.stages``): dedup
   (exact / MinHash-LSH / SimHash / n-gram Jaccard / embedding cosine),
   ANN search, text analysis, multimodal plumbing.

@@ -66,7 +66,7 @@ class GraphConfig:
     engine's per-shard pre-combining bounds a hub destination's fan-in
     at P messages per iteration structurally (see graph/engine.py)."""
 
-    num_partitions: int = 8                 # CSR shards == actor pool size
+    num_partitions: int = 8                 # partitions, in min(P, CPUs) hosts
     damping: float = DEFAULT_DAMPING
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = 200

@@ -1,7 +1,7 @@
 """Distributed graph analytics over hash-partitioned CSR shards.
 
 Exports resolve lazily (PEP 562 ``__getattr__``): importing
-``tldr_ray.graph.engine`` — every ``CsrShard`` actor does — loads the
+``tldr_ray.graph.engine`` — every ``ShardHost`` actor does — loads the
 engine alone, not ``triangles`` / ``centrality`` and the pandas they
 pull in.
 """

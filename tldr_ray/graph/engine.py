@@ -1,51 +1,64 @@
-"""BSP iteration engine over CSR shards held by a Ray actor pool.
+"""BSP iteration engine over P CSR partitions held by H shard host actors.
 
 This is the heart of the distributed layer (north rule): each iteration
-is a sparse gather-scatter (SpMV) of rank mass over CSR partitions held
-by an actor pool, followed by a destination-keyed exchange. Ray Data's
-``groupby(dst).sum()`` shuffle is realized actor-to-actor with per-shard
-PRE-COMBINING: every shard bincounts its outgoing mass per destination
-vertex before anything leaves the process, so a hub destination receives
-at most P partial sums per iteration regardless of its in-degree — the
-skew-salting requirement is structural, not reactive (SURVEY.md §4).
-Only scalars (L1 deltas, norms, change counts) cross the driver.
+is a sparse gather-scatter (SpMV) of rank mass over CSR partitions,
+followed by a destination-keyed exchange. Ray Data's
+``groupby(dst).sum()`` shuffle is realized partition-to-partition with
+per-partition PRE-COMBINING: every partition bincounts its outgoing
+mass per destination vertex before anything leaves it, so a hub
+destination receives at most P partial sums per iteration regardless of
+its in-degree — the skew-salting requirement is structural, not
+reactive (SURVEY.md §4). Only scalars (L1 deltas, norms, change counts)
+cross the driver.
 
 Why raw actors and not per-iteration Dataset ops: Ray Data has no
 iterate-to-fixpoint primitive (SURVEY.md §7.4); re-launching a shuffle
 pipeline per iteration would re-ship the static CSR every round. The
-CSR is pinned once per actor (``__init__``), and each round ships only
-the frontier (rank slices / label deltas) through the object store —
-exactly the "actor pools for stateful stages" carve-out in the build
-brief. The shard build itself (``GraphEngine.from_edges``) IS a Ray Data
-stage — its tasks push each block's slices straight into the actors —
-and results are re-exposed as a Dataset.
+CSR is pinned once per partition, and each round ships only the
+frontier (rank slices / label deltas) — exactly the "actor pools for
+stateful stages" carve-out in the build brief. The shard build itself
+(``GraphEngine.from_edges``) IS a Ray Data stage — its tasks push each
+block's slices straight into the hosts — and results are re-exposed as
+a Dataset.
 
-Shard ownership: vertex v (and every out-edge of v) lives on shard
-``hashing.part_key(v, P)`` = ``vhash(v) % P``. ``vhash`` lives in
-``tldr_ray.hashing``, not in this package, so a shard actor importing
-this module loads no pandas-heavy graph module.
+Partitions and hosts: vertex v (and every out-edge of v) lives in
+partition ``hashing.part_key(v, P)`` = ``vhash(v) % P``, a
+``CsrPartition``. As in Pregel (Malewicz et al., SIGMOD 2010 §4.2), a
+worker owns several partitions: H = min(P, the cluster's CPUs)
+``ShardHost`` actors hold them, partition q on host ``q % H``, and a
+host runs every call on its partitions in ascending q. P fixes the
+results; H only decides how many processes carry them, so every output
+is the same bits at every H. ``vhash`` lives in ``tldr_ray.hashing``,
+not in this package, so a host importing this module loads no
+pandas-heavy graph module.
 
-Message plumbing: at setup each shard publishes, per destination
+Message plumbing: at setup each partition publishes, per destination
 partition q, the sorted vocabulary of destination vertices it ever
 sends to (static for the run); receivers resolve those once to local
-positions. Per iteration only dense float/int arrays aligned to those
-vocabularies travel — zero-copy NumPy views over plasma buffers.
+positions. Per round only dense float/int arrays (or sorted triples)
+aligned to those vocabularies travel. A message between two partitions
+of one host stays in that process: no put, no pickling, no driver. A
+message to another host goes in that host's package, which the driver
+relays; one at or above ``_MSG_REF_BYTES_DEFAULT`` bytes travels as a
+plasma ref instead (``ShardHost._ship``). At H = 1 the driver sees only
+the stop signals.
 
-One superstep, Pregel style (Malewicz et al., SIGMOD 2010): every shard
-EMITS one pre-combined message per destination partition
-(``CsrShard._combine`` for per-vertex arrays, or sorted per-(vertex,
-key) triples), ``GraphEngine._exchange`` hands shard q the messages
-addressed to it, and shard q MERGES them into its state in sender order
-(``CsrShard._gather``, or the triple merges). Merge and the next emit
-are ONE RPC (``CsrShard.superstep``), so a round costs one driver round
-trip per exchange. ``GraphEngine._until_stable`` is the one rounds loop:
-an algorithm supplies its first outboxes (``CsrShard.start``: init plus
-emit) and its phases — one (merge, emit) exchange per round, two for the
-hashed-priority rounds, and for the power iterations a driver reduce
-that normalizes by the global L2 norm (a zero norm ends the run). The
-loop stops once the summed stop signal of the round's last phase is
-<= tol, or at the round cap. The algorithms differ only in what they
-emit, how they merge and what they signal:
+One superstep, Pregel style: every partition EMITS one pre-combined
+message per destination partition (``CsrPartition._combine`` for
+per-vertex arrays, or sorted per-(vertex, key) triples),
+``GraphEngine._exchange`` hands partition q the messages addressed to
+it, and partition q MERGES them into its state in sender order
+(``CsrPartition._gather``, or the triple merges). Merge and the next
+emit are ONE host RPC (``ShardHost.superstep``), so a round costs one
+driver round trip per exchange. ``GraphEngine._until_stable`` is the
+one rounds loop: an algorithm supplies its first outboxes
+(``CsrPartition.start``: init plus emit) and its phases — one (merge,
+emit) exchange per round, two for the hashed-priority rounds, and for
+the power iterations a driver reduce that normalizes by the global L2
+norm (a zero norm ends the run). The loop stops once the summed stop
+signal of the round's last phase is <= tol, or at the round cap. The
+algorithms differ only in what they emit, how they merge and what they
+signal:
 
   algorithm                emit (combiner)             merge                   stop
   pagerank                 rank*w/out (sum), dangling  restart + add           L1 delta <= tol
@@ -70,18 +83,22 @@ emit, how they merge and what they signal:
                            (sum)                                               then level 1
 
 Float sums are bit-deterministic for a given input block set: each
-shard joins the pushed slices in the order of their blocks' content
+partition joins the pushed slices in the order of their blocks' content
 keys, not in arrival order, and every fold then runs in edge order on
-the emitting side and in sender order on the receiving side.
+the emitting side and in sender order on the receiving side; the
+driver sums the per-partition signals in partition order.
 
 Checkpoint/resume: ``_until_stable`` takes a checkpoint hook (used by
 PageRank's ``checkpoint_every``): after every ``every``-th round each
-shard writes its state slice ``iter=<round>/part=<p>.parquet`` (atomic
-rename) and the driver commits ``manifest.json`` with the round, the
-per-partition lineage and the restart-vector digest the hook was given;
-``resume=True`` loads the newest complete checkpoint and starts the loop
-at its round — bit-identical to an uninterrupted run (state is exactly
-the rank vector; updates are deterministic).
+host writes the state slice of each of its partitions to
+``<checkpoint_dir>/iter=<round>/part=<p>.parquet`` (atomic rename; on a
+multi-node cluster the directory must be shared), and the driver
+commits ``manifest.json`` with the round, the per-partition lineage and
+the restart-vector digest the hook was given. The files are keyed by
+partition, not host, so a checkpoint resumes at any H. ``resume=True``
+loads the newest complete checkpoint and starts the loop at its round —
+bit-identical to an uninterrupted run (state is exactly the rank
+vector; updates are deterministic).
 """
 
 from __future__ import annotations
@@ -99,13 +116,13 @@ import pyarrow.parquet as pq
 
 from tldr_ray.hashing import part_key
 
-# Per-object actor-to-actor shipping gate (see CsrShard._ship). Each
+# Per-object host-to-host shipping gate (see ShardHost._ship). Each
 # plasma ref carries ~1-5 ms of fixed ownership/refcount bookkeeping
 # (measured: 1024 refs/iter cost more than relaying 80 MB by value on
 # one box), so only messages big enough to amortize that — or to
 # threaten the driver heap / double network hops on a real cluster —
 # are shipped as refs. ``from_edges`` reads it when it builds the
-# shards; a multi-node cluster, where the driver relay also means two
+# hosts; a multi-node cluster, where the driver relay also means two
 # network crossings per message, would want it lower.
 _MSG_REF_BYTES_DEFAULT = 8 * 1024 * 1024
 
@@ -142,817 +159,921 @@ def _first_rows(pos, ids, prio, descending: bool):
     return pos[st], ids[st], prio[st]
 
 
-def _shard_actor_cls():
-    """Build the shard actor class.
+class CsrPartition:
+    """One logical partition: the CSR of the out-edges of the vertices
+    v with ``part_key(v, P) == part``, its algorithm state, and the
+    emit / merge methods of every algorithm. A plain object: a
+    ``ShardHost`` actor holds several and moves their messages."""
 
-    Shards reserve no CPU, so a pool of P shards is always schedulable
-    whatever the session's CPU count (P > num_cpus would otherwise
-    deadlock actor creation, and reserved CPUs would starve the Ray Data
-    shard build); shard work is bursty, GIL-releasing NumPy, so logical
-    oversubscription is harmless.
+    def __init__(self, part: int, num_partitions: int):
+        self.part = part
+        self.P = num_partitions
+        self._chunks = []           # (key, src, dst, w) per slice
+        self._vchunks = []          # vertex candidates per slice
+        self._seen_digests = set()
+        self._dup_drops = 0
+
+    # -- push-based ingest -----------------------------------------
+    def ingest(self, key: bytes, src, dst, w, vert_candidates,
+               digest: bytes | None = None) -> int:
+        """Accumulate a scatter slice shipped directly from a build
+        task (push shuffle). Arrays arrive as zero-copy NumPy views
+        over plasma.
+
+        ``key`` is a content digest of the slice's whole block (after
+        symmetrizing); ``finalize`` joins the slices in key order,
+        so the CSR — and every float fold over it — does not depend
+        on which push task finished first.
+
+        ``digest`` is a content digest of the WHOLE source batch the
+        slice came from: if Ray retries a push task after some of its
+        ingest() calls already landed (worker died mid-task), the
+        retried calls carry the same digest and are dropped here, so
+        retries are idempotent. Two *byte-identical distinct* input
+        blocks would collide, but the builder digests the full
+        pre-split batch (src+dst+w bytes), so that requires two
+        entire blocks to be byte-equal.
+        """
+        if digest is not None:
+            if digest in self._seen_digests:
+                # duplicate delivery of the same batch slice (task
+                # retry): count it (the retried task's return value
+                # replaces the dead task's), but don't re-accumulate.
+                # Two DISTINCT byte-identical input blocks would
+                # also land here — observable, never silent: the
+                # drop is counted and reported loudly at finalize.
+                self._dup_drops += 1
+                return len(src)
+            self._seen_digests.add(digest)
+        self._chunks.append((key, np.asarray(src), np.asarray(dst),
+                             np.asarray(w)))
+        self._vchunks.append(np.asarray(vert_candidates))
+        return len(src)
+
+    def finalize(self) -> int:
+        """Join the slices in key order and build the CSR; returns
+        the number of edges this partition holds."""
+        if self._dup_drops:
+            # loud: a dropped duplicate-content block is either a
+            # harmless task retry or (rarely) a DISTINCT
+            # byte-identical input block whose edges were lost —
+            # surfaced so the caller can compare n_edges vs source
+            import logging
+
+            logging.getLogger("tldr_ray").warning(
+                "partition %d dropped %d duplicate-digest ingest "
+                "deliveries (task retries are idempotent; if the "
+                "edge source can emit byte-identical distinct "
+                "blocks, verify the built n_edges against the "
+                "source count)", self.part, self._dup_drops)
+        chunks = sorted(self._chunks, key=lambda c: c[0])
+        if chunks:
+            src, dst, w = (np.concatenate([c[i] for c in chunks])
+                           for i in (1, 2, 3))
+        else:
+            src = dst = np.zeros(0, dtype=np.int64)
+            w = np.zeros(0, dtype=np.float64)
+        verts = np.unique(np.concatenate(self._vchunks)) \
+            if self._vchunks else np.zeros(0, dtype=np.int64)
+        self._chunks, self._vchunks = [], []
+        self._seen_digests, self._dup_drops = set(), 0
+        self._build(src, dst, w, verts)
+        return int(src.size)
+
+    def _build(self, src, dst, w, verts):
+        self.verts = verts
+        n_local = self.verts.size
+        src_local = np.searchsorted(self.verts, src)
+        outbound = np.bincount(src_local, weights=w, minlength=n_local) \
+            if n_local else np.zeros(0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w_norm = np.where(outbound[src_local] > 0,
+                              w / outbound[src_local], 0.0) if src.size else w
+        self.dangling_mask = outbound == 0
+
+        dst_part = part_key(dst, self.P)
+        order = np.argsort(dst_part, kind="stable")
+        self.e_src_local = src_local[order]
+        self.e_wnorm = np.asarray(w_norm)[order] if src.size else w_norm
+        self.e_weight_sorted = w[order]     # raw weights (LPA votes)
+        e_dst = dst[order]
+        dp_sorted = dst_part[order]
+        q_lo = np.searchsorted(dp_sorted, np.arange(self.P))
+        q_hi = np.searchsorted(dp_sorted, np.arange(self.P) + 1)
+        # edges bound for destination partition q
+        self.q_slices = [slice(lo, hi) for lo, hi in zip(q_lo, q_hi)]
+        self.dvocabs = []
+        self.dlocals = []
+        for sl in self.q_slices:
+            dv, dl = np.unique(e_dst[sl], return_inverse=True)
+            self.dvocabs.append(dv)
+            self.dlocals.append(dl)
+
+        self.incoming_idx = None   # per sender p: local positions
+        self.state = None          # float ranks or int labels
+        self.round = 0             # the superstep round (``superstep``)
+        self.n_total = None        # PageRank: global vertex count,
+        self.alpha = None          # damping,
+        self.pvec = None           # restart vector (None = uniform)
+        self.emitted = None        # power iteration: last emitted state
+        self._clamp = None         # label_spread: clamped seeds
+
+    # -- the superstep and its two halves -------------------------
+    def start(self, init: str | None, emit: str, *args):
+        """Round 0: ``init(*args)`` (if any), then emit the first
+        outbox in the same RPC. Returns (what ``init`` returned,
+        outbox)."""
+        self.round = 0
+        return getattr(self, init)(*args) if init else None, \
+            getattr(self, emit)()
+
+    def superstep(self, inbox, merge: str, emit: str | None, r: int):
+        """One fused BSP superstep: merge the inbox of round ``r``
+        (``merge`` sees ``self.round == r``), then emit the outbox
+        of round r + 1 in the same RPC. Returns (``merge``'s stop
+        signal, outbox); with no ``emit`` the outbox is None."""
+        self.round = r
+        signal = getattr(self, merge)(inbox)
+        self.round = r + 1
+        return signal, getattr(self, emit)() if emit else None
+
+    def _combine(self, values, ufunc, fill):
+        """Emit: fold the per-edge ``values`` into one array per
+        destination partition q, aligned to ``dvocabs[q]`` (each
+        slot starts at ``fill``; ``ufunc`` folds the edges in, in
+        edge order). Sums from zero use
+        bincount, which adds in the same order as ``np.add.at``
+        (the same bits) and is much faster."""
+        out = []
+        for q, sl in enumerate(self.q_slices):
+            if ufunc is np.add and fill == 0:
+                acc = np.bincount(self.dlocals[q], weights=values[sl],
+                                  minlength=self.dvocabs[q].size)
+            else:
+                acc = np.full(self.dvocabs[q].size, fill,
+                              dtype=values.dtype)
+                ufunc.at(acc, self.dlocals[q], values[sl])
+            out.append(acc)
+        return out
+
+    def _gather(self, inbox, ufunc, base):
+        """Merge: fold each sender's ``_combine`` array into ``base``
+        at the local positions of its vocabulary, in sender order,
+        and return ``base``. It must stay ``ufunc.at`` into the
+        base: ``base + bincount(...)`` rounds sums differently."""
+        for idx, arr in zip(self.incoming_idx, inbox):
+            arr = np.asarray(arr)
+            if arr.size:
+                ufunc.at(base, idx, arr)
+        return base
+
+    def _inbox_rows(self, inbox):
+        """The senders' (dst_local, a, b) triples concatenated in
+        sender order, with dst_local mapped to local positions."""
+        rows = [(idx[np.asarray(t[0])], np.asarray(t[1]),
+                 np.asarray(t[2]))
+                for idx, t in zip(self.incoming_idx, inbox)]
+        return [np.concatenate(c) for c in zip(*rows)]
+
+    def _settle(self, new) -> int:
+        """Adopt ``new`` as the state; returns how many vertices
+        changed."""
+        changed = int((new != self.state).sum())
+        self.state = new
+        return changed
+
+    def _find(self, ids_sorted):
+        """Which local vertices occur in ``ids_sorted``: (mask over
+        the local vertices, positions of those hits in
+        ``ids_sorted``)."""
+        if not ids_sorted.size:
+            return np.zeros(self.verts.size, dtype=bool), \
+                np.zeros(0, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(ids_sorted, self.verts),
+                         ids_sorted.size - 1)
+        hit = ids_sorted[pos] == self.verts
+        return hit, pos[hit]
+
+    # -- setup -----------------------------------------------------
+    def publish_vocabs(self):
+        """The one-time outbox: per destination partition q, the
+        sorted destination vertices this partition ever sends to."""
+        return self.dvocabs
+
+    def register_incoming(self, vocabs):
+        """Resolve every sender's vocabulary to local positions once."""
+        self.incoming_idx = [np.searchsorted(self.verts, np.asarray(v))
+                             for v in vocabs]
+
+    def n_local(self) -> int:
+        return int(self.verts.size)
+
+    def sample_verts(self, k: int):
+        """First k local vertex ids — cheap pivot seeds for the
+        sampled-betweenness CLI (no O(V) collect)."""
+        return self.verts[:k].tolist()
+
+    def seed_init(self, seeds, at_seed, elsewhere) -> int:
+        """State = ``at_seed`` at the local seed vertices,
+        ``elsewhere`` at the rest; returns how many seeds this partition
+        owns (the driver checks the global sum is nonzero)."""
+        hit = np.isin(self.verts, np.asarray(seeds, dtype=np.int64))
+        self.state = np.where(hit, at_seed, elsewhere)
+        return int(hit.sum())
+
+    # -- pagerank --------------------------------------------------
+    def pr_setup(self, n_total: int, alpha: float, seed):
+        """Damping, uniform start state and restart vector: this
+        partition's slice of ``seed`` = (sorted ids, weights), a plasma
+        ref the driver rescales by the global coverage, or None for
+        the uniform one. Returns the local seed weight."""
+        self.n_total, self.alpha = n_total, alpha
+        self.state = np.full(self.verts.size, 1.0 / n_total) \
+            if n_total else np.zeros(0)
+        self.pvec = None
+        if seed is None:
+            return 0.0
+        seed_ids, seed_w = seed
+        self.pvec = np.zeros(self.verts.size)
+        hit, at = self._find(seed_ids)
+        self.pvec[hit] = seed_w[at]
+        return float(self.pvec.sum())
+
+    def pr_rescale_personalization(self, factor: float):
+        """Normalize the restart vector and start from it."""
+        self.pvec = self.pvec * factor
+        self.state = self.pvec.copy()
+
+    def pr_warm_start(self, warm, fill: float) -> float:
+        """Seed the rank state from a prior run's (sorted ids,
+        scores): local vertices found in the carry-over keep their
+        old score, new vertices start at ``fill`` (the uniform
+        mass). Returns the local state sum so the driver can
+        renormalize globally (the old graph's mass on vanished
+        vertices must be redistributed)."""
+        ids_sorted, scores = warm
+        st = np.full(self.verts.size, fill)
+        hit, at = self._find(ids_sorted)
+        st[hit] = scores[at]
+        self.state = st
+        return float(st.sum())
+
+    def pr_scale_state(self, factor: float):
+        self.state = self.state * factor
+
+    def pr_messages(self):
+        """Per destination partition: (this partition's dangling mass,
+        its pre-combined rank mass). Every receiver sums the
+        dangling masses in sender order, so the driver relays no
+        scalar."""
+        masses = self._combine(self.state[self.e_src_local]
+                               * self.e_wnorm, np.add, 0.0)
+        dangling = float(self.state[self.dangling_mask].sum())
+        return [(dangling, m) for m in masses]
+
+    def pr_apply(self, inbox) -> float:
+        """Restart (uniform or personalized) plus the damped
+        incoming mass; returns the L1 change of the rank state."""
+        coef = (1.0 - self.alpha) + self.alpha * sum(d for d, _ in inbox)
+        new = coef * self.pvec if self.pvec is not None \
+            else np.full(self.verts.size, coef / self.n_total)
+        new = self._gather([self.alpha * np.asarray(m) for _, m in inbox],
+                           np.add, new)
+        delta = float(np.abs(new - self.state).sum())
+        self.state = new
+        return delta
+
+    # -- min / max label fixpoints ---------------------------------
+    def label_init(self):
+        """Every vertex starts labeled with its own id (CC, LPA)."""
+        self.state = self.verts.copy()
+        self._clamp = None
+
+    def label_warm(self, warm):
+        """Seed labels from a prior run's (sorted ids, labels):
+        state = min(own id, carried label). Correct ONLY for
+        edge-ADDITION deltas (see GraphEngine.connected_components
+        docstring for the argument); unknown vertices fall back to
+        their own id."""
+        ids_sorted, labels = warm
+        st = self.verts.copy()
+        hit, at = self._find(ids_sorted)
+        st[hit] = np.minimum(st[hit], labels[at])
+        self.state = st
+
+    def cc_messages(self):
+        return self._combine(self.state[self.e_src_local], np.minimum,
+                             _INT64_MAX)
+
+    def bfs_messages(self):
+        """min(dist[src] + 1) per destination. Unreached sources
+        propagate INT64_MAX unchanged (no +1 overflow)."""
+        d = self.state[self.e_src_local]
+        return self._combine(np.where(d == _INT64_MAX, _INT64_MAX, d + 1),
+                             np.minimum, _INT64_MAX)
+
+    def sssp_messages(self):
+        """min(dist[src] + w) per destination — distances
+        accumulate seed-outward, so every path sum is associated
+        left-to-right and the float fixpoint is deterministic
+        (message order can't change which IEEE sum wins the min)."""
+        return self._combine(self.state[self.e_src_local]
+                             + self.e_weight_sorted, np.minimum, np.inf)
+
+    def temporal_messages(self):
+        """Time-respecting relaxation: edge weights ARE departure
+        timestamps; an edge (u,v) at time tau is usable only once
+        u has been reached by tau (arr[u] <= tau), and then
+        delivers arrival tau at v. Candidates are picked from the
+        fixed timestamp set (never combined), so the fixpoint is
+        bit-deterministic."""
+        tau = self.e_weight_sorted
+        return self._combine(
+            np.where(tau >= self.state[self.e_src_local], tau, np.inf),
+            np.minimum, np.inf)
+
+    def widest_messages(self):
+        """max over edges of min(width[src], w) per destination —
+        the max-min dual of sssp_messages. Widths are picked (never
+        arithmetically combined) from the fixed edge-weight set, so
+        the float fixpoint is trivially bit-deterministic. Unreached
+        sources propagate -inf, harmless under the max merge."""
+        return self._combine(np.minimum(self.state[self.e_src_local],
+                                        self.e_weight_sorted),
+                             np.maximum, -np.inf)
+
+    def min_apply(self, inbox) -> int:
+        return self._settle(self._gather(inbox, np.minimum,
+                                         self.state.copy()))
+
+    def max_apply(self, inbox) -> int:
+        return self._settle(self._gather(inbox, np.maximum,
+                                         self.state.copy()))
+
+    # -- sampled Brandes betweenness (forward sigma BFS + level-
+    #    synchronous backward dependency accumulation). Sigma stays
+    #    EXACT: path counts are integer-valued float64 sums (exact
+    #    to 2^53); only delta is genuinely float, and its fixed
+    #    edge-order combine + sender-order merge make the fixpoint
+    #    deterministic for a given input. -------------------------
+    def bc_begin(self):
+        self.bc_acc = np.zeros(self.verts.size)
+
+    def bc_fwd_init(self, seeds) -> int:
+        seeds = np.asarray(seeds, dtype=np.int64)
+        self.bc_dist = np.where(np.isin(self.verts, seeds),
+                                0, _INT64_MAX).astype(np.int64)
+        self.bc_sigma = (self.bc_dist == 0).astype(np.float64)
+        return int((self.bc_dist == 0).sum())
+
+    def bc_fwd_messages(self):
+        """Path counts of the level-``round`` frontier."""
+        sig = np.where(self.bc_dist[self.e_src_local] == self.round,
+                       self.bc_sigma[self.e_src_local], 0.0)
+        return self._combine(sig, np.add, 0.0)
+
+    def bc_fwd_apply(self, sums) -> int:
+        inc = self._gather(sums, np.add, np.zeros(self.verts.size))
+        newly = (self.bc_dist == _INT64_MAX) & (inc > 0.0)
+        self.bc_dist[newly] = self.round + 1
+        self.bc_sigma[newly] = inc[newly]
+        return int(newly.sum())
+
+    def bc_max_level(self) -> int:
+        m = self.bc_dist[self.bc_dist != _INT64_MAX]
+        return int(m.max()) if m.size else 0
+
+    def bc_bwd_init(self, max_level: int):
+        """Sweep levels ``max_level`` .. 1 back, one per round."""
+        self.bc_delta = np.zeros(self.verts.size)
+        self._max_level = max_level
+
+    def bc_bwd_messages(self):
+        """Level-k vertices (k = max_level - round) send
+        (1 + delta)/sigma over every out-edge; a receiver at level
+        k-1 is NECESSARILY a predecessor on some shortest path (BFS
+        level property), so multiplying the received sum by its own
+        sigma is exactly Brandes' dependency accumulation."""
+        level = self._max_level - self.round
+        d = self.bc_dist[self.e_src_local]
+        sig = np.where(self.bc_sigma[self.e_src_local] > 0.0,
+                       self.bc_sigma[self.e_src_local], 1.0)
+        contrib = np.where(
+            d == level,
+            (1.0 + self.bc_delta[self.e_src_local]) / sig, 0.0)
+        return self._combine(contrib, np.add, 0.0)
+
+    def bc_bwd_apply(self, sums) -> int:
+        """Accumulate into level k-1; returns the levels left."""
+        level = self._max_level - self.round
+        inc = self._gather(sums, np.add, np.zeros(self.verts.size))
+        mask = self.bc_dist == (level - 1)
+        self.bc_delta[mask] += self.bc_sigma[mask] * inc[mask]
+        return level - 1
+
+    def bc_accumulate(self, seed) -> None:
+        acc = self.bc_delta.copy()
+        acc[np.isin(self.verts,
+                    np.asarray(seed, dtype=np.int64))] = 0.0
+        self.bc_acc += acc
+
+    def bc_finish(self):
+        self.state = self.bc_acc
+
+    # -- label propagation (weighted mode, smallest-label ties) ----
+    def lpa_seed_init(self, seeds) -> int:
+        """Seed-clamped start for label_spread: ``seeds`` = (sorted
+        ids, labels). Non-seeds start unlabeled (-1) and do not vote
+        until labeled; seeds are clamped for the whole run. Returns
+        how many seeds this partition owns."""
+        ids_sorted, labels = seeds
+        st = np.full(self.verts.size, -1, dtype=np.int64)
+        hit, at = self._find(ids_sorted)
+        st[hit] = labels[at]
+        self._clamp = st >= 0
+        self.state = st
+        return int(self._clamp.sum())
+
+    def lpa_messages(self):
+        """Per destination partition, this partition's (dst_local,
+        label, summed weight) votes, one row per (dst, label). Every
+        source votes, except that label_spread's unlabeled (-1)
+        vertices do not."""
+        lab = self.state[self.e_src_local]
+        voting = None if self._clamp is None else lab >= 0
+        out = []
+        for q, sl in enumerate(self.q_slices):
+            cols = (self.dlocals[q], lab[sl], self.e_weight_sorted[sl])
+            if voting is not None:
+                cols = [c[voting[sl]] for c in cols]
+            out.append(_sum_runs(*cols))
+        return out
+
+    def lpa_apply(self, trips) -> int:
+        """Every voted vertex adopts its heaviest label summed over
+        all senders (ties -> smallest label); clamped seeds never
+        change and unvoted vertices keep their state."""
+        pos, lab, w = _sum_runs(*self._inbox_rows(trips))
+        (pos, lab), st = _runs((pos, lab), (lab, -w, pos), 1)
+        tgt, val = pos[st], lab[st]
+        if self._clamp is not None:
+            free = ~self._clamp[tgt]
+            tgt, val = tgt[free], val[free]
+        new = self.state.copy()
+        new[tgt] = val
+        return self._settle(new)
+
+    # -- hashed-priority rounds: matching, MIS, coloring ------------
+    def undecided_init(self):
+        """State -1 = undecided (unmatched / not yet in or out of
+        the set / uncolored)."""
+        self.state = np.full(self.verts.size, -1, dtype=np.int64)
+
+    def _priority(self, salt: int):
+        """splitmix64(v * K + salt) per local vertex."""
+        from tldr_ray.stages.dedup import _mix64
+
+        return _mix64(self.verts.astype(np.uint64)
+                      * np.uint64(0x9E3779B97F4A7C15) + np.uint64(salt))
+
+    def _best_nbr_messages(self, prio, descending: bool):
+        """Per destination partition, each destination's best
+        UNDECIDED source neighbor as (dst_local, id, priority): the
+        min (priority, id), or the max if ``descending``. Pre-
+        combined per partition, so a hub receives at most P
+        candidates."""
+        active = self.state[self.e_src_local] == -1
+        src_v = self.verts[self.e_src_local]
+        kv = prio[self.e_src_local]
+        out = []
+        for q, sl in enumerate(self.q_slices):
+            m = active[sl]
+            out.append(_first_rows(self.dlocals[q][m], src_v[sl][m],
+                                   kv[sl][m], descending))
+        return out
+
+    def _best_nbr(self, trips, descending: bool):
+        """Merge the senders' ``_best_nbr_messages``: per local
+        vertex, (has a candidate, its priority, its id)."""
+        pos, ids, prio = _first_rows(*self._inbox_rows(trips),
+                                     descending)
+        has = np.zeros(self.verts.size, dtype=bool)
+        best_k = np.zeros(self.verts.size, dtype=np.uint64)
+        best_v = np.zeros(self.verts.size, dtype=np.int64)
+        has[pos] = True
+        best_k[pos] = prio
+        best_v[pos] = ids
+        return has, best_k, best_v
+
+    def match_unmatched_messages(self):
+        """Each destination's unmatched source neighbor with the
+        SMALLEST round-salted priority splitmix64(src * K + round
+        + 1) (ties -> smaller id). The per-round re-salt is what
+        makes the handshake converge in O(log n) expected rounds
+        (Israeli-Itai) — min-by-raw-id serializes on paths/rings.
+        MIS uses the same message for its active neighbors."""
+        return self._best_nbr_messages(self._priority(self.round + 1),
+                                       False)
+
+    def match_set_proposals(self, trips):
+        """p(v) = the min-(key, id) unmatched neighbor across all
+        senders, for unmatched local v."""
+        has, _, best_v = self._best_nbr(trips, False)
+        self._prop = np.where(has & (self.state == -1), best_v,
+                              _INT64_MAX)
+
+    def match_propose_messages(self):
+        """Ship (partner, proposer) pairs to the partner's owning
+        partition."""
+        has = self._prop != _INT64_MAX
+        partner = self._prop[has]
+        proposer = self.verts[has]
+        part = part_key(partner, self.P)
+        out = []
+        for q in range(self.P):
+            m = part == q
+            out.append((partner[m], proposer[m]))
+        return out
+
+    def match_resolve(self, pairs) -> int:
+        """Match u=partner with v=proposer iff the proposals are
+        mutual (p(u) == v); returns new matches on this partition."""
+        new = 0
+        for (partner, proposer) in pairs:
+            partner = np.asarray(partner)
+            proposer = np.asarray(proposer)
+            if not partner.size:
+                continue
+            pos = np.searchsorted(self.verts, partner)
+            pos = np.minimum(pos, max(self.verts.size - 1, 0))
+            ok = self.verts[pos] == partner
+            pos, v = pos[ok], proposer[ok]
+            mutual = self._prop[pos] == v
+            tgt, val = pos[mutual], v[mutual]
+            self.state[tgt] = val
+            new += int(tgt.size)
+        return new
+
+    def mis_decide(self, trips) -> int:
+        """An ACTIVE vertex joins the MIS iff its own round-salted
+        (priority, id) beats the minimum over its ACTIVE neighbors
+        (match_unmatched_messages, same priorities). No active
+        neighbor -> joins. Returns new members on this partition."""
+        has, best_k, best_v = self._best_nbr(trips, False)
+        own_k = self._priority(self.round + 1)
+        win = (self.state == -1) & (
+            ~has | (own_k < best_k)
+            | ((own_k == best_k) & (self.verts < best_v)))
+        self._new_mis = win
+        self.state[win] = 1
+        return int(win.sum())
+
+    def mis_notify_messages(self):
+        """Per destination: does it have a NEW MIS source neighbor?
+        (OR is the combiner.)"""
+        return self._combine(self._new_mis[self.e_src_local],
+                             np.logical_or, False)
+
+    def mis_exclude(self, flags) -> int:
+        """Active vertices with a new MIS neighbor leave the game
+        (state 0). Returns the partition's remaining active count."""
+        hit = self._gather(flags, np.logical_or,
+                           np.zeros(self.verts.size, dtype=bool))
+        self.state[(self.state == -1) & hit] = 0
+        return int((self.state == -1).sum())
+
+    def color_init(self):
+        self.undecided_init()
+        self._prio = self._priority(0)
+
+    def color_nbr_max_messages(self):
+        """Per destination: the MAXIMUM (static priority, id) over
+        UNCOLORED source neighbors."""
+        return self._best_nbr_messages(self._prio, True)
+
+    def color_decide(self, trips) -> int:
+        """An uncolored vertex WINS the round iff its own
+        (priority, id) exceeds every uncolored neighbor's — winners
+        form an independent set, so same-round color picks cannot
+        conflict. Returns the partition's winner count."""
+        has, best_k, best_v = self._best_nbr(trips, True)
+        win = (self.state == -1) & (
+            ~has | (self._prio > best_k)
+            | ((self._prio == best_k) & (self.verts > best_v)))
+        self._winner = win
+        return int(win.sum())
+
+    def color_mask_messages(self):
+        """Per destination: OR of (1 << color) over COLORED source
+        neighbors (int64 bitmask; JP needs <= maxdeg+1 < 63
+        colors — guarded in color_assign)."""
+        col = self.state[self.e_src_local]
+        bits = np.where(col >= 0, np.left_shift(1, np.maximum(col, 0)), 0)
+        return self._combine(bits, np.bitwise_or, 0)
+
+    def color_assign(self, masks) -> int:
+        """Winners take the lowest color bit absent from their
+        colored-neighbor mask."""
+        acc = self._gather(masks, np.bitwise_or,
+                           np.zeros(self.verts.size, dtype=np.int64))
+        w = np.flatnonzero(self._winner)
+        if not w.size:
+            # no winners here this round — but the partition may still
+            # hold uncolored vertices waiting on remote neighbors
+            return int((self.state == -1).sum())
+        inv = ~acc[w].view(np.uint64)
+        low = inv & (~inv + np.uint64(1))      # lowest unset bit
+        c = np.round(np.log2(low.astype(np.float64))).astype(np.int64)
+        if (c >= 62).any():
+            raise ValueError("coloring exceeded the 62-color "
+                             "bitmask budget")
+        self.state[w] = c
+        return int((self.state == -1).sum())
+
+    # -- eigenvector centrality and HITS (power iteration) ---------
+    def power_init(self, value: float):
+        """Every vertex starts at ``value``."""
+        self.state = self.emitted = np.full(self.verts.size, value)
+
+    def weighted_messages(self):
+        """Raw-weight SpMV messages from the current state, which is
+        kept as ``emitted`` (by reference: every update REBINDS
+        state, never mutates it) to measure the next change
+        against."""
+        self.emitted = self.state
+        return self._combine(self.state[self.e_src_local]
+                             * self.e_weight_sorted, np.add, 0.0)
+
+    def eig_apply(self, masses) -> float:
+        """Consume incoming raw-weight masses and form (A + I) x
+        from the previous NORMALIZED vector (the +I shift makes the
+        iteration converge on bipartite components too). Returns
+        the local sum of squares so the driver can assemble the
+        global L2 norm."""
+        self.state = self._gather(masses, np.add, self.state.copy())
+        return float((self.state * self.state).sum())
+
+    def hits_apply(self, masses) -> float:
+        """state = incoming masses only (NO +I shift — A^T A is
+        PSD so the alternating iteration cannot oscillate).
+        Returns the local sum of squares."""
+        self.state = self._gather(masses, np.add,
+                                  np.zeros(self.verts.size))
+        return float((self.state * self.state).sum())
+
+    def _emit_from(self, new):
+        """Adopt ``new`` and emit from it; returns (L1 change vs
+        the last emitted state, outbox)."""
+        d = float(np.abs(new - self.emitted).sum())
+        self.state = new
+        return d, self.weighted_messages()
+
+    def eig_scale_emit(self, factor: float):
+        """Normalize by the global L2 factor and emit from the
+        normalized vector."""
+        return self._emit_from(self.state * factor)
+
+    def scale_and_state_ref(self, factor: float):
+        """Normalize by the global factor and hand the state out as
+        one plasma ref (the cross-pool handoff: the twin engine's
+        same-index partition owns the SAME sorted vertex set, so the
+        array aligns positionally)."""
+        import ray
+
+        self.state = self.state * factor
+        return ray.put(self.state)
+
+    def take_state(self, arr):
+        """Adopt the twin partition's handed-off state (fetched
+        zero-copy from plasma) and emit from it: across one full
+        HITS round the L1 change is the convergence signal."""
+        return self._emit_from(np.asarray(arr, dtype=np.float64).copy())
+
+    # -- k-core decomposition (distributed H-index iteration) ------
+    def kcore_init(self) -> int:
+        """state = undirected degree (assumes symmetrized, deduped
+        weight-1 edges — each neighbor counted once)."""
+        self.state = np.bincount(
+            self.e_src_local, minlength=self.verts.size) \
+            .astype(np.int64)
+        return int(self.state.max()) if self.state.size else 0
+
+    def kcore_messages(self):
+        """Per-destination (dst_local, value, count) triples — the
+        pre-combined histogram a receiver needs to compute the
+        H-index of its neighbors' current values."""
+        val = self.state[self.e_src_local]
+        ones = np.ones(val.size, dtype=np.int64)
+        return [_sum_runs(self.dlocals[q], val[sl], ones[sl])
+                for q, sl in enumerate(self.q_slices)]
+
+    def kcore_apply(self, trips) -> int:
+        """new(v) = min(state(v), H-index of neighbor values):
+        converges exactly to the core number (Lu et al., the
+        H-index fixpoint of networks)."""
+        pos, val, cnt = self._inbox_rows(trips)
+        # per vertex: sort values desc, running neighbor count,
+        # H = max over rows of min(value, cum_count)
+        (pos, val, cnt), st = _runs((pos, val, cnt), (-val, pos), 1)
+        cum = np.cumsum(cnt)
+        before = np.repeat(cum[st] - cnt[st],
+                           np.diff(np.append(st, pos.size)))
+        h = np.maximum.reduceat(np.minimum(val, cum - before), st)
+        new = self.state.copy()
+        tgt = pos[st]
+        new[tgt] = np.minimum(new[tgt], h)
+        return self._settle(new)
+
+    # -- state I/O -------------------------------------------------
+    def collect(self):
+        return self.verts, self.state
+
+    def collect_table(self, value_name: str = "score") -> pa.Table:
+        """Per-partition result as an Arrow table; the driver consumes
+        only the ObjectRef (ray.data.from_arrow_refs), so no O(V)
+        vertex state is ever concatenated in the driver process."""
+        return pa.table({"vertex": pa.array(self.verts),
+                         value_name: pa.array(self.state)})
+
+    def write_state(self, ckpt_dir: str):
+        os.makedirs(ckpt_dir, exist_ok=True)
+        t = pa.table({"vertex": pa.array(self.verts),
+                      "value": pa.array(self.state)})
+        tmp = f"{ckpt_dir}/part={self.part}.parquet.tmp-{uuid.uuid4().hex[:6]}"
+        pq.write_table(t, tmp)
+        os.replace(tmp, f"{ckpt_dir}/part={self.part}.parquet")
+        return int(self.verts.size)
+
+    def load_state(self, ckpt_dir: str):
+        t = pq.read_table(f"{ckpt_dir}/part={self.part}.parquet",
+                          use_threads=False)
+        v = np.asarray(t["vertex"], dtype=np.int64)
+        assert np.array_equal(v, self.verts), "checkpoint/partition mismatch"
+        self.state = t["value"].to_numpy()
+
+
+def _num_hosts(num_partitions: int) -> int:
+    """H = min(P, the Ray cluster's CPUs): one shard host per CPU, as
+    in Pregel, where a worker owns several partitions."""
+    import ray
+
+    cpus = int(ray.cluster_resources().get("CPU", 1))
+    return min(num_partitions, max(1, cpus))
+
+
+def _msg_nbytes(m) -> int:
+    """Array bytes of a message: an array or a tuple of arrays and
+    scalars."""
+    if isinstance(m, np.ndarray):
+        return m.nbytes
+    if isinstance(m, tuple):
+        return sum(_msg_nbytes(a) for a in m)
+    return 0
+
+
+def _shard_actor_cls():
+    """Build the shard host actor class. Host h of H holds the
+    partitions q with ``q % H == h`` and runs every call on them in
+    ascending q order, so H actor processes carry P partitions.
+
+    Hosts reserve no CPU, so a pool is always schedulable whatever the
+    session's CPU count (reserved CPUs would starve the Ray Data shard
+    build that pushes the edges in); shard work is bursty,
+    GIL-releasing NumPy.
     """
     import ray
 
     @ray.remote(num_cpus=0)
-    class CsrShard:
-        def __init__(self, part: int, num_partitions: int,
+    class ShardHost:
+        def __init__(self, host: int, num_hosts: int, num_partitions: int,
                      msg_ref_bytes: int):
             """Cheap construction, so actor process spawn overlaps the
             Ray Data build that pushes the edges in (``ingest``)."""
-            self.part = part
-            self.P = num_partitions
+            self.h, self.H, self.P = host, num_hosts, num_partitions
             self.msg_ref_bytes = msg_ref_bytes
-            self._chunks = []           # (key, src, dst, w) per slice
-            self._vchunks = []          # vertex candidates per slice
-            self._seen_digests = set()
-            self._dup_drops = 0
+            self.parts = [CsrPartition(q, num_partitions)
+                          for q in range(host, num_partitions, num_hosts)]
+            self._boxes = None      # local partitions' held inboxes
 
-        # -- push-based ingest -----------------------------------------
-        def ingest(self, key: bytes, src, dst, w, vert_candidates,
-                   digest: bytes | None = None) -> int:
-            """Accumulate a scatter slice shipped directly from a build
-            task (push shuffle). Arrays arrive as zero-copy NumPy views
-            over plasma.
+        def ingest(self, key: bytes, slices: list, digest: bytes) -> int:
+            """One push of a build task: per local partition, its
+            (src, dst, w, vertex candidates) slice or None. Each
+            partition keeps its own retry-dedup digest set, since one
+            batch sends the same digest to every partition."""
+            return sum(part.ingest(key, *sl, digest=digest)
+                       for part, sl in zip(self.parts, slices)
+                       if sl is not None)
 
-            ``key`` is a content digest of the slice's whole block (after
-            symmetrizing); ``finalize`` joins the slices in key order,
-            so the CSR — and every float fold over it — does not depend
-            on which push task finished first.
+        def finalize(self) -> list:
+            return [part.finalize() for part in self.parts]
 
-            ``digest`` is a content digest of the WHOLE source batch the
-            slice came from: if Ray retries a push task after some of its
-            ingest() calls already landed (worker died mid-task), the
-            retried calls carry the same digest and are dropped here, so
-            retries are idempotent. Two *byte-identical distinct* input
-            blocks would collide, but the builder digests the full
-            pre-split batch (src+dst+w bytes), so that requires two
-            entire blocks to be byte-equal.
-            """
-            if digest is not None:
-                if digest in self._seen_digests:
-                    # duplicate delivery of the same batch slice (task
-                    # retry): count it (the retried task's return value
-                    # replaces the dead task's), but don't re-accumulate.
-                    # Two DISTINCT byte-identical input blocks would
-                    # also land here — observable, never silent: the
-                    # drop is counted and reported loudly at finalize.
-                    self._dup_drops += 1
-                    return len(src)
-                self._seen_digests.add(digest)
-            self._chunks.append((key, np.asarray(src), np.asarray(dst),
-                                 np.asarray(w)))
-            self._vchunks.append(np.asarray(vert_candidates))
-            return len(src)
+        def n_local(self) -> int:
+            """Vertices held by this host (all its partitions)."""
+            return sum(part.n_local() for part in self.parts)
 
-        def finalize(self) -> int:
-            if self._dup_drops:
-                # loud: a dropped duplicate-content block is either a
-                # harmless task retry or (rarely) a DISTINCT
-                # byte-identical input block whose edges were lost —
-                # surfaced so the caller can compare n_edges vs source
-                import logging
+        def sample_verts(self, k: int):
+            """First k vertex ids of this host's first partition
+            (partition 0 on host 0)."""
+            return self.parts[0].sample_verts(k)
 
-                logging.getLogger("tldr_ray").warning(
-                    "shard %d dropped %d duplicate-digest ingest "
-                    "deliveries (task retries are idempotent; if the "
-                    "edge source can emit byte-identical distinct "
-                    "blocks, verify the built n_edges against the "
-                    "source count)", self.part, self._dup_drops)
-            chunks = sorted(self._chunks, key=lambda c: c[0])
-            if chunks:
-                src, dst, w = (np.concatenate([c[i] for c in chunks])
-                               for i in (1, 2, 3))
-            else:
-                src = dst = np.zeros(0, dtype=np.int64)
-                w = np.zeros(0, dtype=np.float64)
-            verts = np.unique(np.concatenate(self._vchunks)) \
-                if self._vchunks else np.zeros(0, dtype=np.int64)
-            self._chunks, self._vchunks = [], []
-            self._seen_digests, self._dup_drops = set(), 0
-            self._build(src, dst, w, verts)
-            return int(verts.size)
+        def call(self, method: str, each, emits: bool, *args):
+            """``method(*args)``, or ``method(each[i], *args)``, on
+            every local partition i in ascending order; returns their
+            results. With ``emits`` each result is (value, outbox), and
+            the call returns (values, ``_post`` of the outboxes)."""
+            fns = [getattr(part, method) for part in self.parts]
+            res = [f(*args) for f in fns] if each is None else \
+                [f(e, *args) for f, e in zip(fns, self._fetch(each))]
+            if not emits:
+                return res
+            return [v for v, _ in res], self._post([o for _, o in res])
 
-        def _build(self, src, dst, w, verts):
-            self.verts = verts
-            n_local = self.verts.size
-            src_local = np.searchsorted(self.verts, src)
-            outbound = np.bincount(src_local, weights=w, minlength=n_local) \
-                if n_local else np.zeros(0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w_norm = np.where(outbound[src_local] > 0,
-                                  w / outbound[src_local], 0.0) if src.size else w
-            self.dangling_mask = outbound == 0
+        def superstep(self, inbox: list, merge: str, emit: str | None,
+                      r: int):
+            """Deliver round ``r``'s messages, then run every local
+            partition's fused ``superstep``; ``inbox[g]`` is host g's
+            package for this host (None from itself)."""
+            return self.call("superstep", self._receive(inbox), True,
+                             merge, emit, r)
 
-            dst_part = part_key(dst, self.P)
-            order = np.argsort(dst_part, kind="stable")
-            self.e_src_local = src_local[order]
-            self.e_wnorm = np.asarray(w_norm)[order] if src.size else w_norm
-            self.e_weight_sorted = w[order]     # raw weights (LPA votes)
-            e_dst = dst[order]
-            dp_sorted = dst_part[order]
-            q_lo = np.searchsorted(dp_sorted, np.arange(self.P))
-            q_hi = np.searchsorted(dp_sorted, np.arange(self.P) + 1)
-            # edges bound for destination partition q
-            self.q_slices = [slice(lo, hi) for lo, hi in zip(q_lo, q_hi)]
-            self.dvocabs = []
-            self.dlocals = []
-            for sl in self.q_slices:
-                dv, dl = np.unique(e_dst[sl], return_inverse=True)
-                self.dvocabs.append(dv)
-                self.dlocals.append(dl)
+        def _post(self, outboxes: list):
+            """Hold what the local partitions address to each other
+            (it stays in this process: no put, no pickling), and return
+            per host g the package of what they address to g's
+            partitions, ``package[i][j]`` from the i-th local partition
+            to g's j-th. None when there is no outbox (no emit)."""
+            if outboxes[0] is None:
+                return None
+            mine = range(self.h, self.P, self.H)
+            self._boxes = [[None] * self.P for _ in mine]
+            for p, out in zip(mine, outboxes):
+                for box, q in zip(self._boxes, mine):
+                    box[p] = out[q]
+            return [None if g == self.h else
+                    [[self._ship(out[q]) for q in range(g, self.P, self.H)]
+                     for out in outboxes]
+                    for g in range(self.H)]
 
-            self.incoming_idx = None   # per sender p: local positions
-            self.state = None          # float ranks or int labels
-            self.round = 0             # the superstep round (``superstep``)
-            self.n_total = None        # PageRank: global vertex count,
-            self.alpha = None          # damping,
-            self.pvec = None           # restart vector (None = uniform)
-            self.emitted = None        # power iteration: last emitted state
-            self._clamp = None         # label_spread: clamped seeds
+        def _ship(self, m):
+            """Messages to another host are gated PER OBJECT: one at or
+            above ``msg_ref_bytes`` is ray.put() here and travels
+            plasma-to-plasma to its receiver, so the driver only relays
+            the ObjectRef. Smaller ones go by value: a driver-relayed
+            ref costs ~1-5 ms of bookkeeping, which dominates below
+            the gate."""
+            return ray.put(m) if _msg_nbytes(m) >= self.msg_ref_bytes \
+                else m
 
-        # -- actor-to-actor message shipping ---------------------------
-        @staticmethod
-        def _msg_nbytes(m) -> int:
-            if isinstance(m, np.ndarray):
-                return m.nbytes
-            if isinstance(m, tuple):
-                return sum(a.nbytes for a in m)
-            return 0
-
-        def _ship(self, msgs: list):
-            """Messages are gated PER OBJECT: an array above
-            ``msg_ref_bytes`` is ray.put() by this (sending) shard and
-            travels plasma-to-plasma to its one receiver — the driver
-            only relays the tiny ObjectRef, so no O(V) floats ever pass
-            through the driver process. Small arrays stay by value:
-            driver-relayed refs carry a fixed ~ms bookkeeping cost per
-            object, which dominates below the gate."""
-            import ray
-
-            return [ray.put(m) if self._msg_nbytes(m) >= self.msg_ref_bytes
-                    else m for m in msgs]
+        def _receive(self, inbox: list) -> list:
+            """Fill the held boxes with the other hosts' packages and
+            fetch every ref: per local partition, the messages of all
+            P senders in sender order."""
+            boxes, self._boxes = self._boxes, None
+            for g, pkg in enumerate(inbox):
+                if pkg is not None:
+                    for p, row in zip(range(g, self.P, self.H), pkg):
+                        for box, m in zip(boxes, row):
+                            box[p] = m
+            flat = self._fetch([m for box in boxes for m in box])
+            return [flat[i * self.P:(i + 1) * self.P]
+                    for i in range(len(boxes))]
 
         @staticmethod
         def _fetch(items: list) -> list:
-            import ray
-
             idx = [i for i, x in enumerate(items)
                    if isinstance(x, ray.ObjectRef)]
             if idx:
-                got = ray.get([items[i] for i in idx])
                 items = list(items)
-                for i, v in zip(idx, got):
+                for i, v in zip(idx, ray.get([items[i] for i in idx])):
                     items[i] = v
             return items
 
-        # -- the superstep and its two halves -------------------------
-        def start(self, init: str, emit: str, *args):
-            """Round 0: ``init(*args)``, then emit the first outbox in
-            the same RPC. Returns (what ``init`` returned, outbox)."""
-            self.round = 0
-            return getattr(self, init)(*args), getattr(self, emit)()
-
-        def superstep(self, inbox, merge: str, emit: str | None, r: int):
-            """One fused BSP superstep: merge the inbox of round ``r``
-            (``merge`` sees ``self.round == r``), then emit the outbox
-            of round r + 1 in the same RPC. Returns (``merge``'s stop
-            signal, outbox); with no ``emit`` the outbox is None."""
-            self.round = r
-            signal = getattr(self, merge)(inbox)
-            self.round = r + 1
-            return signal, getattr(self, emit)() if emit else None
-
-        def _combine(self, values, ufunc, fill):
-            """Emit: fold the per-edge ``values`` into one array per
-            destination partition q, aligned to ``dvocabs[q]`` (each
-            slot starts at ``fill``; ``ufunc`` folds the edges in, in
-            edge order), and ``_ship`` them. Sums from zero use
-            bincount, which adds in the same order as ``np.add.at``
-            (the same bits) and is much faster."""
-            out = []
-            for q, sl in enumerate(self.q_slices):
-                if ufunc is np.add and fill == 0:
-                    acc = np.bincount(self.dlocals[q], weights=values[sl],
-                                      minlength=self.dvocabs[q].size)
-                else:
-                    acc = np.full(self.dvocabs[q].size, fill,
-                                  dtype=values.dtype)
-                    ufunc.at(acc, self.dlocals[q], values[sl])
-                out.append(acc)
-            return self._ship(out)
-
-        def _gather(self, inbox, ufunc, base):
-            """Merge: fold each sender's ``_combine`` array into ``base``
-            at the local positions of its vocabulary, in sender order,
-            and return ``base``. It must stay ``ufunc.at`` into the
-            base: ``base + bincount(...)`` rounds sums differently."""
-            for idx, arr in zip(self.incoming_idx, self._fetch(inbox)):
-                arr = np.asarray(arr)
-                if arr.size:
-                    ufunc.at(base, idx, arr)
-            return base
-
-        def _inbox_rows(self, inbox):
-            """The senders' (dst_local, a, b) triples concatenated in
-            sender order, with dst_local mapped to local positions."""
-            rows = [(idx[np.asarray(t[0])], np.asarray(t[1]),
-                     np.asarray(t[2]))
-                    for idx, t in zip(self.incoming_idx, self._fetch(inbox))]
-            return [np.concatenate(c) for c in zip(*rows)]
-
-        def _settle(self, new) -> int:
-            """Adopt ``new`` as the state; returns how many vertices
-            changed."""
-            changed = int((new != self.state).sum())
-            self.state = new
-            return changed
-
-        def _find(self, ids_sorted):
-            """Which local vertices occur in ``ids_sorted``: (mask over
-            the local vertices, positions of those hits in
-            ``ids_sorted``)."""
-            if not ids_sorted.size:
-                return np.zeros(self.verts.size, dtype=bool), \
-                    np.zeros(0, dtype=np.int64)
-            pos = np.minimum(np.searchsorted(ids_sorted, self.verts),
-                             ids_sorted.size - 1)
-            hit = ids_sorted[pos] == self.verts
-            return hit, pos[hit]
-
-        # -- setup -----------------------------------------------------
-        def publish_vocabs(self):
-            """One-time exchange goes through plasma refs so vocab bytes
-            flow actor-to-actor, not through the driver (per-iteration
-            messages use the same path once they outgrow
-            ``msg_ref_bytes``)."""
-            import ray
-            return [ray.put(dv) for dv in self.dvocabs]
-
-        def register_incoming(self, vocab_refs):
-            import ray
-            self.incoming_idx = [
-                np.searchsorted(self.verts, np.asarray(ray.get(r)))
-                for r in vocab_refs
-            ]
-
-        def n_local(self) -> int:
-            return int(self.verts.size)
-
-        def sample_verts(self, k: int):
-            """First k local vertex ids — cheap pivot seeds for the
-            sampled-betweenness CLI (no O(V) collect)."""
-            return self.verts[:k].tolist()
-
-        def seed_init(self, seeds, at_seed, elsewhere) -> int:
-            """State = ``at_seed`` at the local seed vertices,
-            ``elsewhere`` at the rest; returns how many seeds this shard
-            owns (the driver checks the global sum is nonzero)."""
-            hit = np.isin(self.verts, np.asarray(seeds, dtype=np.int64))
-            self.state = np.where(hit, at_seed, elsewhere)
-            return int(hit.sum())
-
-        # -- pagerank --------------------------------------------------
-        def pr_setup(self, n_total: int, alpha: float, seed):
-            """Damping, uniform start state and restart vector: this
-            shard's slice of ``seed`` = (sorted ids, weights), a plasma
-            ref the driver rescales by the global coverage, or None for
-            the uniform one. Returns the local seed weight."""
-            self.n_total, self.alpha = n_total, alpha
-            self.state = np.full(self.verts.size, 1.0 / n_total) \
-                if n_total else np.zeros(0)
-            self.pvec = None
-            if seed is None:
-                return 0.0
-            seed_ids, seed_w = seed
-            self.pvec = np.zeros(self.verts.size)
-            hit, at = self._find(seed_ids)
-            self.pvec[hit] = seed_w[at]
-            return float(self.pvec.sum())
-
-        def pr_rescale_personalization(self, factor: float):
-            """Normalize the restart vector and start from it."""
-            self.pvec = self.pvec * factor
-            self.state = self.pvec.copy()
-
-        def pr_warm_start(self, warm, fill: float) -> float:
-            """Seed the rank state from a prior run's (sorted ids,
-            scores): local vertices found in the carry-over keep their
-            old score, new vertices start at ``fill`` (the uniform
-            mass). Returns the local state sum so the driver can
-            renormalize globally (the old graph's mass on vanished
-            vertices must be redistributed)."""
-            ids_sorted, scores = warm
-            st = np.full(self.verts.size, fill)
-            hit, at = self._find(ids_sorted)
-            st[hit] = scores[at]
-            self.state = st
-            return float(st.sum())
-
-        def pr_scale_state(self, factor: float):
-            self.state = self.state * factor
-
-        def pr_messages(self):
-            """Per destination partition: (this shard's dangling mass,
-            its pre-combined rank mass). Every receiver sums the
-            dangling masses in sender order, so the driver relays no
-            scalar. Large mass arrays are ray.put() here (``_ship``), so
-            the bytes move plasma-to-plasma between shard actors."""
-            masses = self._combine(self.state[self.e_src_local]
-                                   * self.e_wnorm, np.add, 0.0)
-            dangling = float(self.state[self.dangling_mask].sum())
-            return [(dangling, m) for m in masses]
-
-        def pr_apply(self, inbox) -> float:
-            """Restart (uniform or personalized) plus the damped
-            incoming mass; returns the L1 change of the rank state."""
-            coef = (1.0 - self.alpha) + self.alpha * sum(d for d, _ in inbox)
-            new = coef * self.pvec if self.pvec is not None \
-                else np.full(self.verts.size, coef / self.n_total)
-            masses = self._fetch([m for _, m in inbox])
-            new = self._gather([self.alpha * np.asarray(m) for m in masses],
-                               np.add, new)
-            delta = float(np.abs(new - self.state).sum())
-            self.state = new
-            return delta
-
-        # -- min / max label fixpoints ---------------------------------
-        def label_init(self):
-            """Every vertex starts labeled with its own id (CC, LPA)."""
-            self.state = self.verts.copy()
-            self._clamp = None
-
-        def label_warm(self, warm):
-            """Seed labels from a prior run's (sorted ids, labels):
-            state = min(own id, carried label). Correct ONLY for
-            edge-ADDITION deltas (see GraphEngine.connected_components
-            docstring for the argument); unknown vertices fall back to
-            their own id."""
-            ids_sorted, labels = warm
-            st = self.verts.copy()
-            hit, at = self._find(ids_sorted)
-            st[hit] = np.minimum(st[hit], labels[at])
-            self.state = st
-
-        def cc_messages(self):
-            return self._combine(self.state[self.e_src_local], np.minimum,
-                                 _INT64_MAX)
-
-        def bfs_messages(self):
-            """min(dist[src] + 1) per destination. Unreached sources
-            propagate INT64_MAX unchanged (no +1 overflow)."""
-            d = self.state[self.e_src_local]
-            return self._combine(np.where(d == _INT64_MAX, _INT64_MAX, d + 1),
-                                 np.minimum, _INT64_MAX)
-
-        def sssp_messages(self):
-            """min(dist[src] + w) per destination — distances
-            accumulate seed-outward, so every path sum is associated
-            left-to-right and the float fixpoint is deterministic
-            (message order can't change which IEEE sum wins the min)."""
-            return self._combine(self.state[self.e_src_local]
-                                 + self.e_weight_sorted, np.minimum, np.inf)
-
-        def temporal_messages(self):
-            """Time-respecting relaxation: edge weights ARE departure
-            timestamps; an edge (u,v) at time tau is usable only once
-            u has been reached by tau (arr[u] <= tau), and then
-            delivers arrival tau at v. Candidates are picked from the
-            fixed timestamp set (never combined), so the fixpoint is
-            bit-deterministic."""
-            tau = self.e_weight_sorted
-            return self._combine(
-                np.where(tau >= self.state[self.e_src_local], tau, np.inf),
-                np.minimum, np.inf)
-
-        def widest_messages(self):
-            """max over edges of min(width[src], w) per destination —
-            the max-min dual of sssp_messages. Widths are picked (never
-            arithmetically combined) from the fixed edge-weight set, so
-            the float fixpoint is trivially bit-deterministic. Unreached
-            sources propagate -inf, harmless under the max merge."""
-            return self._combine(np.minimum(self.state[self.e_src_local],
-                                            self.e_weight_sorted),
-                                 np.maximum, -np.inf)
-
-        def min_apply(self, inbox) -> int:
-            return self._settle(self._gather(inbox, np.minimum,
-                                             self.state.copy()))
-
-        def max_apply(self, inbox) -> int:
-            return self._settle(self._gather(inbox, np.maximum,
-                                             self.state.copy()))
-
-        # -- sampled Brandes betweenness (forward sigma BFS + level-
-        #    synchronous backward dependency accumulation). Sigma stays
-        #    EXACT: path counts are integer-valued float64 sums (exact
-        #    to 2^53); only delta is genuinely float, and its fixed
-        #    edge-order combine + sender-order merge make the fixpoint
-        #    deterministic for a given input. -------------------------
-        def bc_begin(self):
-            self.bc_acc = np.zeros(self.verts.size)
-
-        def bc_fwd_init(self, seeds) -> int:
-            seeds = np.asarray(seeds, dtype=np.int64)
-            self.bc_dist = np.where(np.isin(self.verts, seeds),
-                                    0, _INT64_MAX).astype(np.int64)
-            self.bc_sigma = (self.bc_dist == 0).astype(np.float64)
-            return int((self.bc_dist == 0).sum())
-
-        def bc_fwd_messages(self):
-            """Path counts of the level-``round`` frontier."""
-            sig = np.where(self.bc_dist[self.e_src_local] == self.round,
-                           self.bc_sigma[self.e_src_local], 0.0)
-            return self._combine(sig, np.add, 0.0)
-
-        def bc_fwd_apply(self, sums) -> int:
-            inc = self._gather(sums, np.add, np.zeros(self.verts.size))
-            newly = (self.bc_dist == _INT64_MAX) & (inc > 0.0)
-            self.bc_dist[newly] = self.round + 1
-            self.bc_sigma[newly] = inc[newly]
-            return int(newly.sum())
-
-        def bc_max_level(self) -> int:
-            m = self.bc_dist[self.bc_dist != _INT64_MAX]
-            return int(m.max()) if m.size else 0
-
-        def bc_bwd_init(self, max_level: int):
-            """Sweep levels ``max_level`` .. 1 back, one per round."""
-            self.bc_delta = np.zeros(self.verts.size)
-            self._max_level = max_level
-
-        def bc_bwd_messages(self):
-            """Level-k vertices (k = max_level - round) send
-            (1 + delta)/sigma over every out-edge; a receiver at level
-            k-1 is NECESSARILY a predecessor on some shortest path (BFS
-            level property), so multiplying the received sum by its own
-            sigma is exactly Brandes' dependency accumulation."""
-            level = self._max_level - self.round
-            d = self.bc_dist[self.e_src_local]
-            sig = np.where(self.bc_sigma[self.e_src_local] > 0.0,
-                           self.bc_sigma[self.e_src_local], 1.0)
-            contrib = np.where(
-                d == level,
-                (1.0 + self.bc_delta[self.e_src_local]) / sig, 0.0)
-            return self._combine(contrib, np.add, 0.0)
-
-        def bc_bwd_apply(self, sums) -> int:
-            """Accumulate into level k-1; returns the levels left."""
-            level = self._max_level - self.round
-            inc = self._gather(sums, np.add, np.zeros(self.verts.size))
-            mask = self.bc_dist == (level - 1)
-            self.bc_delta[mask] += self.bc_sigma[mask] * inc[mask]
-            return level - 1
-
-        def bc_accumulate(self, seed) -> None:
-            acc = self.bc_delta.copy()
-            acc[np.isin(self.verts,
-                        np.asarray(seed, dtype=np.int64))] = 0.0
-            self.bc_acc += acc
-
-        def bc_finish(self):
-            self.state = self.bc_acc
-
-        # -- label propagation (weighted mode, smallest-label ties) ----
-        def lpa_seed_init(self, seeds) -> int:
-            """Seed-clamped start for label_spread: ``seeds`` = (sorted
-            ids, labels). Non-seeds start unlabeled (-1) and do not vote
-            until labeled; seeds are clamped for the whole run. Returns
-            how many seeds this shard owns."""
-            ids_sorted, labels = seeds
-            st = np.full(self.verts.size, -1, dtype=np.int64)
-            hit, at = self._find(ids_sorted)
-            st[hit] = labels[at]
-            self._clamp = st >= 0
-            self.state = st
-            return int(self._clamp.sum())
-
-        def lpa_messages(self):
-            """Per destination partition, this shard's (dst_local,
-            label, summed weight) votes, one row per (dst, label). Every
-            source votes, except that label_spread's unlabeled (-1)
-            vertices do not."""
-            lab = self.state[self.e_src_local]
-            voting = None if self._clamp is None else lab >= 0
-            out = []
-            for q, sl in enumerate(self.q_slices):
-                cols = (self.dlocals[q], lab[sl], self.e_weight_sorted[sl])
-                if voting is not None:
-                    cols = [c[voting[sl]] for c in cols]
-                out.append(_sum_runs(*cols))
-            return self._ship(out)
-
-        def lpa_apply(self, trips) -> int:
-            """Every voted vertex adopts its heaviest label summed over
-            all senders (ties -> smallest label); clamped seeds never
-            change and unvoted vertices keep their state."""
-            pos, lab, w = _sum_runs(*self._inbox_rows(trips))
-            (pos, lab), st = _runs((pos, lab), (lab, -w, pos), 1)
-            tgt, val = pos[st], lab[st]
-            if self._clamp is not None:
-                free = ~self._clamp[tgt]
-                tgt, val = tgt[free], val[free]
-            new = self.state.copy()
-            new[tgt] = val
-            return self._settle(new)
-
-        # -- hashed-priority rounds: matching, MIS, coloring ------------
-        def undecided_init(self):
-            """State -1 = undecided (unmatched / not yet in or out of
-            the set / uncolored)."""
-            self.state = np.full(self.verts.size, -1, dtype=np.int64)
-
-        def _priority(self, salt: int):
-            """splitmix64(v * K + salt) per local vertex."""
-            from tldr_ray.stages.dedup import _mix64
-
-            return _mix64(self.verts.astype(np.uint64)
-                          * np.uint64(0x9E3779B97F4A7C15) + np.uint64(salt))
-
-        def _best_nbr_messages(self, prio, descending: bool):
-            """Per destination partition, each destination's best
-            UNDECIDED source neighbor as (dst_local, id, priority): the
-            min (priority, id), or the max if ``descending``. Pre-
-            combined per shard, so a hub receives at most P
-            candidates."""
-            active = self.state[self.e_src_local] == -1
-            src_v = self.verts[self.e_src_local]
-            kv = prio[self.e_src_local]
-            out = []
-            for q, sl in enumerate(self.q_slices):
-                m = active[sl]
-                out.append(_first_rows(self.dlocals[q][m], src_v[sl][m],
-                                       kv[sl][m], descending))
-            return self._ship(out)
-
-        def _best_nbr(self, trips, descending: bool):
-            """Merge the senders' ``_best_nbr_messages``: per local
-            vertex, (has a candidate, its priority, its id)."""
-            pos, ids, prio = _first_rows(*self._inbox_rows(trips),
-                                         descending)
-            has = np.zeros(self.verts.size, dtype=bool)
-            best_k = np.zeros(self.verts.size, dtype=np.uint64)
-            best_v = np.zeros(self.verts.size, dtype=np.int64)
-            has[pos] = True
-            best_k[pos] = prio
-            best_v[pos] = ids
-            return has, best_k, best_v
-
-        def match_unmatched_messages(self):
-            """Each destination's unmatched source neighbor with the
-            SMALLEST round-salted priority splitmix64(src * K + round
-            + 1) (ties -> smaller id). The per-round re-salt is what
-            makes the handshake converge in O(log n) expected rounds
-            (Israeli-Itai) — min-by-raw-id serializes on paths/rings.
-            MIS uses the same message for its active neighbors."""
-            return self._best_nbr_messages(self._priority(self.round + 1),
-                                           False)
-
-        def match_set_proposals(self, trips):
-            """p(v) = the min-(key, id) unmatched neighbor across all
-            senders, for unmatched local v."""
-            has, _, best_v = self._best_nbr(trips, False)
-            self._prop = np.where(has & (self.state == -1), best_v,
-                                  _INT64_MAX)
-
-        def match_propose_messages(self):
-            """Ship (partner, proposer) pairs to the partner's owning
-            partition."""
-            has = self._prop != _INT64_MAX
-            partner = self._prop[has]
-            proposer = self.verts[has]
-            part = part_key(partner, self.P)
-            out = []
-            for q in range(self.P):
-                m = part == q
-                out.append((partner[m], proposer[m]))
-            return self._ship(out)
-
-        def match_resolve(self, pairs) -> int:
-            """Match u=partner with v=proposer iff the proposals are
-            mutual (p(u) == v); returns new matches on this shard."""
-            pairs = self._fetch(pairs)
-            new = 0
-            for (partner, proposer) in pairs:
-                partner = np.asarray(partner)
-                proposer = np.asarray(proposer)
-                if not partner.size:
-                    continue
-                pos = np.searchsorted(self.verts, partner)
-                pos = np.minimum(pos, max(self.verts.size - 1, 0))
-                ok = self.verts[pos] == partner
-                pos, v = pos[ok], proposer[ok]
-                mutual = self._prop[pos] == v
-                tgt, val = pos[mutual], v[mutual]
-                self.state[tgt] = val
-                new += int(tgt.size)
-            return new
-
-        def mis_decide(self, trips) -> int:
-            """An ACTIVE vertex joins the MIS iff its own round-salted
-            (priority, id) beats the minimum over its ACTIVE neighbors
-            (match_unmatched_messages, same priorities). No active
-            neighbor -> joins. Returns new members on this shard."""
-            has, best_k, best_v = self._best_nbr(trips, False)
-            own_k = self._priority(self.round + 1)
-            win = (self.state == -1) & (
-                ~has | (own_k < best_k)
-                | ((own_k == best_k) & (self.verts < best_v)))
-            self._new_mis = win
-            self.state[win] = 1
-            return int(win.sum())
-
-        def mis_notify_messages(self):
-            """Per destination: does it have a NEW MIS source neighbor?
-            (OR is the combiner.)"""
-            return self._combine(self._new_mis[self.e_src_local],
-                                 np.logical_or, False)
-
-        def mis_exclude(self, flags) -> int:
-            """Active vertices with a new MIS neighbor leave the game
-            (state 0). Returns the shard's remaining active count."""
-            hit = self._gather(flags, np.logical_or,
-                               np.zeros(self.verts.size, dtype=bool))
-            self.state[(self.state == -1) & hit] = 0
-            return int((self.state == -1).sum())
-
-        def color_init(self):
-            self.undecided_init()
-            self._prio = self._priority(0)
-
-        def color_nbr_max_messages(self):
-            """Per destination: the MAXIMUM (static priority, id) over
-            UNCOLORED source neighbors."""
-            return self._best_nbr_messages(self._prio, True)
-
-        def color_decide(self, trips) -> int:
-            """An uncolored vertex WINS the round iff its own
-            (priority, id) exceeds every uncolored neighbor's — winners
-            form an independent set, so same-round color picks cannot
-            conflict. Returns the shard's winner count."""
-            has, best_k, best_v = self._best_nbr(trips, True)
-            win = (self.state == -1) & (
-                ~has | (self._prio > best_k)
-                | ((self._prio == best_k) & (self.verts > best_v)))
-            self._winner = win
-            return int(win.sum())
-
-        def color_mask_messages(self):
-            """Per destination: OR of (1 << color) over COLORED source
-            neighbors (int64 bitmask; JP needs <= maxdeg+1 < 63
-            colors — guarded in color_assign)."""
-            col = self.state[self.e_src_local]
-            bits = np.where(col >= 0, np.left_shift(1, np.maximum(col, 0)), 0)
-            return self._combine(bits, np.bitwise_or, 0)
-
-        def color_assign(self, masks) -> int:
-            """Winners take the lowest color bit absent from their
-            colored-neighbor mask."""
-            acc = self._gather(masks, np.bitwise_or,
-                               np.zeros(self.verts.size, dtype=np.int64))
-            w = np.flatnonzero(self._winner)
-            if not w.size:
-                # no winners here this round — but the shard may still
-                # hold uncolored vertices waiting on remote neighbors
-                return int((self.state == -1).sum())
-            inv = ~acc[w].view(np.uint64)
-            low = inv & (~inv + np.uint64(1))      # lowest unset bit
-            c = np.round(np.log2(low.astype(np.float64))).astype(np.int64)
-            if (c >= 62).any():
-                raise ValueError("coloring exceeded the 62-color "
-                                 "bitmask budget")
-            self.state[w] = c
-            return int((self.state == -1).sum())
-
-        # -- eigenvector centrality and HITS (power iteration) ---------
-        def power_init(self, value: float):
-            """Every vertex starts at ``value``."""
-            self.state = self.emitted = np.full(self.verts.size, value)
-
-        def weighted_messages(self):
-            """Raw-weight SpMV messages from the current state, which is
-            kept as ``emitted`` (by reference: every update REBINDS
-            state, never mutates it) to measure the next change
-            against."""
-            self.emitted = self.state
-            return self._combine(self.state[self.e_src_local]
-                                 * self.e_weight_sorted, np.add, 0.0)
-
-        def eig_apply(self, masses) -> float:
-            """Consume incoming raw-weight masses and form (A + I) x
-            from the previous NORMALIZED vector (the +I shift makes the
-            iteration converge on bipartite components too). Returns
-            the local sum of squares so the driver can assemble the
-            global L2 norm."""
-            self.state = self._gather(masses, np.add, self.state.copy())
-            return float((self.state * self.state).sum())
-
-        def hits_apply(self, masses) -> float:
-            """state = incoming masses only (NO +I shift — A^T A is
-            PSD so the alternating iteration cannot oscillate).
-            Returns the local sum of squares."""
-            self.state = self._gather(masses, np.add,
-                                      np.zeros(self.verts.size))
-            return float((self.state * self.state).sum())
-
-        def _emit_from(self, new):
-            """Adopt ``new`` and emit from it; returns (L1 change vs
-            the last emitted state, outbox)."""
-            d = float(np.abs(new - self.emitted).sum())
-            self.state = new
-            return d, self.weighted_messages()
-
-        def eig_scale_emit(self, factor: float):
-            """Normalize by the global L2 factor and emit from the
-            normalized vector."""
-            return self._emit_from(self.state * factor)
-
-        def scale_and_state_ref(self, factor: float):
-            """Normalize by the global factor and hand the state out as
-            one plasma ref (the cross-pool handoff: the twin engine's
-            same-index shard owns the SAME sorted vertex set, so the
-            array aligns positionally)."""
-            import ray
-
-            self.state = self.state * factor
-            return ray.put(self.state)
-
-        def take_state(self, arr):
-            """Adopt the twin shard's handed-off state (auto-deref'd
-            zero-copy from plasma) and emit from it: across one full
-            HITS round the L1 change is the convergence signal."""
-            return self._emit_from(np.asarray(arr, dtype=np.float64).copy())
-
-        # -- k-core decomposition (distributed H-index iteration) ------
-        def kcore_init(self) -> int:
-            """state = undirected degree (assumes symmetrized, deduped
-            weight-1 edges — each neighbor counted once)."""
-            self.state = np.bincount(
-                self.e_src_local, minlength=self.verts.size) \
-                .astype(np.int64)
-            return int(self.state.max()) if self.state.size else 0
-
-        def kcore_messages(self):
-            """Per-destination (dst_local, value, count) triples — the
-            pre-combined histogram a receiver needs to compute the
-            H-index of its neighbors' current values."""
-            val = self.state[self.e_src_local]
-            ones = np.ones(val.size, dtype=np.int64)
-            return self._ship([_sum_runs(self.dlocals[q], val[sl], ones[sl])
-                               for q, sl in enumerate(self.q_slices)])
-
-        def kcore_apply(self, trips) -> int:
-            """new(v) = min(state(v), H-index of neighbor values):
-            converges exactly to the core number (Lu et al., the
-            H-index fixpoint of networks)."""
-            pos, val, cnt = self._inbox_rows(trips)
-            # per vertex: sort values desc, running neighbor count,
-            # H = max over rows of min(value, cum_count)
-            (pos, val, cnt), st = _runs((pos, val, cnt), (-val, pos), 1)
-            cum = np.cumsum(cnt)
-            before = np.repeat(cum[st] - cnt[st],
-                               np.diff(np.append(st, pos.size)))
-            h = np.maximum.reduceat(np.minimum(val, cum - before), st)
-            new = self.state.copy()
-            tgt = pos[st]
-            new[tgt] = np.minimum(new[tgt], h)
-            return self._settle(new)
-
-        # -- state I/O -------------------------------------------------
-        def collect(self):
-            return self.verts, self.state
-
-        def collect_table(self, value_name: str = "score") -> pa.Table:
-            """Per-shard result as an Arrow table; the driver consumes
-            only the ObjectRef (ray.data.from_arrow_refs), so no O(V)
-            vertex state is ever concatenated in the driver process."""
-            return pa.table({"vertex": pa.array(self.verts),
-                             value_name: pa.array(self.state)})
-
-        def write_state(self, ckpt_dir: str):
-            os.makedirs(ckpt_dir, exist_ok=True)
-            t = pa.table({"vertex": pa.array(self.verts),
-                          "value": pa.array(self.state)})
-            tmp = f"{ckpt_dir}/part={self.part}.parquet.tmp-{uuid.uuid4().hex[:6]}"
-            pq.write_table(t, tmp)
-            os.replace(tmp, f"{ckpt_dir}/part={self.part}.parquet")
-            return int(self.verts.size)
-
-        def load_state(self, ckpt_dir: str):
-            t = pq.read_table(f"{ckpt_dir}/part={self.part}.parquet",
-                              use_threads=False)
-            v = np.asarray(t["vertex"], dtype=np.int64)
-            assert np.array_equal(v, self.verts), "checkpoint/partition mismatch"
-            self.state = t["value"].to_numpy()
-
-    return CsrShard
+        def collect_tables(self, value_name: str):
+            """One Arrow table per local partition (the caller asks for
+            one return object per partition)."""
+            tabs = [part.collect_table(value_name) for part in self.parts]
+            return tabs if len(tabs) > 1 else tabs[0]
+
+    return ShardHost
+
+
+def _l2_normalize(then: Callable):
+    """Driver reduce of a power-iteration phase: the global L2 norm of
+    the merged state, then ``then(1 / norm)``, which returns the next
+    (signals, outboxes). A zero norm ends the run."""
+    def reduce(res):
+        norm = math.sqrt(sum(res[0]))
+        return then(1.0 / norm) if norm else None
+    return reduce
 
 
 class _Phase(NamedTuple):
-    """One exchange of a superstep: every shard of ``pool`` (default:
-    the engine running ``_until_stable``) merges its inbox with
-    ``merge`` and emits with ``emit`` in one RPC. ``reduce``, if given,
-    maps the per-shard (signal, outbox) results to new ones on the
-    driver (a power iteration's L2 norm), or to None to end the run."""
+    """One exchange of a superstep: every partition of ``pool``
+    (default: the engine running ``_until_stable``) merges its inbox
+    with ``merge`` and emits with ``emit`` in one host RPC. ``reduce``,
+    if given, maps the (per-partition signals, host outboxes) of the
+    exchange to new ones on the driver (a power iteration's L2 norm),
+    or to None to end the run."""
     merge: str
     emit: str | None = None
     reduce: Callable | None = None
@@ -960,43 +1081,55 @@ class _Phase(NamedTuple):
 
 
 class GraphEngine:
-    """Actor pool of CSR shards; build one with ``from_edges``."""
+    """P CSR partitions in H shard host actors; build one with
+    ``from_edges``."""
 
-    def __init__(self, shards: list, manifest: dict):
-        self.shards = shards
+    def __init__(self, hosts: list, manifest: dict):
+        self.hosts = hosts
+        self.H = len(hosts)
+        self.P = manifest["num_partitions"]
         self.manifest = manifest
-        self.P = len(shards)
-        vocabs = self._all("publish_vocabs")
-        self._exchange(vocabs, "register_incoming")
-        self.n_total = sum(self._all("n_local"))
+        _, vocabs = self._start(None, "publish_vocabs")
+        self._exchange(vocabs, "register_incoming", None, 0)
+        manifest["n_local"] = self._all("n_local")
+        self.n_total = sum(manifest["n_local"])
+
+    @property
+    def shards(self) -> list:
+        """The shard host actors, by the name outside callers use: a
+        host's ``n_local`` counts all its partitions' vertices, and
+        host 0's ``sample_verts`` samples partition 0."""
+        return self.hosts
 
     @classmethod
     def from_edges(cls, edges, num_partitions: int = 8,
                    symmetrize: bool = False):
-        """Push-based shuffle straight into the actor pool: the actors
+        """Push-based shuffle straight into the shard hosts: the hosts
         are spawned first, so their start-up overlaps the Ray Data
         build, whose tasks scatter each block by source partition and
-        ship the slices to the shard actors as they stream through — no
-        disk round-trip, no all-to-all sort. The ``ray.get`` on the
-        pushes inside each task is the backpressure. Each slice carries
-        its block's content key, and the shards join slices in key
+        ship the slices to the hosts as they stream through (one call
+        per host, with the slices of its partitions) — no disk
+        round-trip, no all-to-all sort. The ``ray.get`` on the pushes
+        inside each task is the backpressure. Each slice carries its
+        block's content key, and the partitions join slices in key
         order, so the same input blocks always give the same bits.
         ``symmetrize=True`` adds the reverse of every edge (connected
         components / LPA treat the graph as undirected)."""
         import ray
 
         P = num_partitions
-        actor_cls = _shard_actor_cls()
-        shards = [actor_cls.remote(p, P, _MSG_REF_BYTES_DEFAULT)
-                  for p in range(P)]
+        H = _num_hosts(P)
+        host_cls = _shard_actor_cls()
+        hosts = [host_cls.remote(h, H, P, _MSG_REF_BYTES_DEFAULT)
+                 for h in range(H)]
 
         def push(batch: pa.Table) -> pa.Table:
             src = np.asarray(batch["src"], dtype=np.int64)
             dst = np.asarray(batch["dst"], dtype=np.int64)
             w = np.asarray(batch["weight"], dtype=np.float64)
-            # Content digest of the whole pre-split batch: shards use it
-            # to drop duplicate deliveries when Ray retries this task
-            # after a partial-success worker failure (see ingest()).
+            # Content digest of the whole pre-split batch: partitions
+            # use it to drop duplicate deliveries when Ray retries this
+            # task after a partial-success worker failure (see ingest()).
             h = hashlib.blake2b(digest_size=16)
             h.update(src.tobytes())
             h.update(dst.tobytes())
@@ -1005,7 +1138,7 @@ class GraphEngine:
             if symmetrize:
                 src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
                 w = np.concatenate([w, w])
-            # the shards' join order (see ingest())
+            # the partitions' join order (see ingest())
             key = hashlib.blake2b(src.tobytes() + dst.tobytes() + w.tobytes(),
                                   digest_size=10).digest()
             part = part_key(src, P)
@@ -1019,56 +1152,67 @@ class GraphEngine:
             v, vpart = v[vorder], vpart[vorder]
             vlo = np.searchsorted(vpart, np.arange(P))
             vhi = np.searchsorted(vpart, np.arange(P) + 1)
-            futures = []
-            for p in range(P):
-                if hi[p] == lo[p] and vhi[p] == vlo[p]:
-                    continue
-                sl = slice(lo[p], hi[p])
-                futures.append(shards[p].ingest.remote(
-                    key, src[sl], dst[sl], w[sl], v[vlo[p]:vhi[p]],
-                    digest=batch_digest))
+            slices = [None if hi[p] == lo[p] and vhi[p] == vlo[p] else
+                      (src[lo[p]:hi[p]], dst[lo[p]:hi[p]], w[lo[p]:hi[p]],
+                       v[vlo[p]:vhi[p]]) for p in range(P)]
+            futures = [host.ingest.remote(key, slices[g::H], batch_digest)
+                       for g, host in enumerate(hosts)
+                       if any(sl is not None for sl in slices[g::H])]
             n = np.int64(sum(ray.get(futures))) if futures else np.int64(0)
             return pa.table({"n": pa.array([n], pa.int64())})
 
         counts = edges.map_batches(push, batch_format="pyarrow",
                                    batch_size=None).to_pandas()
         n_edges = int(counts["n"].sum()) if len(counts) else 0
-        ray.get([s.finalize.remote() for s in shards])
-        return cls(shards, {"num_partitions": P, "symmetrized": symmetrize,
-                            "n_edges": n_edges})
+        ray.get([host.finalize.remote() for host in hosts])
+        return cls(hosts, {"num_partitions": P, "symmetrized": symmetrize,
+                           "n_edges": n_edges})
 
     # alias for callers of the old name (perfbench/workloads.py)
     from_edges_streaming = from_edges
 
     # -- the superstep -------------------------------------------------
-    def _all(self, method: str, *args) -> list:
-        """Call ``method`` on every shard and wait for the results."""
+    def _by_part(self, per_host: list) -> list:
+        """Per-host result lists (host h: partitions h, h + H, ...) as
+        one list in partition order."""
+        return [per_host[p % self.H][p // self.H] for p in range(self.P)]
+
+    def _all(self, method: str, *args, each=None, emits: bool = False):
+        """Call ``method`` on every partition and wait: returns the
+        results in partition order. ``each`` (a list in partition
+        order) adds a per-partition first argument. With ``emits`` the
+        method returns (value, outbox) and ``_all`` returns (values,
+        per-host outboxes for ``_exchange``)."""
         import ray
 
-        return ray.get([getattr(s, method).remote(*args)
-                        for s in self.shards])
+        res = ray.get([host.call.remote(
+            method, None if each is None else each[h::self.H], emits, *args)
+            for h, host in enumerate(self.hosts)])
+        if not emits:
+            return self._by_part(res)
+        return self._by_part([v for v, _ in res]), [o for _, o in res]
 
-    def _exchange(self, outs, method: str, *args) -> list:
-        """The all-to-all step: send ``outs[p][q]`` to shard q, i.e.
-        call shard q's ``method`` with the list of what every shard p
-        addressed to it, in sender order. Returns the per-shard
-        results."""
+    def _exchange(self, outs, merge: str, emit: str | None, r: int):
+        """The all-to-all step: host h's outbox ``outs[h]`` holds one
+        package per host g, and each host's ``superstep`` gets what
+        every host addressed to it; messages between partitions of one
+        host never left it. Returns (per-partition merge signals, the
+        hosts' next outboxes)."""
         import ray
 
-        return ray.get([
-            getattr(self.shards[q], method).remote(
-                [outs[p][q] for p in range(self.P)], *args)
-            for q in range(self.P)])
+        res = ray.get([host.superstep.remote(
+            [outs[g][h] for g in range(self.H)], merge, emit, r)
+            for h, host in enumerate(self.hosts)])
+        return self._by_part([s for s, _ in res]), [o for _, o in res]
 
-    def _start(self, init: str, emit: str, *args):
-        """Round 0 on every shard (``CsrShard.start``): returns (the
-        per-shard ``init`` results, the first outboxes)."""
-        res = self._all("start", init, emit, *args)
-        return [r[0] for r in res], [r[1] for r in res]
+    def _start(self, init: str | None, emit: str, *args):
+        """Round 0 on every partition (``CsrPartition.start``): returns
+        (the per-partition ``init`` results, the first outboxes)."""
+        return self._all("start", init, emit, *args, emits=True)
 
     def _seeded(self, error: str, init: str, emit: str, *args):
         """``_start`` with a seeding ``init`` that returns how many
-        seeds each shard owns; returns (seeds in the graph, first
+        seeds each partition owns; returns (seeds in the graph, first
         outboxes). Raises ``error`` if a non-empty graph holds none (an
         empty graph has an empty answer)."""
         counts, outs = self._start(init, emit, *args)
@@ -1082,12 +1226,14 @@ class GraphEngine:
                       signal: float = np.inf, checkpoint=None):
         """The BSP loop of every engine algorithm. Each round r runs
         the ``phases`` in order, one ``_exchange`` each: the outboxes
-        ``outs`` go to every shard's fused ``superstep``, whose
+        ``outs`` go to every partition's fused ``superstep``, whose
         outboxes feed the next phase or round. The last phase's summed
         signal (changed or undecided vertices, an L1 change) is the
         stop signal: the loop ends once it is <= ``tol``, or after
         round ``max_rounds`` (counting from ``first_round``, a resumed
-        run's round), or when a phase's ``reduce`` returns None.
+        run's round), or when a phase's ``reduce`` returns None. The
+        cap round's last phase emits nothing unless it has a
+        ``reduce``, since no round would consume it.
         ``signal`` is the signal before round 1 (0 runs no round).
         ``checkpoint`` = (dir, every, restart-vector digest) writes
         the state and manifest after every ``every``-th round.
@@ -1096,15 +1242,17 @@ class GraphEngine:
         it, secs = first_round, []
         while signal > tol and it < max_rounds:
             t0 = _time.time()
-            for ph in phases:
+            for i, ph in enumerate(phases):
+                idle = it + 1 == max_rounds and i + 1 == len(phases) \
+                    and ph.reduce is None
                 res = (ph.pool or self)._exchange(
-                    outs, "superstep", ph.merge, ph.emit, it)
+                    outs, ph.merge, None if idle else ph.emit, it)
                 if ph.reduce is not None:
                     res = ph.reduce(res)
                     if res is None:
                         return it, False, secs
-                outs = [o for _, o in res]
-            signal = sum(s for s, _ in res)
+                signals, outs = res
+            signal = sum(signals)
             it += 1
             secs.append(round(_time.time() - t0, 4))
             if checkpoint and it % checkpoint[1] == 0:
@@ -1123,15 +1271,6 @@ class GraphEngine:
         ids, vals = self._collect(dtype) if collect else (None, None)
         return ids, vals, {"rounds": it, "converged": done,
                            "seeds_found": n_seed, "iter_secs": secs}
-
-    def _l2_normalize(self, then: str):
-        """Driver reduce of a power-iteration phase: the global L2 norm
-        of the merged state, then ``then(1 / norm)`` on every shard. A
-        zero norm ends the run."""
-        def reduce(res):
-            norm = math.sqrt(sum(s for s, _ in res))
-            return self._all(then, 1.0 / norm) if norm else None
-        return reduce
 
     # -- algorithms ----------------------------------------------------
     def pagerank(self, damping: float = 0.85, tolerance: float = 1e-4,
@@ -1220,7 +1359,8 @@ class GraphEngine:
                 self._all("pr_scale_state", 1.0 / total)
 
         it, converged, iter_secs = self._until_stable(
-            self._all("pr_messages"), [_Phase("pr_apply", "pr_messages")],
+            self._start(None, "pr_messages")[1],
+            [_Phase("pr_apply", "pr_messages")],
             max_iterations, tol=tolerance, first_round=start_iter,
             signal=np.inf if self.n_total else 0.0,
             checkpoint=(checkpoint_dir, checkpoint_every, pers_digest)
@@ -1463,7 +1603,8 @@ class GraphEngine:
                               1.0 / math.sqrt(n))
         it, converged, secs = self._until_stable(
             outs, [_Phase("eig_apply",
-                          reduce=self._l2_normalize("eig_scale_emit"))],
+                          reduce=_l2_normalize(lambda f: self._all(
+                              "eig_scale_emit", f, emits=True)))],
             max_iterations, tol=np.nextafter(tolerance * n, -np.inf),
             signal=np.inf if self.n_total else 0.0)
         ids, scores = self._collect(np.float64) if collect \
@@ -1498,21 +1639,26 @@ class GraphEngine:
 
     def to_dataset(self, value_name: str = "score"):
         """Current state as a Ray Dataset (vertex, <value_name>) built
-        from per-shard Arrow-table ObjectRefs — the driver never holds
-        the concatenated vertex state (unlike ``_collect``, which exists
-        for small-result oracle parity)."""
+        from one Arrow-table ObjectRef per partition, in partition
+        order — the driver never holds the concatenated vertex state
+        (unlike ``_collect``, which exists for small-result oracle
+        parity)."""
         import ray.data as rd
 
-        refs = [s.collect_table.remote(value_name) for s in self.shards]
-        return rd.from_arrow_refs(refs)
+        refs = []
+        for h, host in enumerate(self.hosts):
+            k = len(range(h, self.P, self.H))
+            r = host.collect_tables.options(num_returns=k).remote(value_name)
+            refs.append(r if k > 1 else [r])
+        return rd.from_arrow_refs(self._by_part(refs))
 
     def shutdown(self):
-        """Kill the shard actors."""
+        """Kill the shard hosts."""
         import ray
 
-        for s in self.shards:
-            ray.kill(s)
-        self.shards = []
+        for host in self.hosts:
+            ray.kill(host)
+        self.hosts = []
 
 
 # -- convenience one-shots ---------------------------------------------
@@ -1647,8 +1793,8 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
     — one on the edges as-is (its SpMV lands h-mass on in-edges:
     computes a), one on the reversed edges (computes h). Because the
     partition function and the endpoint sets coincide, same-index
-    shards own IDENTICAL sorted vertex arrays, so the per-iteration
-    state handoff is P plasma refs moving actor-to-actor — the driver
+    partitions own IDENTICAL sorted vertex arrays, so the per-iteration
+    state handoff is P plasma refs moving host-to-host — the driver
     relays refs and scalars only. One round of the forward pool's loop
     is two phases, one per pool. No +I shift needed: A^T A is PSD,
     the alternation cannot oscillate. Stops once the hubs' L1 change
@@ -1657,24 +1803,17 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
 
     Returns (vertex_ids, hubs, authorities, info); both vectors
     L2-normalized, non-negative."""
-    import ray
-
     def rev(batch: pa.Table) -> pa.Table:
         return pa.table({"src": batch["dst"], "dst": batch["src"],
                          "weight": batch["weight"]})
 
     def half(pool, twin):
         """Phase on ``pool``: state = normalize(A^T state), handed to
-        ``twin``'s same-index shards, which emit from it and report
+        ``twin``'s same-index partitions, which emit from it and report
         their L1 change."""
-        normalize = pool._l2_normalize("scale_and_state_ref")
-
-        def reduce(res):
-            refs = normalize(res)
-            return None if refs is None else ray.get(
-                [s.take_state.remote(ref)
-                 for s, ref in zip(twin.shards, refs)])
-        return _Phase("hits_apply", reduce=reduce, pool=pool)
+        return _Phase("hits_apply", pool=pool, reduce=_l2_normalize(
+            lambda f: twin._all("take_state", emits=True, each=pool._all(
+                "scale_and_state_ref", f))))
 
     eng_f = GraphEngine.from_edges(edges, num_partitions)
     eng_r = GraphEngine.from_edges(
@@ -1693,7 +1832,8 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
         # received it) — collect hubs, then ONE extra half-step on
         # eng_f re-derives the authorities from the final hubs
         ids, hubs = eng_f._collect(np.float64)
-        eng_f._until_stable(eng_f._all("weighted_messages"), [to_auth], 1)
+        eng_f._until_stable(eng_f._start(None, "weighted_messages")[1],
+                            [to_auth], 1)
         _, auth = eng_f._collect(np.float64)
         return ids, hubs, auth, {"rounds": it, "converged": converged,
                                  "iter_secs": secs}
