@@ -290,6 +290,38 @@ def test_cap_round_emits_no_unconsumed_outbox():
     assert run([reduced], 1) == [("eig_apply", "weighted_messages", 0)]
 
 
+def test_trace_records_every_round_signal():
+    """``_until_stable`` returns each round's wall seconds and summed
+    stop signal, the round that met the tolerance included."""
+    from tldr_ray.graph.engine import GraphEngine, _Phase
+
+    rec = _RecordingPool(stable_from=3)
+    it, stable, trace = GraphEngine._until_stable(
+        rec, ["outbox"], [_Phase("lpa_apply", "lpa_messages")], 10)
+    assert (it, stable, trace["signals"]) == (3, True, [1, 1, 0])
+    assert len(trace["iter_secs"]) == 3
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_lpa_on_one_edge_swaps_labels_every_round():
+    """Synchronous LPA on the one undirected edge a-b: each end adopts
+    the other's label, so both flip in every round, the run never
+    settles, and after an even number of rounds each holds its own id
+    again."""
+    from tldr_ray.graph import GraphEngine
+
+    eng = GraphEngine.from_edges(_edge_ds([5], [9], [1.0]), 2,
+                                 symmetrize=True)
+    try:
+        ids, labels, info = eng.label_propagation(max_rounds=6)
+    finally:
+        eng.shutdown()
+    assert info["signals"] == [2] * 6
+    assert (info["rounds"], info["stable"]) == (6, False)
+    assert len(info["iter_secs"]) == 6
+    assert sorted(zip(ids.tolist(), labels.tolist())) == [(5, 5), (9, 9)]
+
+
 # -- one host process per CPU --------------------------------------------
 
 def _live_hosts() -> set:

@@ -45,7 +45,9 @@ the stop signals.
 
 One superstep, Pregel style: every partition EMITS one pre-combined
 message per destination partition (``CsrPartition._combine`` for
-per-vertex arrays, or sorted per-(vertex, key) triples),
+per-vertex arrays, or sorted per-(vertex, key) triples; the triple
+emits ``CsrPartition._triples`` group all their destinations with one
+packed-key sort per partition, ``_key_runs``),
 ``GraphEngine._exchange`` hands partition q the messages addressed to
 it, and partition q MERGES them into its state in sender order
 (``CsrPartition._gather``, or the triple merges). Merge and the next
@@ -56,9 +58,10 @@ one rounds loop: an algorithm supplies its first outboxes
 emit) exchange per round, two for the hashed-priority rounds, and for
 the power iterations a driver reduce that normalizes by the global L2
 norm (a zero norm ends the run). The loop stops once the summed stop
-signal of the round's last phase is <= tol, or at the round cap. The
-algorithms differ only in what they emit, how they merge and what they
-signal:
+signal of the round's last phase is <= tol, or at the round cap; a
+run's info lists each round's seconds and stop signal (``iter_secs``,
+``signals``). The algorithms differ only in what they emit, how they
+merge and what they signal:
 
   algorithm                emit (combiner)             merge                   stop
   pagerank                 rank*w/out (sum), dangling  restart + add           L1 delta <= tol
@@ -70,9 +73,11 @@ signal:
   sssp                     dist+w (min)                min                     changed == 0
   temporal_reachability    usable departure (min)      min                     changed == 0
   widest_path              min(width, w) (max)         max                     changed == 0
-  label_propagation,       (dst, label, weight sum)    heaviest label,         changed == 0
-    label_spread                                       smallest on ties
-  kcore                    (dst, value, count)         H-index, min            changed == 0
+  label_propagation,       (dst, label, weight sum),   heaviest label,         changed == 0
+    label_spread           one packed-key sort         smallest on ties (one
+                                                       packed-key sort)
+  kcore                    (dst, value, count), one    H-index, min            changed == 0
+                           packed-key sort
   maximal_matching         min-priority unmatched      proposals; then         new matches == 0
                            neighbor; then proposals    mutual proposals
   maximal_independent_set  min-priority active         Luby win; then OR of    undecided == 0
@@ -143,11 +148,36 @@ def _runs(cols, sort_keys, nkeys: int):
     return cols, np.flatnonzero(new)
 
 
-def _sum_runs(pos, key, w):
-    """One row per distinct (pos, key) pair, in (pos, key) order, with
-    ``w`` summed over the pair's rows."""
-    (pos, key, w), st = _runs((pos, key, w), (key, pos), 2)
-    return pos[st], key[st], np.add.reduceat(w, st)
+def _key_runs(key):
+    """Group the non-negative int64 ``key`` with one stable sort:
+    returns (the sorting order, the start offsets of its runs of equal
+    keys, the sorted keys). The row number rides in the low bits of
+    ``key << b | row``, so a plain value sort is stable; a key too wide
+    for that falls back to a stable argsort."""
+    n = key.size
+    b = (n - 1).bit_length() if n > 1 else 0
+    if n and int(key.max()).bit_length() + b > 63:
+        order = np.argsort(key, kind="stable")
+        skey = key[order]
+    else:
+        packed = np.sort((key << b) | np.arange(n))
+        order, skey = packed & ((1 << b) - 1), packed >> b
+    new = np.ones(n, dtype=bool)
+    new[1:] = skey[1:] != skey[:-1]
+    return order, np.flatnonzero(new), skey
+
+
+def _sum_pairs(pos, code, uniq, w):
+    """One row per distinct (pos, code) pair, in (pos, code) order:
+    (pos, ``uniq[code]``, ``w`` summed over the pair's rows in row
+    order). ``pos`` and ``code`` are non-negative ints, ``code`` < the
+    size of ``uniq``, so the pair packs into one ``_key_runs`` key,
+    ``pos`` above the code bits."""
+    cb = max(uniq.size - 1, 0).bit_length()
+    order, st, skey = _key_runs(pos << cb | code)
+    pair = skey[st]
+    return pair >> cb, uniq[pair & ((1 << cb) - 1)], \
+        np.add.reduceat(w[order], st) if st.size else w[:0]
 
 
 def _first_rows(pos, ids, prio, descending: bool):
@@ -268,6 +298,12 @@ class CsrPartition:
             dv, dl = np.unique(e_dst[sl], return_inverse=True)
             self.dvocabs.append(dv)
             self.dlocals.append(dl)
+        # each (q, destination) pair's slot in one numbering over all
+        # q: slots qbase[q] .. qbase[q + 1] - 1 are dvocabs[q]'s, and
+        # e_slot ascends with q as the edges do (the triple emits)
+        self.qbase = np.cumsum([0] + [dv.size for dv in self.dvocabs])
+        self.e_slot = np.concatenate(
+            [b + dl for b, dl in zip(self.qbase, self.dlocals)])
 
         self.incoming_idx = None   # per sender p: local positions
         self.state = None          # float ranks or int labels
@@ -326,6 +362,23 @@ class CsrPartition:
             if arr.size:
                 ufunc.at(base, idx, arr)
         return base
+
+    def _triples(self, values, w, keep=None):
+        """Emit: per destination partition q, one (dst_local, value,
+        summed ``w``) row per distinct (destination, source value)
+        pair over the edges (only the ``keep`` ones, if given), in
+        (dst_local, value) order, ``w`` summed in edge order.
+        ``values`` is per local vertex: coded by its rank among the
+        local values, the pair is (destination slot, code), grouped
+        by one ``_sum_pairs`` sort over all q."""
+        uniq, code = np.unique(values, return_inverse=True)
+        sel = slice(None) if keep is None else keep
+        slot, val, wsum = _sum_pairs(self.e_slot[sel],
+                                     code[self.e_src_local][sel], uniq,
+                                     w[sel])
+        cut = np.searchsorted(slot, self.qbase)
+        return [(slot[a:b] - base, val[a:b], wsum[a:b])
+                for base, a, b in zip(self.qbase, cut, cut[1:])]
 
     def _inbox_rows(self, inbox):
         """The senders' (dst_local, a, b) triples concatenated in
@@ -599,23 +652,25 @@ class CsrPartition:
         label, summed weight) votes, one row per (dst, label). Every
         source votes, except that label_spread's unlabeled (-1)
         vertices do not."""
-        lab = self.state[self.e_src_local]
-        voting = None if self._clamp is None else lab >= 0
-        out = []
-        for q, sl in enumerate(self.q_slices):
-            cols = (self.dlocals[q], lab[sl], self.e_weight_sorted[sl])
-            if voting is not None:
-                cols = [c[voting[sl]] for c in cols]
-            out.append(_sum_runs(*cols))
-        return out
+        voting = None if self._clamp is None \
+            else self.state[self.e_src_local] >= 0
+        return self._triples(self.state, self.e_weight_sorted, voting)
 
     def lpa_apply(self, trips) -> int:
         """Every voted vertex adopts its heaviest label summed over
         all senders (ties -> smallest label); clamped seeds never
         change and unvoted vertices keep their state."""
-        pos, lab, w = _sum_runs(*self._inbox_rows(trips))
-        (pos, lab), st = _runs((pos, lab), (lab, -w, pos), 1)
-        tgt, val = pos[st], lab[st]
+        pos, lab, w = self._inbox_rows(trips)
+        uniq, code = np.unique(lab, return_inverse=True)
+        pos, lab, w = _sum_pairs(pos, code, uniq, w)
+        # labels ascend within a vertex's rows, so its first row that
+        # reaches the vertex's top sum holds the smallest such label
+        first = np.flatnonzero(np.diff(pos, prepend=-1))
+        top = np.maximum.reduceat(w, first) if first.size else w
+        top = np.repeat(top, np.diff(first, append=pos.size))
+        best = np.flatnonzero(w == top)
+        best = best[np.diff(pos[best], prepend=-1) != 0]
+        tgt, val = pos[best], lab[best]
         if self._clamp is not None:
             free = ~self._clamp[tgt]
             tgt, val = tgt[free], val[free]
@@ -862,10 +917,8 @@ class CsrPartition:
         """Per-destination (dst_local, value, count) triples — the
         pre-combined histogram a receiver needs to compute the
         H-index of its neighbors' current values."""
-        val = self.state[self.e_src_local]
-        ones = np.ones(val.size, dtype=np.int64)
-        return [_sum_runs(self.dlocals[q], val[sl], ones[sl])
-                for q, sl in enumerate(self.q_slices)]
+        return self._triples(self.state, np.ones(self.e_src_local.size,
+                                                 dtype=np.int64))
 
     def kcore_apply(self, trips) -> int:
         """new(v) = min(state(v), H-index of neighbor values):
@@ -1237,9 +1290,10 @@ class GraphEngine:
         ``signal`` is the signal before round 1 (0 runs no round).
         ``checkpoint`` = (dir, every, restart-vector digest) writes
         the state and manifest after every ``every``-th round.
-        Returns (rounds, whether the signal ended <= ``tol``, per-round
-        wall seconds)."""
-        it, secs = first_round, []
+        Returns (rounds, whether the signal ended <= ``tol``, the trace
+        {"iter_secs": per-round wall seconds, "signals": per-round stop
+        signals})."""
+        it, trace = first_round, {"iter_secs": [], "signals": []}
         while signal > tol and it < max_rounds:
             t0 = _time.time()
             for i, ph in enumerate(phases):
@@ -1250,14 +1304,15 @@ class GraphEngine:
                 if ph.reduce is not None:
                     res = ph.reduce(res)
                     if res is None:
-                        return it, False, secs
+                        return it, False, trace
                 signals, outs = res
             signal = sum(signals)
             it += 1
-            secs.append(round(_time.time() - t0, 4))
+            trace["iter_secs"].append(round(_time.time() - t0, 4))
+            trace["signals"].append(signal)
             if checkpoint and it % checkpoint[1] == 0:
                 self._checkpoint(checkpoint[0], it, checkpoint[2])
-        return it, bool(signal <= tol), secs
+        return it, bool(signal <= tol), trace
 
     def _relax(self, name: str, seeds, at_seed, elsewhere, emit: str,
                merge: str, max_rounds: int, dtype, collect: bool):
@@ -1266,11 +1321,11 @@ class GraphEngine:
         n_seed, outs = self._seeded(
             f"{name}: no seed vertex present in the graph", "seed_init",
             emit, [int(x) for x in seeds], at_seed, elsewhere)
-        it, done, secs = self._until_stable(outs, [_Phase(merge, emit)],
-                                            max_rounds)
+        it, done, trace = self._until_stable(outs, [_Phase(merge, emit)],
+                                             max_rounds)
         ids, vals = self._collect(dtype) if collect else (None, None)
         return ids, vals, {"rounds": it, "converged": done,
-                           "seeds_found": n_seed, "iter_secs": secs}
+                           "seeds_found": n_seed, **trace}
 
     # -- algorithms ----------------------------------------------------
     def pagerank(self, damping: float = 0.85, tolerance: float = 1e-4,
@@ -1358,7 +1413,7 @@ class GraphEngine:
             if total > 0:
                 self._all("pr_scale_state", 1.0 / total)
 
-        it, converged, iter_secs = self._until_stable(
+        it, converged, trace = self._until_stable(
             self._start(None, "pr_messages")[1],
             [_Phase("pr_apply", "pr_messages")],
             max_iterations, tol=tolerance, first_round=start_iter,
@@ -1371,9 +1426,9 @@ class GraphEngine:
         return ids, scores, {
             "iterations": it,
             "converged": converged,
-            "iter_secs": iter_secs,
-            "sec_per_iteration": round(float(np.mean(iter_secs)), 4)
-            if iter_secs else 0.0,
+            **trace,
+            "sec_per_iteration": round(float(np.mean(trace["iter_secs"])),
+                                       4) if trace["iter_secs"] else 0.0,
         }
 
     def connected_components(self, max_iterations: int = 200,
@@ -1400,11 +1455,10 @@ class GraphEngine:
             order = np.argsort(ids_w)
             _, outs = self._start("label_warm", "cc_messages",
                                   ray.put((ids_w[order], lb_w[order])))
-        it, done, secs = self._until_stable(
+        it, done, trace = self._until_stable(
             outs, [_Phase("min_apply", "cc_messages")], max_iterations)
         ids, labels = self._collect(np.int64) if collect else (None, None)
-        return ids, labels, {"iterations": it, "converged": done,
-                             "iter_secs": secs}
+        return ids, labels, {"iterations": it, "converged": done, **trace}
 
     def bfs(self, seeds, max_rounds: int = 10_000, collect: bool = True):
         """Unweighted hop distance from ``seeds`` (min-plus frontier
@@ -1488,11 +1542,10 @@ class GraphEngine:
         """Synchronous weighted LPA, smallest-label tie-break.
         Returns (vertex_ids, labels, info)."""
         _, outs = self._start("label_init", "lpa_messages")
-        it, stable, secs = self._until_stable(
+        it, stable, trace = self._until_stable(
             outs, [_Phase("lpa_apply", "lpa_messages")], max_rounds)
         ids, labels = self._collect(np.int64) if collect else (None, None)
-        return ids, labels, {"rounds": it, "stable": stable,
-                             "iter_secs": secs}
+        return ids, labels, {"rounds": it, "stable": stable, **trace}
 
     def label_spread(self, seeds, max_rounds: int = 10,
                      collect: bool = True):
@@ -1510,12 +1563,12 @@ class GraphEngine:
                         np.asarray(seeds[1], dtype=np.int64)))
         n_seed, outs = self._seeded("label_spread: no seed vertex in graph",
                                     "lpa_seed_init", "lpa_messages", sref)
-        it, stable, secs = self._until_stable(
+        it, stable, trace = self._until_stable(
             outs, [_Phase("lpa_apply", "lpa_messages")], max_rounds)
         ids_out, labels = self._collect(np.int64) if collect \
             else (None, None)
         return ids_out, labels, {"rounds": it, "stable": stable,
-                                 "seeds_found": n_seed, "iter_secs": secs}
+                                 "seeds_found": n_seed, **trace}
 
     def kcore(self, max_rounds: int = 1000):
         """Core numbers via the distributed H-index fixpoint: start at
@@ -1524,11 +1577,10 @@ class GraphEngine:
         k-core decomposition. Supply SYMMETRIZED, DEDUPED, weight-1
         edges. Returns (vertex_ids, core_numbers, info)."""
         _, outs = self._start("kcore_init", "kcore_messages")
-        it, stable, secs = self._until_stable(
+        it, stable, trace = self._until_stable(
             outs, [_Phase("kcore_apply", "kcore_messages")], max_rounds)
         ids, cores = self._collect(np.int64)
-        return ids, cores, {"rounds": it, "stable": stable,
-                            "iter_secs": secs}
+        return ids, cores, {"rounds": it, "stable": stable, **trace}
 
     def maximal_matching(self, max_rounds: int = 200,
                          collect: bool = True):
@@ -1543,14 +1595,13 @@ class GraphEngine:
         deterministic and SQL-mirrorable round for round. Returns
         (vertex_ids, partner int64 with -1 = unmatched, info)."""
         _, outs = self._start("undecided_init", "match_unmatched_messages")
-        it, stable, secs = self._until_stable(outs, [
+        it, stable, trace = self._until_stable(outs, [
             _Phase("match_set_proposals", "match_propose_messages"),
             _Phase("match_resolve", "match_unmatched_messages")],
             max_rounds)
         ids, partner = self._collect(np.int64) if collect \
             else (None, None)
-        return ids, partner, {"rounds": it, "stable": stable,
-                              "iter_secs": secs}
+        return ids, partner, {"rounds": it, "stable": stable, **trace}
 
     def maximal_independent_set(self, max_rounds: int = 200,
                                 collect: bool = True):
@@ -1562,12 +1613,12 @@ class GraphEngine:
         fully deterministic -> SQL-mirrorable. Returns (vertex_ids,
         membership 1/0, info)."""
         _, outs = self._start("undecided_init", "match_unmatched_messages")
-        it, done, secs = self._until_stable(outs, [
+        it, done, trace = self._until_stable(outs, [
             _Phase("mis_decide", "mis_notify_messages"),
             _Phase("mis_exclude", "match_unmatched_messages")], max_rounds)
         ids, member = self._collect(np.int64) if collect \
             else (None, None)
-        return ids, member, {"rounds": it, "done": done, "iter_secs": secs}
+        return ids, member, {"rounds": it, "done": done, **trace}
 
     def greedy_coloring(self, max_rounds: int = 500,
                         collect: bool = True):
@@ -1579,12 +1630,12 @@ class GraphEngine:
         expected rounds; deterministic -> SQL-mirrorable. Returns
         (vertex_ids, colors int64 >= 0, info)."""
         _, outs = self._start("color_init", "color_nbr_max_messages")
-        it, done, secs = self._until_stable(outs, [
+        it, done, trace = self._until_stable(outs, [
             _Phase("color_decide", "color_mask_messages"),
             _Phase("color_assign", "color_nbr_max_messages")], max_rounds)
         ids, colors = self._collect(np.int64) if collect \
             else (None, None)
-        return ids, colors, {"rounds": it, "done": done, "iter_secs": secs}
+        return ids, colors, {"rounds": it, "done": done, **trace}
 
     def eigenvector_centrality(self, tolerance: float = 1e-10,
                                max_iterations: int = 500,
@@ -1601,7 +1652,7 @@ class GraphEngine:
         n = max(self.n_total, 1)
         _, outs = self._start("power_init", "weighted_messages",
                               1.0 / math.sqrt(n))
-        it, converged, secs = self._until_stable(
+        it, converged, trace = self._until_stable(
             outs, [_Phase("eig_apply",
                           reduce=_l2_normalize(lambda f: self._all(
                               "eig_scale_emit", f, emits=True)))],
@@ -1609,8 +1660,7 @@ class GraphEngine:
             signal=np.inf if self.n_total else 0.0)
         ids, scores = self._collect(np.float64) if collect \
             else (None, None)
-        return ids, scores, {"rounds": it, "converged": converged,
-                             "iter_secs": secs}
+        return ids, scores, {"rounds": it, "converged": converged, **trace}
 
     # -- plumbing ------------------------------------------------------
     def _checkpoint(self, checkpoint_dir: str, iteration: int,
@@ -1824,7 +1874,7 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
         eng_r._all("power_init", 1.0 / math.sqrt(n))
         _, outs = eng_f._start("power_init", "weighted_messages",
                                1.0 / math.sqrt(n))
-        it, converged, secs = eng_f._until_stable(
+        it, converged, trace = eng_f._until_stable(
             outs, [to_auth, to_hubs], max_iterations,
             tol=np.nextafter(tolerance * n, -np.inf),
             signal=np.inf if eng_f.n_total else 0.0)
@@ -1835,8 +1885,7 @@ def hits(edges, num_partitions: int = 8, max_iterations: int = 200,
         eng_f._until_stable(eng_f._start(None, "weighted_messages")[1],
                             [to_auth], 1)
         _, auth = eng_f._collect(np.float64)
-        return ids, hubs, auth, {"rounds": it, "converged": converged,
-                                 "iter_secs": secs}
+        return ids, hubs, auth, {"rounds": it, "converged": converged, **trace}
     finally:
         eng_f.shutdown()
         eng_r.shutdown()
