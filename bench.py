@@ -108,14 +108,7 @@ def bench_headline(results: dict, meta: dict):
     read_table(path).count()
 
     t0 = time.time()
-    # The cached corpus is conv-contiguous, so the shuffle-free
-    # similarity path (RAY_GRAFT_CONTIGUOUS=1) applies; measured on this
-    # box it wins stand-alone (-40% on the sim stage) but NOT inside the
-    # overlapped streaming build, where the executor hides the sort
-    # behind the kernel — so the shuffle path stays the bench default.
-    contiguous = os.environ.get("RAY_GRAFT_CONTIGUOUS", "0") == "1"
-    edges = transcript_graph(read_table(path),
-                             contiguous=contiguous).select_columns(
+    edges = transcript_graph(read_table(path)).select_columns(
         ["src", "dst", "weight"])
     eng = GraphEngine.from_edges(edges, NPARTS)
     results["edges_build"] = round(time.time() - t0, 3)
@@ -254,13 +247,6 @@ def run_once(headline_only: bool) -> dict:
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
     ctx.execution_options.verbose_progress = False
-    # Push-based shuffle halves a STANDALONE sort/groupby stage on this
-    # workload (sim-edge groupby 6.4s -> 3.3s) but is a wash inside the
-    # overlapped headline build, where the streaming executor hides the
-    # sort behind kernel work — so the default stays the sort strategy;
-    # RAY_GRAFT_PUSH_SHUFFLE=1 opts in for shuffle-dominated runs.
-    if os.environ.get("RAY_GRAFT_PUSH_SHUFFLE", "0") == "1":
-        ctx.use_push_based_shuffle = True
 
     meta: dict = {}
     try:

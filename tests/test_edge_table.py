@@ -84,3 +84,79 @@ def test_edge_multiset_pinned(name):
     }
     assert _multiset_digest(builds[name](_blocks(_corpus(), 7))) == \
         MULTISET[name]
+
+
+# -- headline fault matrix -------------------------------------------------
+
+def _null_tool(tab: pa.Table, typ: pa.DataType) -> pa.Table:
+    return tab.set_column(tab.schema.get_field_index("tool"), "tool",
+                          pa.nulls(tab.num_rows, typ))
+
+
+FAULT_INPUTS = {
+    "empty": lambda t: t.slice(0, 0),
+    "one_sentence": lambda t: t.slice(0, 1).set_column(
+        t.schema.get_field_index("text"), "text",
+        pa.array(["Only one sentence here."])),
+    "null_tool_string": lambda t: _null_tool(t, pa.string()),
+    "null_tool_null": lambda t: _null_tool(t, pa.null()),
+}
+
+
+def _headline(tab: pa.Table):
+    """transcripts -> transcript_graph -> GraphEngine -> PageRank and
+    connected components: (edge frame, n_vertices, pagerank, cc)."""
+    import ray.data as rd
+
+    from tldr_ray.graph import GraphEngine
+    from tldr_ray.stages.edges import transcript_graph
+
+    edges = transcript_graph(rd.from_arrow(tab))
+    df = edges.to_pandas()
+    runs = []
+    for symmetrize, run in ((False, lambda e: e.pagerank()),
+                            (True, lambda e: e.connected_components())):
+        eng = GraphEngine.from_edges(
+            edges.select_columns(["src", "dst", "weight"]), 3,
+            symmetrize=symmetrize)
+        try:
+            runs.append((eng.n_total, run(eng)))
+        finally:
+            eng.shutdown()
+    (n_pr, pr), (n_cc, cc) = runs
+    assert n_pr == n_cc
+    return df, n_pr, pr, cc
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", ["empty", "one_sentence"])
+def test_headline_on_edgeless_input_is_an_empty_graph(name):
+    tab = FAULT_INPUTS[name](synth_transcripts_table(10, seed=42))
+    df, n, (pr_ids, scores, pr_info), (cc_ids, labels, cc_info) = \
+        _headline(tab)
+    assert len(df) == 0 and n == 0
+    assert len(pr_ids) == len(scores) == len(cc_ids) == len(labels) == 0
+    assert pr_info["converged"] and cc_info["converged"]
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("name", ["null_tool_string", "null_tool_null"])
+def test_headline_with_all_null_tools_has_no_tool_edges(name):
+    import ray.data as rd
+
+    from tldr_ray.stages.edges import (entity_cooccurrence_edges,
+                                       similarity_edges)
+
+    tab = FAULT_INPUTS[name](synth_transcripts_table(10, seed=42))
+    df, n, (pr_ids, scores, pr_info), (cc_ids, _, cc_info) = \
+        _headline(tab)
+    want = {}
+    for ds in (similarity_edges(rd.from_arrow(tab)),
+               entity_cooccurrence_edges(rd.from_arrow(tab))):
+        for etype, k in ds.to_pandas()["etype"].value_counts().items():
+            want[etype] = want.get(etype, 0) + k
+    got = df["etype"].value_counts().to_dict()
+    assert got == want and want["sim"] > 0 and want["entity"] > 0
+    assert n > 0 and pr_info["converged"] and cc_info["converged"]
+    np.testing.assert_allclose(scores.sum(), 1.0, atol=1e-9)
+    assert np.array_equal(np.sort(pr_ids), np.sort(cc_ids))

@@ -52,26 +52,10 @@ class TestEdgeMaterialization:
         assert len(hot) == 2 * 19        # star over 20 convs, both directions
         assert len(cold) == 2 * 3        # clique over 3 convs (3 pairs)
 
-    def test_contiguous_path_matches_shuffle(self):
-        """The shuffle-free contiguous similarity path must emit exactly
-        the edges of the groupby path on conv-contiguous input."""
-        import ray.data as rd
-        from tldr_ray.stages.edges import similarity_edges
-
-        tab = synth_transcripts_table(30, seed=7)
-        a = similarity_edges(rd.from_arrow(tab)).to_pandas()
-        b = similarity_edges(rd.from_arrow(tab),
-                             contiguous=True).to_pandas()
-        key = ["src", "dst", "weight"]
-        a = a.sort_values(key).reset_index(drop=True)[key]
-        b = b.sort_values(key).reset_index(drop=True)[key]
-        pd.testing.assert_frame_equal(a, b)
-
     def test_fused_transcript_graph_matches_unfused_union(self):
         """transcript_graph routes all three edge families through ONE
         fused shuffle; the edge multiset must equal the unfused
-        similarity + co-occurrence union, in both shuffle and
-        contiguous layouts."""
+        similarity + co-occurrence union."""
         import ray.data as rd
         from tldr_ray.stages.edges import (cooccurrence_edges,
                                            similarity_edges,
@@ -90,9 +74,6 @@ class TestEdgeMaterialization:
                            .select_columns(key)))
         fused = canon(transcript_graph(rd.from_arrow(tab)))
         pd.testing.assert_frame_equal(fused, old)
-        fused_c = canon(transcript_graph(rd.from_arrow(tab),
-                                         contiguous=True))
-        pd.testing.assert_frame_equal(fused_c, old)
 
     def test_entity_mentions_heuristic(self):
         import ray.data as rd

@@ -1,24 +1,35 @@
 """Global edge-table materialization from transcripts (SURVEY.md §7.1 step 4).
 
-Two edge families, unioned into one (src, dst, weight, etype) table:
+Three edge families, unioned into one (src, dst, weight, etype) table:
 
-1. ``similarity_edges`` — per-conversation sentence-similarity edges:
-   the kernel's front half (tokenize -> dedup -> dictionary -> vectors
-   -> pairwise weights -> threshold) emits kept edges instead of
-   summarizing. Vertex ids are globally unique without any
-   id-assignment shuffle: ``vertex = (conv_hash48 << 16) + local_idx``
-   from a stable 48-bit conversation hash.
-2. ``tool_cooccurrence_edges`` — cross-conversation co-reference: two
-   conversations sharing a tool are linked. Tool groups are Zipf-skewed
-   (one hub tool), so the pairwise build inside a hot group is clamped:
-   groups beyond ``max_group_size`` conversations connect STAR-wise
-   through the group's minimum vertex instead of clique-wise —
-   O(k) edges instead of O(k^2), preserving connectivity semantics for
-   components/PageRank mass flow. The clamp is an explicit, documented
-   skew decision (SURVEY.md §4), surfaced via etype="tool_star".
+1. ``similarity_edges`` — per-conversation sentence-similarity edges
+   (etype "sim"): the kernel's front half (tokenize -> dedup ->
+   dictionary -> vectors -> pairwise weights -> threshold) emits kept
+   edges instead of summarizing. Vertex ids are globally unique without
+   any id-assignment shuffle: ``vertex = (conv_hash47 << 16) +
+   local_idx`` from a stable conversation hash.
+2. Tool co-reference (etype "tool"): two conversations that invoke the
+   same tool are linked.
+3. Entity co-reference (etype "entity"): two conversations that mention
+   the same entity are linked.
 
-Edge weights: similarity edges carry the kernel weight; co-occurrence
-edges carry 1.0 per shared tool occurrence pair.
+The two co-reference families share one row extractor (``_coref_rows``:
+distinct (kind, key, conv_id) rows) and one pair builder
+(``_coref_pairs``), and link conversation vertices (local_idx 0).
+Co-reference groups are Zipf-skewed (one hub tool), so the pairwise
+build inside a hot group is clamped: groups beyond ``max_group_size``
+conversations connect STAR-wise through the group's minimum vertex
+instead of clique-wise — O(k) edges instead of O(k^2), preserving
+connectivity semantics for components/PageRank mass flow. The clamp is
+an explicit, documented skew decision (SURVEY.md §4), surfaced via
+etype "tool_star" / "entity_star".
+
+``transcript_graph`` builds all three families in one scan and ONE
+fused shuffle; ``similarity_edges`` and ``cooccurrence_edges`` build
+them on their own.
+
+Edge weights: similarity edges carry the kernel weight; co-reference
+edges carry 1.0 per linked conversation pair.
 """
 
 from __future__ import annotations
@@ -36,6 +47,14 @@ from tldr_ray.kernel.lexrank import summarize_to_edges_many
 from tldr_ray.kernel.text import pseudo_sentences
 from tldr_ray.pipelines.summarize import conversation_texts
 
+_EDGE_SCHEMA = pa.schema([("src", pa.int64()), ("dst", pa.int64()),
+                          ("weight", pa.float64()), ("etype", pa.string())])
+_COREF_SCHEMA = pa.schema([("kind", pa.string()), ("key", pa.string()),
+                           ("conv_id", pa.string())])
+# transcript_graph's fused shuffle: parts per family and the hub clamp
+_NUM_PARTS = 64
+_MAX_GROUP_SIZE = 64
+
 
 def conv_vertex_base(conv_id: str) -> int:
     """Stable 47-bit conversation hash shifted left 16: low 16 bits hold
@@ -50,8 +69,8 @@ def conv_vertex_base(conv_id: str) -> int:
 
 def _convs_edges_table(group: pd.DataFrame, cfg: SummarizeConfig,
                        presplit_words: Optional[int]) -> pa.Table:
-    """Conversations (pandas rows with conv_id/turn_idx/text) -> edge
-    table via the kernel; shared by the shuffle and contiguous paths."""
+    """Conversations (pandas rows with conv_id/turn_idx/text) -> sim
+    edge table (src, dst, weight, etype, conv_id) via the kernel."""
     ids, texts = conversation_texts(group)
     docs = [(t, pseudo_sentences(t, presplit_words) or None) for t in texts]
     srcs, dsts, ws, etypes, convs = [], [], [], [], []
@@ -67,11 +86,8 @@ def _convs_edges_table(group: pd.DataFrame, cfg: SummarizeConfig,
         etypes.extend(["sim"] * len(w))
         convs.extend([conv_id] * len(w))
     if not srcs:
-        return pa.table({"src": pa.array([], pa.int64()),
-                         "dst": pa.array([], pa.int64()),
-                         "weight": pa.array([], pa.float64()),
-                         "etype": pa.array([], pa.string()),
-                         "conv_id": pa.array([], pa.string())})
+        return _EDGE_SCHEMA.append(pa.field("conv_id", pa.string())) \
+            .empty_table()
     return pa.table(
         {
             "src": np.concatenate(srcs),
@@ -84,106 +100,83 @@ def _convs_edges_table(group: pd.DataFrame, cfg: SummarizeConfig,
 
 
 def similarity_edges(transcripts, cfg: Optional[SummarizeConfig] = None,
-                     presplit_words: Optional[int] = None,
-                     num_parts: int = 64, contiguous: bool = False):
+                     presplit_words: Optional[int] = None):
     """transcripts -> Dataset (src, dst, weight, etype='sim', conv_id).
 
-    Default path: the shuffle is ``hashing.keyed_sweep`` on conv_id — a
-    groupby on a SMALL int part, not on conv_id itself: sorting
-    millions of rows by a 64-value int is far cheaper than by
-    high-cardinality strings, and the per-group task overhead
-    drops from one call per conversation to one per partition (each
-    partition task then iterates its conversations with a local pandas
-    groupby). The quadratic kernel work happens inside each small
-    conversation, vectorized.
-
-    ``contiguous=True`` (each conversation's turns stored contiguously —
-    the natural layout of a conv-partitioned transcript store) skips the
-    text shuffle entirely: the kernel runs per input block on every
-    conversation that is fully interior to the block, and only the
-    first/last conversation of each block (which may continue in a
-    neighbor) is routed through the shuffle path. Two streaming scans of
-    the (column-pruned) source replace one scan plus a full all-to-all
-    of the text — strictly less data movement, and the boundary shuffle
-    carries ~2 conversations per block. DETERMINISM REQUIREMENT: the
-    two scans must observe identical block boundaries and row order,
-    which holds for file-backed sources (read_parquet) and materialized
-    Datasets but NOT for non-deterministic lazy sources (e.g. an
-    unmaterialized random synthesizer) — those would double-count or
-    drop boundary conversations; materialize such inputs first.
+    The shuffle is ``hashing.keyed_sweep`` on conv_id — a groupby on a
+    SMALL int part, not on conv_id itself: sorting millions of rows by
+    a 64-value int is far cheaper than by high-cardinality strings, and
+    the per-group task overhead drops from one call per conversation to
+    one per partition (each partition task then iterates its
+    conversations with a local pandas groupby). The quadratic kernel
+    work happens inside each small conversation, vectorized.
 
     ``presplit_words`` chunks punctuation-free documents into
     pseudo-sentences via the reference's pre-split entry point (O28)."""
     cfg = cfg or SummarizeConfig()
-
-    def per_part(group: pd.DataFrame) -> pa.Table:
-        return _convs_edges_table(group, cfg, presplit_words)
-
-    pruned = transcripts.select_columns(["conv_id", "turn_idx", "text"])
-
-    if not contiguous:
-        return keyed_sweep(pruned, "conv_id", per_part, num_parts)
-
-    def _boundary_mask(batch: pa.Table) -> np.ndarray:
-        cids = np.asarray(batch["conv_id"].to_pandas())
-        return (cids == cids[0]) | (cids == cids[-1])
-
-    def interior_edges(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _convs_edges_table(pd.DataFrame(
-                {"conv_id": [], "turn_idx": [], "text": []}), cfg,
-                presplit_words)
-        keep = ~_boundary_mask(batch)
-        return _convs_edges_table(batch.filter(pa.array(keep)).to_pandas(),
-                                  cfg, presplit_words)
-
-    def boundary_turns(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch
-        return batch.filter(pa.array(_boundary_mask(batch)))
-
-    interior = pruned.map_batches(interior_edges, batch_format="pyarrow",
-                                  batch_size=None)
-    leftover = pruned.map_batches(boundary_turns, batch_format="pyarrow",
-                                  batch_size=None)
-    return interior.union(
-        keyed_sweep(leftover, "conv_id", per_part, num_parts))
+    return keyed_sweep(
+        transcripts.select_columns(["conv_id", "turn_idx", "text"]),
+        "conv_id", lambda g: _convs_edges_table(g, cfg, presplit_words))
 
 
-def _cooccurrence_pairs_fn(etype: str, etype_star: str, max_group_size: int):
-    """Per-key pair builder shared by the tool and entity edge families:
-    clique below ``max_group_size`` conversations, star through the
-    minimum vertex above it (the documented hub-skew clamp)."""
-    def pairs(group: pd.DataFrame) -> pd.DataFrame:
-        convs = sorted(group["conv_id"].unique())
-        verts = np.asarray([conv_vertex_base(c) for c in convs], dtype=np.int64)
+def _coref_rows(batch: pa.Table, tools: bool = True,
+                entities: bool = True) -> pa.Table:
+    """Per-batch distinct (kind, key, conv_id) co-reference rows — the
+    invoked tool (kind "tool") and the mentioned entities (kind
+    "entity") of each turn. The combiner before the shuffle keyed by
+    (kind, key); global dedup happens in ``_coref_pairs``."""
+    frames = []
+    if tools:
+        df = pd.DataFrame({"key": batch["tool"].to_pandas(),
+                           "conv_id": batch["conv_id"].to_pandas()})
+        df = df[df["key"].notna() & (df["key"] != "")].drop_duplicates()
+        frames.append(df.assign(kind="tool"))
+    if entities:
+        ments = _extract_entity_mentions(batch)
+        if ments:
+            frames.append(pd.DataFrame(ments, columns=["key", "conv_id"])
+                          .assign(kind="entity"))
+    df = pd.concat(frames, ignore_index=True) if frames else pd.DataFrame()
+    if not len(df):
+        return _COREF_SCHEMA.empty_table()
+    return pa.table({c: pa.array(df[c], pa.string())
+                     for c in _COREF_SCHEMA.names})
+
+
+def _coref_pairs(group: pd.DataFrame, max_group_size: int) -> pa.Table:
+    """Co-reference rows (kind, key, conv_id) of whole (kind, key)
+    groups -> edges: per group (in order of first appearance) a clique
+    over its distinct conversations, or a star through the minimum
+    vertex past ``max_group_size`` conversations (the documented
+    hub-skew clamp); both directions of each pair, as ``src = [a, b]``,
+    ``dst = [b, a]``."""
+    srcs, dsts, etypes = [], [], []
+    g = group.drop_duplicates(["kind", "key", "conv_id"])
+    for (kind, _key), sub in g.groupby(["kind", "key"], sort=False):
+        verts = np.asarray([conv_vertex_base(c)
+                            for c in sorted(sub["conv_id"].unique())],
+                           dtype=np.int64)
         k = verts.size
         if k < 2:
-            return pd.DataFrame({"src": pd.array([], dtype="int64"),
-                                 "dst": pd.array([], dtype="int64"),
-                                 "weight": pd.array([], dtype="float64"),
-                                 "etype": pd.array([], dtype=object)})
+            continue
         if k > max_group_size:
             hub = verts.min()
-            others = verts[verts != hub]
-            src = np.concatenate([np.full(others.size, hub), others])
-            dst = np.concatenate([others, np.full(others.size, hub)])
-            et = etype_star
+            b = verts[verts != hub]
+            a = np.full(b.size, hub)
+            etype = f"{kind}_star"
         else:
             ii, jj = np.triu_indices(k, 1)
-            src = np.concatenate([verts[ii], verts[jj]])
-            dst = np.concatenate([verts[jj], verts[ii]])
-            et = etype
-        return pd.DataFrame(
-            {
-                "src": src,
-                "dst": dst,
-                "weight": np.ones(src.size),
-                "etype": np.full(src.size, et, dtype=object),
-            }
-        )
-
-    return pairs
+            a, b = verts[ii], verts[jj]
+            etype = kind
+        srcs += [a, b]
+        dsts += [b, a]
+        etypes += [etype] * (2 * a.size)
+    if not srcs:
+        return _EDGE_SCHEMA.empty_table()
+    src = np.concatenate(srcs)
+    return pa.table({"src": src, "dst": np.concatenate(dsts),
+                     "weight": np.ones(src.size),
+                     "etype": pa.array(etypes, pa.string())})
 
 
 def cooccurrence_edges(transcripts, max_group_size: int = 64,
@@ -199,55 +192,13 @@ def cooccurrence_edges(transcripts, max_group_size: int = 64,
     slot). Distinct (kind, key, conv) rows first (bounds hub groups by
     distinct conversations, not call counts), then per-key pairs with
     the star clamp for hub keys."""
-    def distinct_rows(batch: pa.Table) -> pa.Table:
-        """Per-batch distinct (kind, key, conv) rows — the combiner
-        before the ONE shuffle, keyed by (kind, key); global dedup
-        happens inside the partition sweep."""
-        frames = []
-        if include_tools:
-            df = pd.DataFrame({"key": batch["tool"].to_pandas(),
-                               "conv_id": batch["conv_id"].to_pandas()})
-            df = df[df["key"].notna() & (df["key"] != "")].drop_duplicates()
-            df = df.assign(kind="tool")
-            frames.append(df)
-        if include_entities:
-            ments = _extract_entity_mentions(batch)
-            if ments:
-                e, c = zip(*ments)
-                frames.append(pd.DataFrame({"key": list(e),
-                                            "conv_id": list(c),
-                                            "kind": "entity"}))
-        df = pd.concat(frames, ignore_index=True) if frames else \
-            pd.DataFrame({"key": [], "conv_id": [], "kind": []})
-        keys = pa.array(df["key"], pa.string()) if len(df) else \
-            pa.array([], pa.string())
-        return pa.table({"kind": pa.array(df["kind"], pa.string())
-                         if len(df) else pa.array([], pa.string()),
-                         "key": keys,
-                         "conv_id": pa.array(df["conv_id"], pa.string())
-                         if len(df) else pa.array([], pa.string())})
-
     cols = ["conv_id"] + (["tool"] if include_tools else []) \
         + (["text"] if include_entities else [])
-
-    def part_pairs(group: pd.DataFrame) -> pd.DataFrame:
-        g = group.drop_duplicates(["kind", "key", "conv_id"])
-        outs = []
-        for (kind, _key), sub in g.groupby(["kind", "key"], sort=False):
-            fn = _cooccurrence_pairs_fn(kind, f"{kind}_star",
-                                        max_group_size)
-            outs.append(fn(sub))
-        if not outs:
-            return pd.DataFrame({"src": pd.array([], dtype="int64"),
-                                 "dst": pd.array([], dtype="int64"),
-                                 "weight": pd.array([], dtype="float64"),
-                                 "etype": pd.array([], dtype=object)})
-        return pd.concat(outs, ignore_index=True)
-
-    return keyed_sweep(
-        transcripts.select_columns(cols)
-        .map_batches(distinct_rows, batch_format="pyarrow"),
-        ["kind", "key"], part_pairs)
+    rows = transcripts.select_columns(cols).map_batches(
+        lambda b: _coref_rows(b, include_tools, include_entities),
+        batch_format="pyarrow")
+    return keyed_sweep(rows, ["kind", "key"],
+                       lambda g: _coref_pairs(g, max_group_size))
 
 
 def tool_cooccurrence_edges(transcripts, max_group_size: int = 64):
@@ -301,17 +252,9 @@ def _extract_entity_mentions(batch: pa.Table) -> list[tuple[str, str]]:
 def entity_mentions(transcripts):
     """transcripts -> Dataset (entity, conv_id) of per-batch-distinct
     entity mentions (see ``_extract_entity_mentions``)."""
-    def extract(batch: pa.Table) -> pa.Table:
-        ments = _extract_entity_mentions(batch)
-        if not ments:
-            return pa.table({"entity": pa.array([], pa.string()),
-                             "conv_id": pa.array([], pa.string())})
-        e, c = zip(*ments)
-        return pa.table({"entity": pa.array(list(e), pa.string()),
-                         "conv_id": pa.array(list(c), pa.string())})
-
     return transcripts.select_columns(["conv_id", "text"]).map_batches(
-        extract, batch_format="pyarrow")
+        lambda b: _coref_rows(b, tools=False).select(["key", "conv_id"])
+        .rename_columns(["entity", "conv_id"]), batch_format="pyarrow")
 
 
 def entity_cooccurrence_edges(transcripts, max_group_size: int = 64):
@@ -322,10 +265,7 @@ def entity_cooccurrence_edges(transcripts, max_group_size: int = 64):
 
 
 def transcript_graph(transcripts, cfg: Optional[SummarizeConfig] = None,
-                     max_group_size: int = 64, include_tools: bool = True,
-                     include_entities: bool = True,
-                     presplit_words: Optional[int] = None,
-                     contiguous: bool = False, num_parts: int = 64):
+                     presplit_words: Optional[int] = None):
     """Union of the three edge families, ready for graph.GraphEngine —
     built through ONE fused all-to-all.
 
@@ -335,143 +275,52 @@ def transcript_graph(transcripts, cfg: Optional[SummarizeConfig] = None,
     graphs into one global link graph.
 
     Fusion (round-3 scaling fix): one scan of the transcripts emits
-    BOTH row kinds — similarity rows keyed into parts [0, num_parts)
-    by conv hash, co-reference rows keyed into parts [num_parts,
-    2*num_parts) by (kind, key) hash — and a single ``groupby("part")``
-    moves everything; each partition task dispatches on its part range.
-    Every Ray all-to-all costs ~1-2 s of coordination on top of the
-    data movement regardless of size, so collapsing the two family
-    shuffles (and their two source scans) into one halves the fixed
-    latency floor of the headline build. ``contiguous=True`` keeps the
-    shuffle-free interior similarity path and routes only the block-
-    boundary conversations through the fused shuffle alongside the
-    co-reference rows (see ``similarity_edges`` for the determinism
-    requirement of the two-scan contiguous layout)."""
+    BOTH row kinds — similarity rows keyed into parts [0, NP) by conv
+    hash, co-reference rows keyed into parts [NP, 2*NP) by (kind, key)
+    hash, NP = 64 — and a single ``groupby("part")`` moves everything;
+    each partition task dispatches on its part range. Every Ray
+    all-to-all costs ~1-2 s of coordination on top of the data movement
+    regardless of size, so collapsing the two family shuffles (and
+    their two source scans) into one halves the fixed latency floor of
+    the headline build. Hub co-reference groups are star-clamped past
+    64 conversations."""
     cfg = cfg or SummarizeConfig()
-    if not (include_tools or include_entities):
-        return similarity_edges(transcripts, cfg, presplit_words,
-                                num_parts=num_parts,
-                                contiguous=contiguous).select_columns(
-            ["src", "dst", "weight", "etype"])
 
-    cols = ["conv_id", "turn_idx", "text"] \
-        + (["tool"] if include_tools else [])
-    pruned = transcripts.select_columns(cols)
-
-    def _coref_rows(batch: pa.Table) -> "pd.DataFrame":
-        """Distinct (kind, key, conv) rows of a batch, as in
-        ``cooccurrence_edges.distinct_rows``."""
-        frames = []
-        if include_tools:
-            df = pd.DataFrame({"key": batch["tool"].to_pandas(),
-                               "conv_id": batch["conv_id"].to_pandas()})
-            df = df[df["key"].notna() & (df["key"] != "")].drop_duplicates()
-            frames.append(df.assign(kind="tool"))
-        if include_entities:
-            ments = _extract_entity_mentions(batch)
-            if ments:
-                e, c = zip(*ments)
-                frames.append(pd.DataFrame({"key": list(e),
-                                            "conv_id": list(c),
-                                            "kind": "entity"}))
-        return pd.concat(frames, ignore_index=True) if frames else \
-            pd.DataFrame({"key": [], "conv_id": [], "kind": []})
-
-    def _fused_rows(sim_batch: pa.Table | None,
-                    coref_batch: pa.Table) -> pa.Table:
+    def fused_rows(batch: pa.Table) -> pa.Table:
         """Sim rows (part in [0, NP)) + coref rows (part in [NP, 2NP))
         with a shared null-padded schema for the one shuffle."""
-        tabs = []
-        if sim_batch is not None and sim_batch.num_rows:
-            n = sim_batch.num_rows
-            tabs.append(pa.table(
-                {
-                    "part": pa.array(part_key(sim_batch["conv_id"],
-                                              num_parts)),
-                    "conv_id": sim_batch["conv_id"],
-                    "turn_idx": sim_batch["turn_idx"].cast(pa.int64()),
-                    "text": sim_batch["text"].cast(pa.string()),
-                    "kind": pa.nulls(n, pa.string()),
-                    "key": pa.nulls(n, pa.string()),
-                }
-            ))
-        df = _coref_rows(coref_batch)
-        m = len(df)
-        keys = pa.array(df["key"], pa.string()) if m else \
-            pa.array([], pa.string())
-        kinds = pa.array(df["kind"], pa.string()) if m else \
-            pa.array([], pa.string())
-        tabs.append(pa.table(
+        n = batch.num_rows
+        coref = _coref_rows(batch)
+        m = coref.num_rows
+        sim = pa.table(
             {
-                "part": pa.array(num_parts + part_key([kinds, keys],
-                                                      num_parts)),
-                "conv_id": pa.array(df["conv_id"], pa.string()) if m
-                else pa.array([], pa.string()),
+                "part": pa.array(part_key(batch["conv_id"], _NUM_PARTS)),
+                "conv_id": batch["conv_id"].cast(pa.string()),
+                "turn_idx": batch["turn_idx"].cast(pa.int64()),
+                "text": batch["text"].cast(pa.string()),
+                "kind": pa.nulls(n, pa.string()),
+                "key": pa.nulls(n, pa.string()),
+            }
+        )
+        ref = pa.table(
+            {
+                "part": pa.array(_NUM_PARTS + part_key(
+                    [coref["kind"], coref["key"]], _NUM_PARTS)),
+                "conv_id": coref["conv_id"],
                 "turn_idx": pa.nulls(m, pa.int64()),
                 "text": pa.nulls(m, pa.string()),
-                "kind": kinds,
-                "key": keys,
+                "kind": coref["kind"],
+                "key": coref["key"],
             }
-        ))
-        return pa.concat_tables(tabs)
-
-    _EDGE_SCHEMA = pa.schema([("src", pa.int64()), ("dst", pa.int64()),
-                              ("weight", pa.float64()),
-                              ("etype", pa.string())])
+        )
+        return pa.concat_tables([sim, ref])
 
     def dispatch_part(group: pd.DataFrame) -> pa.Table:
-        p = int(group["part"].iloc[0])
-        if p < num_parts:       # similarity family
-            t = _convs_edges_table(group, cfg, presplit_words)
-            return t.select(["src", "dst", "weight", "etype"])
-        # co-reference families: per-(kind, key) pair sweep
-        g = group.drop_duplicates(["kind", "key", "conv_id"])
-        outs = []
-        for (kind, _key), sub in g.groupby(["kind", "key"], sort=False):
-            fn = _cooccurrence_pairs_fn(kind, f"{kind}_star",
-                                        max_group_size)
-            outs.append(fn(sub))
-        df = pd.concat(outs, ignore_index=True) if outs else None
-        if df is None or not len(df):
-            return _EDGE_SCHEMA.empty_table()
-        return pa.table({"src": pa.array(df["src"], pa.int64()),
-                         "dst": pa.array(df["dst"], pa.int64()),
-                         "weight": pa.array(df["weight"], pa.float64()),
-                         "etype": pa.array(df["etype"], pa.string())})
+        if group["part"].iloc[0] < _NUM_PARTS:      # similarity family
+            return _convs_edges_table(group, cfg, presplit_words).select(
+                _EDGE_SCHEMA.names)
+        return _coref_pairs(group, _MAX_GROUP_SIZE)
 
-    if not contiguous:
-        fused = pruned.map_batches(
-            lambda b: _fused_rows(b, b), batch_format="pyarrow")
-        return fused.groupby("part").map_groups(dispatch_part,
-                                                batch_format="pandas")
-
-    # contiguous: interior sim edges shuffle-free; boundary sim rows
-    # join the coref rows in the one fused shuffle
-    def _boundary_mask(batch: pa.Table) -> np.ndarray:
-        cids = np.asarray(batch["conv_id"].to_pandas())
-        return (cids == cids[0]) | (cids == cids[-1])
-
-    def interior_edges(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _convs_edges_table(pd.DataFrame(
-                {"conv_id": [], "turn_idx": [], "text": []}), cfg,
-                presplit_words).select(["src", "dst", "weight", "etype"])
-        keep = ~_boundary_mask(batch)
-        return _convs_edges_table(
-            batch.filter(pa.array(keep)).select(
-                ["conv_id", "turn_idx", "text"]).to_pandas(),
-            cfg, presplit_words).select(["src", "dst", "weight", "etype"])
-
-    def boundary_and_coref(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return _fused_rows(None, batch)
-        sim_part = batch.filter(pa.array(_boundary_mask(batch)))
-        return _fused_rows(sim_part, batch)
-
-    interior = pruned.map_batches(interior_edges, batch_format="pyarrow",
-                                  batch_size=None)
-    fused = pruned.map_batches(boundary_and_coref, batch_format="pyarrow",
-                               batch_size=None)
-    rest = fused.groupby("part").map_groups(dispatch_part,
-                                            batch_format="pandas")
-    return interior.union(rest)
+    return (transcripts.select_columns(["conv_id", "turn_idx", "text", "tool"])
+            .map_batches(fused_rows, batch_format="pyarrow")
+            .groupby("part").map_groups(dispatch_part, batch_format="pandas"))
