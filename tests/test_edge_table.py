@@ -1,4 +1,6 @@
-"""Edge-table build: frozen output digests of the edge builders.
+"""Edge-table build: frozen output digests of the edge builders, and the
+headline (edges -> engine -> PageRank and CC) on edgeless and null-tool
+inputs.
 
 The digests pin ``stages.edges`` bit for bit on one seeded synthetic
 corpus. The engine folds floats in block-content order, so the row
