@@ -133,7 +133,24 @@ def _headline(tab: pa.Table):
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("name", ["empty", "one_sentence"])
 def test_headline_on_edgeless_input_is_an_empty_graph(name):
+    import ray
+    import ray.data as rd
+
+    from tldr_ray.stages.edges import transcript_graph
+
     tab = FAULT_INPUTS[name](synth_transcripts_table(10, seed=42))
+    edges = transcript_graph(rd.from_arrow(tab)).materialize()
+    typed = pa.schema([("src", pa.int64()), ("dst", pa.int64()),
+                       ("weight", pa.float64()), ("etype", pa.string())])
+    schema = edges.schema()
+    assert schema is not None and list(schema.names) == _COLS
+    assert list(schema.types) == list(typed.types)
+    # Ray's to_pandas() drops the columns of every 0-row Dataset, so the
+    # frame's columns are checked on the blocks it is built from (Ray's
+    # shuffle of a 0-row input leaves one block with no columns at all)
+    blocks = [ray.get(r) for r in edges.to_arrow_refs()]
+    assert any(b.schema.equals(typed) for b in blocks)
+    assert all(b.schema.equals(typed) for b in blocks if b.num_columns)
     df, n, (pr_ids, scores, pr_info), (cc_ids, labels, cc_info) = \
         _headline(tab)
     assert len(df) == 0 and n == 0
