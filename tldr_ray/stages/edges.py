@@ -283,7 +283,13 @@ def transcript_graph(transcripts, cfg: Optional[SummarizeConfig] = None,
     regardless of size, so collapsing the two family shuffles (and
     their two source scans) into one halves the fixed latency floor of
     the headline build. Hub co-reference groups are star-clamped past
-    64 conversations."""
+    64 conversations.
+
+    An edgeless input (0 rows, or no sentence pair) still yields a
+    Dataset typed like the edge table: a 0-row input makes no block at
+    all, so one empty ``_EDGE_SCHEMA`` block rides along."""
+    import ray.data as rd
+
     cfg = cfg or SummarizeConfig()
 
     def fused_rows(batch: pa.Table) -> pa.Table:
@@ -323,4 +329,5 @@ def transcript_graph(transcripts, cfg: Optional[SummarizeConfig] = None,
 
     return (transcripts.select_columns(["conv_id", "turn_idx", "text", "tool"])
             .map_batches(fused_rows, batch_format="pyarrow")
-            .groupby("part").map_groups(dispatch_part, batch_format="pandas"))
+            .groupby("part").map_groups(dispatch_part, batch_format="pandas")
+            .union(rd.from_arrow(_EDGE_SCHEMA.empty_table())))
