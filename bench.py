@@ -421,12 +421,10 @@ if __name__ == "__main__":
                  "winnow_fingerprints_docs", "repetition_scores_docs",
                  "unigram_logprob_docs", "kmeans_embeddings",
                  "label_propagation_hashgraph", "tpch_q3", "tpch_q6",
-                 "tpch_q4", "tpch_q5", "tpch_q14", "redact_terms_docs",
+                 "redact_terms_docs",
                  "decontaminate_docs", "doc_pack_shards",
                  "common_neighbors_hashgraph",
                  # late round-3 additions
-                 "tpch_q10", "tpch_q13", "tpch_q18",
-                 "tpch_q7_trade_pairs", "tpch_q16_supplier_counts",
                  "inverted_index_stats_docs", "boolean_search_docs",
                  "lift_bigrams_docs", "ktruss_hashgraph",
                  "eccentricity_hashgraph", "lang_token_budget_docs",
@@ -434,33 +432,29 @@ if __name__ == "__main__":
                  "pca_embeddings",
                  # second late-round-3 wave
                  "jaro_dup_docs", "parts_with_returns",
-                 "cheapest_supplier_per_part", "sample3_docs_per_lang",
-                 "tpch_q11_supplier_share",
+                 "sample3_docs_per_lang",
                  "tpch_q22_idle_rich_customers", "user_value_trend",
                  "orders_snapshot_diff", "bpe_merges_docs",
                  "compression_signal_docs",
-                 "referential_integrity_audit", "normalize_text_docs",
+                 "normalize_text_docs",
                  "events_zorder_layout", "kmv_overlap_users_custkeys",
                  "label_spread_hashgraph", "lang_confusion_docs",
-                 "events_hourly_dense", "node2vec_walks_hashgraph",
+                 "node2vec_walks_hashgraph",
                  "eigencentrality_hashgraph", "hits_hashgraph",
-                 "events_value_ntile", "user_decayed_activity",
+                 "events_value_ntile",
                  "maximal_matching_hashgraph", "mis_hashgraph",
                  "coloring_hashgraph", "events_value_mad_outliers",
-                 "daily_new_users", "copurchase_pairs",
                  "dup_clusters_docs", "lang_vocab_richness",
                  "reciprocity_hashgraph", "pretraining_mix_pipeline",
                  # round-4 wave
                  "tpch_q8_market_share", "tpch_q9_profit_by_nation_year",
-                 "tpch_q17_small_quantity", "tpch_q19_disjunct_revenue",
-                 "tpch_q21_sole_failing_supplier",
                  "knn_graph_embeddings", "temperature_mix_docs",
                  "paragraph_dedup_docs", "chunk_docs_sliding",
                  "merge_customer_balances", "ngram_containment_docs",
                  "incremental_dedup_docs", "hll_daily_rollup_events",
-                 "harmonic_closeness_sampled", "event_value_drift",
+                 "harmonic_closeness_sampled",
                  "dedup_rates_by_source", "profile_documents",
-                 "langid_prf_docs", "user_active_time",
+                 "langid_prf_docs",
                  "scc_of_vertex_hashgraph", "betweenness_hashgraph",
                  "semantic_dedup_embeddings", "bpe_encode_docs",
                  "audio_phash_dups", "curate_documents_pipeline",
@@ -470,33 +464,27 @@ if __name__ == "__main__":
                  "event_rate_spikes", "knn_pq_top10",
                  # round-4 third wave
                  "importance_sample_docs", "feature_propagation_hashgraph",
-                 "suppliers_high_return_share", "tpch_q15", "tpch_q12",
-                 "exact_median_price_by_flag",
-                 "weighted_median_price_by_flag",
-                 "quantiles_price_by_flag", "edit1_name_pairs",
+                 "tpch_q12",
+                 "edit1_name_pairs",
                  "orders_cube", "zonemap_pruned_events",
                  "zorder_zonemap_events", "price_quantity_skyline",
                  "orders_expectations", "watermark_hourly_events",
-                 "events_hourly_interpolated", "user_type_gini",
-                 "top_orders_per_customer_ranked",
                  # round-4 fourth wave
-                 "event_trigram_paths", "fd_audit_lineitem",
+                 "fd_audit_lineitem",
                  "cogroup_orders_events", "scc_hashgraph",
                  "scd2_user_values", "user_day_busy_hours",
                  "setsim_prefix_docs", "quantiles_cont_value_by_type",
                  "hash_index_lookup_orders", "heavy_users_misra_gries",
-                 "table_checksum_orders", "csv_roundtrip_events",
-                 "jsonl_roundtrip_events", "latest_event_per_user",
+                 "table_checksum_orders",
                  "boilerplate_ngrams_docs",
                  # round-5 wave
                  "event_rate_cusum", "value_auc_purchase",
-                 "value_purchase_calibration",
-                 "bootstrap_mean_ci_value", "txlog_orders_snapshot",
+                 "txlog_orders_snapshot",
                  "cluster_aware_split_docs", "dup_gram_fraction_docs",
                  "purchase_last_click_asof_1h",
                  "ego_subgraph_hashgraph",
                  "customer_entity_resolution", "range_layout_events",
-                 "revenue_gini_customers", "weighted_sample_docs",
+                 "weighted_sample_docs",
                  "events_above_p99", "debounced_events",
                  "trending_users_daily", "hyperball_hashgraph",
                  "effective_diameter_hashgraph",
@@ -506,7 +494,6 @@ if __name__ == "__main__":
                  "substring_search_docs",
                  "link_prediction_jaccard_hashgraph",
                  "user_value_rolling_median", "value_time_spearman",
-                 "trailing_7d_active_users",
                  "trimmed_mean_price_by_flag",
                  "top_users_exact_via_sketch", "forget_users_audit",
                  "feature_hash_docs", "scalar_quantize_embeddings",
@@ -514,59 +501,31 @@ if __name__ == "__main__":
                  "revenue_first_touch_hourly",
                  "theilsen_user_value_trend",
                  "user_value_rolling_slope", "four_cycles_hashgraph",
-                 "click_purchase_lag_xcorr", "seasonal_value_outliers",
-                 "target_encode_event_type", "rebalance_event_classes",
-                 "event_type_index100_daily",
+                 "rebalance_event_classes",
                  "kendall_user_value_trend",
-                 "purchase_point_in_time_state", "user_rfm_segments",
-                 "user_novelty_curve", "doc_readability_scores",
-                 "user_value_rolling_zscore",
-                 "session_entry_exit_matrix", "file_lineage_audit",
+                 "purchase_point_in_time_state",
+                 "doc_readability_scores",
+                 "file_lineage_audit",
                  "orders_customer_view_incremental",
                  "backfill_daily_partitions", "msf_hashgraph",
                  # round-5 fifth wave
-                 "wasserstein_click_vs_purchase", "anova_value_by_type",
-                 "kruskal_wallis_value_by_type",
-                 "mann_kendall_daily_events",
-                 "hodges_lehmann_weekend_shift",
                  "katz_centrality_hashgraph", "rich_club_hashgraph",
                  "avg_neighbor_degree_hashgraph", "chao1_vocab_docs",
-                 "word_burstiness_docs", "microaggregation_customers",
-                 "lorenz_curve_customers", "hourly_peaks_events",
-                 "user_covered_time_5m", "negative_edges_hashgraph",
+                 "word_burstiness_docs",
+                 "negative_edges_hashgraph",
                  "modularity_hashgraph", "lang_assortativity_hashgraph",
                  "attack_robustness_hashgraph", "span_corruption_docs",
                  "dvb_roundtrip_events", "kwic_docs",
-                 "mutual_nn_embeddings", "bucket_balance_audit_events",
+                 "mutual_nn_embeddings",
                  "random_failure_robustness_hashgraph",
-                 "join_size_exact_orders_lineitem",
-                 "interarrival_cv_by_type", "type_count_corr_matrix",
-                 "mcnemar_purchase_halves",
-                 "bhattacharyya_click_purchase",
-                 "renyi2_diversity_daily", "bot_score_users",
-                 "wilson_lb_part_returns", "access_export_user",
-                 "repeat_revenue_share", "hod_profile_similarity",
-                 "shipping_latency_sla", "day_profile_knn",
-                 "embedding_dim_minmax", "transition_dwell_matrix",
-                 "jsonl_gz_roundtrip_events", "revenue_yoy_monthly",
-                 "brand_margin_report", "value_ohlc_6h",
-                 "docs_lang_source_residuals", "persistent_top_users",
-                 "fim_transform_docs", "join_plan_report",
-                 "two_hop_reach_hashgraph", "order_backlog_daily",
-                 "value_cdf_export", "nation_revenue_race",
+                 "embedding_dim_minmax",
+                 "docs_lang_source_residuals",
+                 "fim_transform_docs",
+                 "two_hop_reach_hashgraph",
                  "rare_word_ratio_docs",
-                 "split_half_reliability_value", "abc_xyz_parts",
-                 "its_level_trend_shift",
-                 "triangle_null_model_hashgraph", "repurchase_cadence",
-                 "video_scene_cuts_demo", "codec_advisor_events",
-                 "dp_budget_audit", "learned_index_audit_events",
-                 "gamma_mom_by_type", "log2_histogram_value",
-                 "overdispersion_daily_by_type", "local_hour_profile",
-                 "quality_scorecard", "user_feature_export",
-                 "repurchase_hazard", "peak_concurrency_5m",
-                 "minute_uniformity_audit", "activity_calendar_grid",
-                 "weekly_zchart_events", "pvm_decomposition_by_type",
-                 "priority_mix_drift_yearly", "rising_streak_daily"]
+                 "triangle_null_model_hashgraph",
+                 "video_scene_cuts_demo",
+                 "dp_budget_audit"]
         qsec = {}
         try:
             for n in names:

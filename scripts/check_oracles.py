@@ -6,7 +6,7 @@ Prints one ``name: OK/FAIL`` line per query and writes the sweep as
 the query (run + collect, oracle excluded) per query.
 
     python scripts/check_oracles.py --all          # every oracle
-    python scripts/check_oracles.py tpch_q3 tpch_q5
+    python scripts/check_oracles.py tpch_q3 tpch_q6
 """
 import glob
 import json

@@ -1136,15 +1136,19 @@ class TestFullSCC:
         assert (got.groupby("scc_id")["vertex"].min()
                 == got.groupby("scc_id")["vertex"].min().index).all()
 
-    def test_scc_fwbw_round_then_local_finisher(self, tmp_path):
-        """Force ONE distributed FW-BW pivot round (gate below the full
-        edge count) and check the hybrid equals the pure-local answer."""
+    def test_scc_fwbw_round_then_local_finisher(self, tmp_path,
+                                                monkeypatch):
+        """Force ONE distributed FW-BW pivot round (broadcast budget
+        below the full edge count) and check the hybrid equals the
+        pure-local answer."""
         from tldr_ray.queries import _hash_graph_edges, scc_hashgraph
+        from tldr_ray.stages import joins
 
         sf = self._write_docs(tmp_path, 120)
         n_edges = _hash_graph_edges(sf).count()
-        # prune keeps ~2/3; gate just under that forces round 1 FW-BW
-        gate = int(n_edges * 2 / 3) - 20
-        got = scc_hashgraph(sf, gate_edges=gate).to_pandas()
+        # prune keeps ~2/3; a budget just under that forces round 1 FW-BW
+        monkeypatch.setattr(joins, "BROADCAST_BUDGET_ROWS",
+                            int(n_edges * 2 / 3) - 20)
+        got = scc_hashgraph(sf).to_pandas()
         want = self._oracle(sf)
         assert dict(zip(got["vertex"], got["scc_id"])) == want

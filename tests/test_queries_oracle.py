@@ -37,6 +37,19 @@ def to_pandas(result) -> pd.DataFrame:
     raise TypeError(type(result))
 
 
+def test_kept_surface_holds_the_driver_queries():
+    """Every query the driver checks (the keys of CORRECTNESS_r05.json)
+    stays registered, and every oracle names a registered query."""
+    import json
+    import pathlib
+
+    driver = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                         / "CORRECTNESS_r05.json").read_text())
+    assert len(driver) == 50
+    assert set(driver) <= set(q.QUERIES)
+    assert set(q.ORACLE_SQL) <= set(q.QUERIES)
+
+
 @pytest.mark.usefixtures("ray_session")
 @pytest.mark.parametrize("name", sorted(q.ORACLE_SQL))
 def test_query_matches_oracle(name):
@@ -106,24 +119,6 @@ class TestInterleaveMix:
         # deterministic: ranks within a language are 1..n_l
         g = df[df["lang"] == "en"].sort_values("rn")
         assert g["rn"].tolist() == list(range(1, len(g) + 1))
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_bootstrap_ci_brackets_true_mean():
-    """The 32 Poisson-replica means spread around the true mean and
-    the min/max CI brackets it; mean Poisson weight is ~1 so replica
-    weighted counts are ~n."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    out = to_pandas(q.QUERIES["bootstrap_mean_ci_value"](SF_DIR))
-    assert len(out) == 32
-    v = pq.read_table(f"{SF_DIR}/events.parquet",
-                      columns=["value"])["value"].to_numpy()
-    true_mean = np.floor(v * 100 + 0.5).mean()
-    assert out["mean_cents"].min() <= true_mean <= out["mean_cents"].max()
-    n = len(v)
-    assert (np.abs(out["n_w"] - n) < 5 * np.sqrt(n)).all()
 
 
 @pytest.mark.usefixtures("ray_session")
