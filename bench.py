@@ -439,11 +439,12 @@ if __name__ == "__main__":
                  "normalize_text_docs",
                  "events_zorder_layout", "kmv_overlap_users_custkeys",
                  "label_spread_hashgraph", "lang_confusion_docs",
-                 "node2vec_walks_hashgraph",
+                 "events_hourly_dense", "node2vec_walks_hashgraph",
                  "eigencentrality_hashgraph", "hits_hashgraph",
-                 "events_value_ntile",
+                 "events_value_ntile", "user_decayed_activity",
                  "maximal_matching_hashgraph", "mis_hashgraph",
                  "coloring_hashgraph", "events_value_mad_outliers",
+                 "daily_new_users",
                  "dup_clusters_docs", "lang_vocab_richness",
                  "reciprocity_hashgraph", "pretraining_mix_pipeline",
                  # round-4 wave
@@ -452,9 +453,9 @@ if __name__ == "__main__":
                  "paragraph_dedup_docs", "chunk_docs_sliding",
                  "merge_customer_balances", "ngram_containment_docs",
                  "incremental_dedup_docs", "hll_daily_rollup_events",
-                 "harmonic_closeness_sampled",
+                 "harmonic_closeness_sampled", "event_value_drift",
                  "dedup_rates_by_source", "profile_documents",
-                 "langid_prf_docs",
+                 "langid_prf_docs", "user_active_time",
                  "scc_of_vertex_hashgraph", "betweenness_hashgraph",
                  "semantic_dedup_embeddings", "bpe_encode_docs",
                  "audio_phash_dups", "curate_documents_pipeline",
@@ -469,17 +470,20 @@ if __name__ == "__main__":
                  "orders_cube", "zonemap_pruned_events",
                  "zorder_zonemap_events", "price_quantity_skyline",
                  "orders_expectations", "watermark_hourly_events",
+                 "events_hourly_interpolated", "user_type_gini",
                  # round-4 fourth wave
-                 "fd_audit_lineitem",
+                 "event_trigram_paths", "fd_audit_lineitem",
                  "cogroup_orders_events", "scc_hashgraph",
                  "scd2_user_values", "user_day_busy_hours",
                  "setsim_prefix_docs", "quantiles_cont_value_by_type",
                  "hash_index_lookup_orders", "heavy_users_misra_gries",
-                 "table_checksum_orders",
+                 "table_checksum_orders", "csv_roundtrip_events",
+                 "jsonl_roundtrip_events", "latest_event_per_user",
                  "boilerplate_ngrams_docs",
                  # round-5 wave
                  "event_rate_cusum", "value_auc_purchase",
-                 "txlog_orders_snapshot",
+                 "value_purchase_calibration",
+                 "bootstrap_mean_ci_value", "txlog_orders_snapshot",
                  "cluster_aware_split_docs", "dup_gram_fraction_docs",
                  "purchase_last_click_asof_1h",
                  "ego_subgraph_hashgraph",
@@ -494,6 +498,7 @@ if __name__ == "__main__":
                  "substring_search_docs",
                  "link_prediction_jaccard_hashgraph",
                  "user_value_rolling_median", "value_time_spearman",
+                 "trailing_7d_active_users",
                  "trimmed_mean_price_by_flag",
                  "top_users_exact_via_sketch", "forget_users_audit",
                  "feature_hash_docs", "scalar_quantize_embeddings",
@@ -501,31 +506,56 @@ if __name__ == "__main__":
                  "revenue_first_touch_hourly",
                  "theilsen_user_value_trend",
                  "user_value_rolling_slope", "four_cycles_hashgraph",
-                 "rebalance_event_classes",
+                 "click_purchase_lag_xcorr", "seasonal_value_outliers",
+                 "target_encode_event_type", "rebalance_event_classes",
+                 "event_type_index100_daily",
                  "kendall_user_value_trend",
-                 "purchase_point_in_time_state",
-                 "doc_readability_scores",
-                 "file_lineage_audit",
+                 "purchase_point_in_time_state", "user_rfm_segments",
+                 "user_novelty_curve", "doc_readability_scores",
+                 "user_value_rolling_zscore",
+                 "session_entry_exit_matrix", "file_lineage_audit",
                  "orders_customer_view_incremental",
                  "backfill_daily_partitions", "msf_hashgraph",
                  # round-5 fifth wave
+                 "wasserstein_click_vs_purchase", "anova_value_by_type",
+                 "kruskal_wallis_value_by_type",
+                 "mann_kendall_daily_events",
+                 "hodges_lehmann_weekend_shift",
                  "katz_centrality_hashgraph", "rich_club_hashgraph",
                  "avg_neighbor_degree_hashgraph", "chao1_vocab_docs",
                  "word_burstiness_docs",
-                 "negative_edges_hashgraph",
+                 "hourly_peaks_events",
+                 "user_covered_time_5m", "negative_edges_hashgraph",
                  "modularity_hashgraph", "lang_assortativity_hashgraph",
                  "attack_robustness_hashgraph", "span_corruption_docs",
                  "dvb_roundtrip_events", "kwic_docs",
                  "mutual_nn_embeddings",
                  "random_failure_robustness_hashgraph",
-                 "embedding_dim_minmax",
-                 "docs_lang_source_residuals",
+                 "interarrival_cv_by_type", "type_count_corr_matrix",
+                 "mcnemar_purchase_halves",
+                 "bhattacharyya_click_purchase",
+                 "renyi2_diversity_daily", "bot_score_users",
+                 "hod_profile_similarity",
+                 "day_profile_knn",
+                 "embedding_dim_minmax", "transition_dwell_matrix",
+                 "jsonl_gz_roundtrip_events",
+                 "docs_lang_source_residuals", "persistent_top_users",
                  "fim_transform_docs",
                  "two_hop_reach_hashgraph",
+                 "value_cdf_export",
                  "rare_word_ratio_docs",
-                 "triangle_null_model_hashgraph",
+                 "split_half_reliability_value",
+                 "its_level_trend_shift",
+                 "triangle_null_model_hashgraph", "repurchase_cadence",
                  "video_scene_cuts_demo",
-                 "dp_budget_audit"]
+                 "dp_budget_audit", "learned_index_audit_events",
+                 "gamma_mom_by_type", "log2_histogram_value",
+                 "overdispersion_daily_by_type",
+                 "user_feature_export",
+                 "repurchase_hazard", "peak_concurrency_5m",
+                 "minute_uniformity_audit", "activity_calendar_grid",
+                 "weekly_zchart_events", "pvm_decomposition_by_type",
+                 "rising_streak_daily"]
         qsec = {}
         try:
             for n in names:

@@ -235,6 +235,7 @@ class TestKeyedSweep:
 # of the key (range partitions, a fused two-range shuffle), so they
 # cannot route through hashing.keyed_sweep.
 _OWN_PARTITIONING = {
+    ("queries.py", "nn_matched_att_value"),      # (c - cmin) // width
     ("queries.py", "quantile_normalize_docs"),   # (v - vmin) // width
     ("stages/agg.py", "pack_token_shards"),      # (ids * P) // span
     ("stages/agg.py", "epoch_shuffle"),          # (h >> 32) * P >> 32

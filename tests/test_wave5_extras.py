@@ -298,6 +298,48 @@ def test_geometric_median_robust_and_monotone(ray_session):
     assert np.linalg.norm(mean) > 5.0
 
 
+# ------------------------------------------------------------ huffman
+
+
+def _all_code_lengths(n):
+    """All achievable prefix-code length multisets for n symbols via
+    full binary trees (Kraft-complete): enumerate recursively."""
+    if n == 1:
+        return [[1]]
+
+    def trees(k):
+        if k == 1:
+            return [[0]]
+        out = []
+        for left in range(1, k):
+            for lt in trees(left):
+                for rt in trees(k - left):
+                    out.append([d + 1 for d in lt]
+                               + [d + 1 for d in rt])
+        return out
+
+    return trees(n)
+
+
+def test_huffman_kraft_and_optimality():
+    from tldr_ray.queries import _huffman_lengths
+
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        freqs = {f"s{i}": int(w) for i, w in
+                 enumerate(rng.integers(1, 1000, size=5))}
+        lens = _huffman_lengths(freqs)
+        # Kraft equality (full tree)
+        assert sum(2 ** -lens[s] for s in freqs) == 1.0
+        cost = sum(freqs[s] * lens[s] for s in freqs)
+        w = sorted(freqs.values())
+        best = min(
+            sum(ww * ll for ww, ll in zip(w, sorted(shape,
+                                                    reverse=True)))
+            for shape in _all_code_lengths(5))
+        assert cost == best
+
+
 # ------------------------------------------------- fixed-width records
 
 
@@ -349,6 +391,35 @@ def test_graph_contraction_shrinks_and_conserves(ray_session):
     n_sup = len(np.union1d(q["a"].unique(), q["b"].unique()))
     n_orig = len(np.union1d(und["src"].unique(), und["dst"].unique()))
     assert n_sup < n_orig
+
+
+# --------------------------------------------- v-optimal histogram DP
+
+
+def test_voptimal_dp_matches_bruteforce():
+    from itertools import combinations
+
+    from tldr_ray.queries import _voptimal_dp
+
+    rng = np.random.default_rng(7)
+    for trial in range(20):
+        n = int(rng.integers(6, 14))
+        B = int(rng.integers(2, min(5, n)))
+        x = rng.integers(0, 20, size=n).astype(np.int64)
+        bounds, cost = _voptimal_dp(x, B)
+        assert bounds[0] == 0 and bounds[-1] == n
+        assert len(bounds) == B + 1
+        # recompute cost from bounds
+        def seg(a, b):
+            s = x[a:b]
+            return int((b - a) * np.dot(s, s) - int(s.sum()) ** 2)
+        assert cost == sum(seg(bounds[k], bounds[k + 1])
+                           for k in range(B))
+        best = min(
+            sum(seg(c[k], c[k + 1]) for k in range(B))
+            for mid in combinations(range(1, n), B - 1)
+            for c in [[0, *mid, n]])
+        assert cost == best
 
 
 def test_result_cache_protocol(tmp_path):
