@@ -1,13 +1,12 @@
-"""Session-scoped Ray fixture (ONE ray.init per pytest session), the
-one switch that forces the shuffle path of every broadcast gate, the
-one that forces the graph engine's by-ref message path and the one
-that sets its shard host count."""
+"""Session-scoped Ray fixture (ONE ray.init per pytest session, and a
+fixture that restarts it), the one switch that forces the shuffle path
+of every broadcast gate, the one that forces the graph engine's by-ref
+message path and the one that sets its shard host count."""
 
 import pytest
 
 
-@pytest.fixture(scope="session")
-def ray_session():
+def _ray_init():
     import ray
 
     ray.init(
@@ -21,8 +20,25 @@ def ray_session():
 
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
+    return ray
+
+
+@pytest.fixture(scope="session")
+def ray_session():
+    ray = _ray_init()
     yield ray
     ray.shutdown()
+
+
+@pytest.fixture
+def restart_ray(ray_session):
+    """Callable that ends the test session's Ray session and starts a
+    new one with the same settings (a new local cluster)."""
+    def restart():
+        ray_session.shutdown()
+        _ray_init()
+
+    return restart
 
 
 @pytest.fixture

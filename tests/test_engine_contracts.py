@@ -1,6 +1,7 @@
 """GraphEngine contracts: bit-exact outputs and round counts at every
-shard host count, one superstep loop, empty graphs, no temp state, one
-host process per CPU.
+shard host count, one superstep loop, LPA against a sequential
+reference, empty graphs, no temp state, one host process per CPU and
+one pool of them per Ray session.
 
 The digests below pin every engine algorithm bit-for-bit on one seeded
 random weighted graph at P=3, next to the number of rounds it runs. The
@@ -123,7 +124,7 @@ EXPECTED = {
     "bfs": ("df0d7829449e6297b67412f5", 6),
     "betweenness_sampled": ("d69302984ec1105dd1155a21", 35),
     "label_propagation": ("51d723d86afb96ec5649fb19", 20),
-    "label_spread": ("4813b2a6e97741eddeac67e9", 10),
+    "label_spread": ("4813b2a6e97741eddeac67e9", 8),
     "kcore": ("0e37d690d2c0401357ea9bf6", 7),
     "maximal_matching": ("88a9443705e2c7e48afd572e", 7),
     "maximal_independent_set": ("601080b0572100f75054507b", 2),
@@ -305,24 +306,128 @@ def test_trace_records_every_round_signal():
 @pytest.mark.usefixtures("ray_session")
 def test_lpa_on_one_edge_swaps_labels_every_round():
     """Synchronous LPA on the one undirected edge a-b: each end adopts
-    the other's label, so both flip in every round, the run never
-    settles, and after an even number of rounds each holds its own id
-    again."""
+    the other's label, so both flip in every round and the run never
+    settles. Round 2 repeats round 0, so the run stops there with the
+    labels its cap would reach: each end's own id after an even number
+    of rounds, the other's after an odd one."""
     from tldr_ray.graph import GraphEngine
 
     eng = GraphEngine.from_edges(_edge_ds([5], [9], [1.0]), 2,
                                  symmetrize=True)
     try:
-        ids, labels, info = eng.label_propagation(max_rounds=6)
+        got = {cap: eng.label_propagation(max_rounds=cap)
+               for cap in (5, 6)}
     finally:
         eng.shutdown()
-    assert info["signals"] == [2] * 6
-    assert (info["rounds"], info["stable"]) == (6, False)
-    assert len(info["iter_secs"]) == 6
-    assert sorted(zip(ids.tolist(), labels.tolist())) == [(5, 5), (9, 9)]
+    for cap, want in ((6, [(5, 5), (9, 9)]), (5, [(5, 9), (9, 5)])):
+        ids, labels, info = got[cap]
+        assert info["signals"] == [2, 2]
+        assert (info["rounds"], info["stable"], info["period2"]) == \
+            (2, False, True)
+        assert len(info["iter_secs"]) == 2
+        assert sorted(zip(ids.tolist(), labels.tolist())) == want
 
 
-# -- one host process per CPU --------------------------------------------
+# -- LPA against a sequential reference ------------------------------------
+
+def _lpa_reference(src, dst, w, rounds: int, seeds=None):
+    """Synchronous weighted LPA over the undirected multigraph (src,
+    dst, w), one vertex at a time: every vertex adopts the label with
+    the largest summed weight among its neighbors' labels, the smallest
+    on ties, and keeps its label if no neighbor votes. From own ids, or
+    (label_spread) from ``seeds`` = (ids, labels): other vertices start
+    at -1 and do not vote, seeds never change. Returns the sorted
+    vertex ids and the labels after each of rounds 0..``rounds``."""
+    verts = np.unique(np.concatenate([src, dst]))
+    sender = np.searchsorted(verts, np.concatenate([src, dst]))
+    receiver = np.searchsorted(verts, np.concatenate([dst, src]))
+    ww = np.concatenate([w, w])
+    if seeds is None:
+        lab, clamp = verts.copy(), np.zeros(verts.size, dtype=bool)
+    else:
+        lab = np.full(verts.size, -1, dtype=np.int64)
+        for v, label in zip(*seeds):
+            at = np.flatnonzero(verts == v)
+            lab[at] = label
+        clamp = lab >= 0
+    states = [lab]
+    for _ in range(rounds):
+        new = lab.copy()
+        for v in np.flatnonzero(~clamp):
+            votes = {}
+            for e in np.flatnonzero(receiver == v):
+                label = int(lab[sender[e]])
+                if label >= 0:
+                    votes[label] = votes.get(label, 0.0) + ww[e]
+            if votes:
+                top = max(votes.values())
+                new[v] = min(k for k, s in votes.items() if s == top)
+        lab = new
+        states.append(lab)
+    return verts, states
+
+
+def _lpa_stop(states, cap: int):
+    """(rounds, stable, period2) of an engine run capped at ``cap``:
+    it stops at the first round whose labels equal the last round's
+    (a fixpoint) or those of two rounds back (a period-2 repeat)."""
+    for r in range(1, cap + 1):
+        if np.array_equal(states[r], states[r - 1]):
+            return r, True, False
+        if r >= 2 and np.array_equal(states[r], states[r - 2]):
+            return r, False, r < cap
+    return cap, False, False
+
+
+def _multigraph(seed: int):
+    """60 sparse ids, 150 random edges: duplicates and self-loops
+    included, weights from {0.25, 0.5, 0.75, 1.0}, so every vote sum
+    is exact and ties are pinned."""
+    rng = np.random.default_rng(seed)
+    ids = np.sort(rng.choice(10**6, size=60, replace=False))
+    a = rng.integers(0, ids.size, 150)
+    b = rng.integers(0, ids.size, 150)
+    return ids, ids[a], ids[b], rng.integers(1, 5, 150) / 4.0
+
+
+@pytest.mark.usefixtures("ray_session")
+@pytest.mark.parametrize("num_partitions", [1, 3, 5])
+def test_lpa_matches_sequential_reference(num_partitions):
+    """label_propagation and label_spread at every cap from 1 to 25
+    return the labels the sequential reference holds at the cap, and
+    stop where the reference first repeats its last labels or those of
+    two rounds back. The two graphs' runs end on period-2 repeats at
+    both parities of the rounds left, on fixpoints and on the cap."""
+    from tldr_ray.graph import GraphEngine
+
+    kinds = set()
+    for seed in (0, 1):
+        ids, src, dst, w = _multigraph(seed)
+        seeds = (ids[:3], np.array([0, 1, 0]))
+        verts, own = _lpa_reference(src, dst, w, 25)
+        _, spread = _lpa_reference(src, dst, w, 25, seeds)
+        eng = GraphEngine.from_edges(_edge_ds(src, dst, w),
+                                     num_partitions, symmetrize=True)
+        try:
+            for cap in range(1, 26):
+                for states, run in (
+                        (own, lambda: eng.label_propagation(cap)),
+                        (spread, lambda: eng.label_spread(seeds, cap))):
+                    got_ids, labels, info = run()
+                    want = _lpa_stop(states, cap)
+                    assert np.array_equal(got_ids, verts)
+                    assert np.array_equal(labels, states[cap]), cap
+                    assert (info["rounds"], info["stable"],
+                            info["period2"]) == want, cap
+                    kinds.add((want[1], want[2],
+                               (cap - want[0]) % 2 if want[2] else None))
+        finally:
+            eng.shutdown()
+    assert {(True, False, None), (False, True, 0), (False, True, 1),
+            (False, False, None)} <= kinds
+
+
+# -- one host process per CPU, one pool of them per Ray session ----------
 
 def _live_hosts() -> set:
     import ray
@@ -332,10 +437,25 @@ def _live_hosts() -> set:
             and a["State"] == "ALIVE"}
 
 
+def _host_ids(hosts) -> set:
+    return {h._actor_id.hex() for h in hosts}
+
+
+def _await_dead(ids: set):
+    """Wait until none of the actors ``ids`` is alive."""
+    import time
+
+    deadline = time.monotonic() + 30
+    while ids & _live_hosts():
+        assert time.monotonic() < deadline, "killed hosts still alive"
+        time.sleep(0.1)
+
+
 @pytest.mark.usefixtures("ray_session")
 def test_one_host_process_on_one_cpu(monkeypatch):
-    """On a cluster of one CPU, a P=4 engine starts exactly one shard
-    host actor, counted among the cluster's live actors; the
+    """On a cluster of one CPU, a P=4 engine holds exactly one shard
+    host actor, and at most one new host is counted among the cluster's
+    live actors (none if the session's pool had an idle host); the
     partitions stay four."""
     import ray
 
@@ -346,13 +466,89 @@ def test_one_host_process_on_one_cpu(monkeypatch):
     monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
     eng = GraphEngine.from_edges(_edge_ds(src, dst, w), 4)
     try:
-        assert len(_live_hosts() - before) == 1
+        assert len(eng.hosts) == 1
+        assert len(_live_hosts() - before) <= 1
         assert (eng.H, eng.P, len(eng.manifest["n_local"])) == (1, 4, 4)
         assert eng.n_total == sum(eng.manifest["n_local"])
         assert ray.get([h.n_local.remote() for h in eng.shards]) == \
             [eng.n_total]
     finally:
         eng.shutdown()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_second_engine_starts_no_host(force_msg_refs):
+    """Engines after the first in a session lease the idle hosts of the
+    ones shut down before them: no new live shard host appears, and
+    every digest and round count is the same, by value and by ref."""
+    assert _run_all() == EXPECTED
+    before = _live_hosts()
+    assert _run_all() == EXPECTED
+    with force_msg_refs():
+        assert _run_all() == EXPECTED
+    assert _live_hosts() <= before
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_killed_host_is_never_handed_out_again():
+    """A host killed while leased is not returned to the pool, and one
+    killed while idle is not leased again: the next builds replace
+    them and give the same digests."""
+    import ray
+
+    import tldr_ray.graph.engine as engine
+    from tldr_ray.graph import GraphEngine
+
+    _, src, dst, w = _graph()
+    eng = GraphEngine.from_edges(_edge_ds(src, dst, w), P)
+    leased = eng.hosts[0]
+    ray.kill(leased)
+    _await_dead(_host_ids([leased]))
+    eng.shutdown()
+    idle = engine._POOL["idle"]
+    assert idle and not _host_ids([leased]) & _host_ids(idle)
+    victim = idle[-1]
+    ray.kill(victim)
+    _await_dead(_host_ids([victim]))
+    assert _run_all() == EXPECTED
+    dead = _host_ids([leased, victim])
+    assert not dead & _host_ids(engine._POOL["idle"])
+    assert not dead & _live_hosts()
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_idle_hosts_never_exceed_the_cpus():
+    """Three engines at once lease nine hosts on the session's four
+    CPUs; after they shut down, four stay idle and the others are
+    killed."""
+    import ray
+
+    import tldr_ray.graph.engine as engine
+    from tldr_ray.graph import GraphEngine
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    _, src, dst, w = _graph()
+    engines = [GraphEngine.from_edges(_edge_ds(src, dst, w), P)
+               for _ in range(3)]
+    leased = [h for eng in engines for h in eng.hosts]
+    assert len(_host_ids(leased)) == 3 * P > cpus
+    for eng in engines:
+        eng.shutdown()
+    idle = _host_ids(engine._POOL["idle"])
+    assert len(idle) == cpus
+    _await_dead(_host_ids(leased) - idle)
+
+
+def test_build_after_ray_restart(restart_ray):
+    """A new Ray session never leases the old session's hosts: after
+    ``ray.shutdown()`` and ``ray.init()`` the engines build on new ones
+    and give the same digests."""
+    from tldr_ray.graph import GraphEngine
+
+    _, src, dst, w = _graph()
+    GraphEngine.from_edges(_edge_ds(src, dst, w), P).shutdown()
+    restart_ray()
+    assert _run_all() == EXPECTED
 
 
 # -- empty graphs --------------------------------------------------------
