@@ -65,7 +65,8 @@ def test_ingest_duplicate_digest_dropped_distinct_kept():
 
     from tldr_ray.graph.engine import _MSG_REF_BYTES_DEFAULT, _shard_actor_cls
 
-    host = _shard_actor_cls().remote(0, 1, 2, _MSG_REF_BYTES_DEFAULT)
+    host = _shard_actor_cls().remote()
+    host.open.remote(0, 1, 2, _MSG_REF_BYTES_DEFAULT)
     src = np.array([0, 1], np.int64)
     dst = np.array([1, 0], np.int64)
     w = np.ones(2, np.float64)

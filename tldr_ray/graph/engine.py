@@ -32,6 +32,16 @@ is the same bits at every H. ``vhash`` lives in ``tldr_ray.hashing``,
 not in this package, so a host importing this module loads no
 pandas-heavy graph module.
 
+Hosts belong to the Ray session, partitions to an engine. As Pregel's
+workers do, a host outlives the computation it serves: ``from_edges``
+leases H idle hosts from the session's pool (``_POOL``), spawning only
+the shortfall, and ``opens`` each as host h of H with fresh
+partitions; ``shutdown`` ``closes`` them, which drops their partitions
+and held messages, and returns the live ones to the pool, which keeps
+at most one idle host per CPU. A reused host skips the process spawn
+(about 1.1 s) and the import of Ray's Arrow serializer on its first
+table return (about 0.3 s).
+
 Message plumbing: at setup each partition publishes, per destination
 partition q, the sorted vocabulary of destination vertices it ever
 sends to (static for the run); receivers resolve those once to local
@@ -58,9 +68,10 @@ one rounds loop: an algorithm supplies its first outboxes
 emit) exchange per round, two for the hashed-priority rounds, and for
 the power iterations a driver reduce that normalizes by the global L2
 norm (a zero norm ends the run). The loop stops once the summed stop
-signal of the round's last phase is <= tol, or at the round cap; a
-run's info lists each round's seconds and stop signal (``iter_secs``,
-``signals``). The algorithms differ only in what they emit, how they
+signal of the round's last phase is <= tol (LPA signals a second
+count, which stops it too: see ``GraphEngine._lpa``), or at the round
+cap; a run's info lists each round's seconds and stop signal
+(``iter_secs``, ``signals``). The algorithms differ only in what they emit, how they
 merge and what they signal:
 
   algorithm                emit (combiner)             merge                   stop
@@ -73,9 +84,9 @@ merge and what they signal:
   sssp                     dist+w (min)                min                     changed == 0
   temporal_reachability    usable departure (min)      min                     changed == 0
   widest_path              min(width, w) (max)         max                     changed == 0
-  label_propagation,       (dst, label, weight sum),   heaviest label,         changed == 0
-    label_spread           one packed-key sort         smallest on ties (one
-                                                       packed-key sort)
+  label_propagation,       (dst, label, weight sum),   heaviest label,         changed == 0, or
+    label_spread           one packed-key sort         smallest on ties (one   labels == those
+                                                       packed-key sort)        two rounds back
   kcore                    (dst, value, count), one    H-index, min            changed == 0
                            packed-key sort
   maximal_matching         min-priority unmatched      proposals; then         new matches == 0
@@ -313,6 +324,7 @@ class CsrPartition:
         self.pvec = None           # restart vector (None = uniform)
         self.emitted = None        # power iteration: last emitted state
         self._clamp = None         # label_spread: clamped seeds
+        self._prev = None          # LPA: the labels before the last round
 
     # -- the superstep and its two halves -------------------------
     def start(self, init: str | None, emit: str, *args):
@@ -500,7 +512,7 @@ class CsrPartition:
     def label_init(self):
         """Every vertex starts labeled with its own id (CC, LPA)."""
         self.state = self.verts.copy()
-        self._clamp = None
+        self._clamp = self._prev = None
 
     def label_warm(self, warm):
         """Seed labels from a prior run's (sorted ids, labels):
@@ -644,7 +656,7 @@ class CsrPartition:
         hit, at = self._find(ids_sorted)
         st[hit] = labels[at]
         self._clamp = st >= 0
-        self.state = st
+        self.state, self._prev = st, None
         return int(self._clamp.sum())
 
     def lpa_messages(self):
@@ -677,6 +689,20 @@ class CsrPartition:
         new = self.state.copy()
         new[tgt] = val
         return self._settle(new)
+
+    def lpa_step(self, trips):
+        """``lpa_apply``, keeping the labels it replaced; returns
+        (changed vertices, vertices whose new label differs from the
+        label of two rounds back), the first round comparing with the
+        last round's labels only."""
+        back, self._prev = self._prev, self.state
+        changed = self.lpa_apply(trips)
+        return changed, changed if back is None else \
+            int((self.state != back).sum())
+
+    def lpa_rewind(self):
+        """Take back the labels of the round before."""
+        self.state = self._prev
 
     # -- hashed-priority rounds: matching, MIS, coloring ------------
     def undecided_init(self):
@@ -965,13 +991,81 @@ class CsrPartition:
         self.state = t["value"].to_numpy()
 
 
+def _cluster_cpus() -> int:
+    import ray
+
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
 def _num_hosts(num_partitions: int) -> int:
     """H = min(P, the Ray cluster's CPUs): one shard host per CPU, as
     in Pregel, where a worker owns several partitions."""
+    return min(num_partitions, _cluster_cpus())
+
+
+# The idle shard hosts of this process's Ray session: ``_lease_hosts``
+# takes from the end of ``idle``, ``_release_hosts`` appends to it.
+_POOL = {"session": None, "idle": []}
+
+
+def _session():
+    """The Ray session a host handle belongs to, or None without one: a
+    new ``ray.init`` starts a new node (local) or job (cluster)."""
     import ray
 
-    cpus = int(ray.cluster_resources().get("CPU", 1))
-    return min(num_partitions, max(1, cpus))
+    if not ray.is_initialized():
+        return None
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+def _lease_hosts(H: int, P: int) -> tuple[list, list]:
+    """H shard hosts, opened as hosts 0..H-1 of P partitions: the
+    session's idle hosts first, spawned ones for the shortfall. Returns
+    (hosts, the refs of their ``open`` calls). A reused host that died
+    while idle fails its ``open`` and is replaced; a spawned host is not
+    waited for, so its start-up overlaps the edge build."""
+    import ray
+
+    if _POOL["session"] != _session():
+        _POOL.update(session=_session(), idle=[])
+    idle = _POOL["idle"]
+    hosts = [idle.pop() for _ in range(min(H, len(idle)))]
+    reused = len(hosts)
+    if reused < H:
+        host_cls = _shard_actor_cls()
+        hosts += [host_cls.remote() for _ in range(H - reused)]
+    opened = [host.open.remote(h, H, P, _MSG_REF_BYTES_DEFAULT)
+              for h, host in enumerate(hosts)]
+    for h in range(reused):
+        try:
+            ray.get(opened[h])
+        except ray.exceptions.RayActorError:
+            hosts[h] = _shard_actor_cls().remote()
+            opened[h] = hosts[h].open.remote(h, H, P,
+                                             _MSG_REF_BYTES_DEFAULT)
+    return hosts, opened
+
+
+def _release_hosts(hosts: list, session) -> None:
+    """Close ``hosts`` and put the live ones back in the pool of
+    ``session``, if that is still the current one; a host that died is
+    dropped. Idle hosts beyond the cluster's CPUs are killed."""
+    import ray
+
+    if session != _session():
+        return
+    closed = [host.close.remote() for host in hosts]
+    for host, ref in zip(hosts, closed):
+        try:
+            ray.get(ref)
+        except ray.exceptions.RayActorError:
+            continue
+        _POOL["idle"].append(host)
+    idle, keep = _POOL["idle"], _cluster_cpus()
+    for host in idle[:max(0, len(idle) - keep)]:
+        ray.kill(host)
+    del idle[:max(0, len(idle) - keep)]
 
 
 def _msg_nbytes(m) -> int:
@@ -985,9 +1079,12 @@ def _msg_nbytes(m) -> int:
 
 
 def _shard_actor_cls():
-    """Build the shard host actor class. Host h of H holds the
-    partitions q with ``q % H == h`` and runs every call on them in
-    ascending q order, so H actor processes carry P partitions.
+    """Build the shard host actor class. A host serves one engine at a
+    time: ``open`` makes it host h of H, holding the fresh partitions q
+    with ``q % H == h``, and it runs every call on them in ascending q
+    order, so H actor processes carry P partitions; ``close`` drops
+    them, and the host waits idle in the session's pool (``_POOL``)
+    for the next engine.
 
     Hosts reserve no CPU, so a pool is always schedulable whatever the
     session's CPU count (reserved CPUs would starve the Ray Data shard
@@ -998,14 +1095,24 @@ def _shard_actor_cls():
 
     @ray.remote(num_cpus=0)
     class ShardHost:
-        def __init__(self, host: int, num_hosts: int, num_partitions: int,
-                     msg_ref_bytes: int):
-            """Cheap construction, so actor process spawn overlaps the
+        def __init__(self):
+            """Nothing to build, so actor process spawn overlaps the
             Ray Data build that pushes the edges in (``ingest``)."""
+            self.close()
+
+        def open(self, host: int, num_hosts: int, num_partitions: int,
+                 msg_ref_bytes: int):
+            """Serve an engine as host ``host`` of ``num_hosts``, with
+            fresh partitions and no held messages."""
+            self.close()
             self.h, self.H, self.P = host, num_hosts, num_partitions
             self.msg_ref_bytes = msg_ref_bytes
             self.parts = [CsrPartition(q, num_partitions)
                           for q in range(host, num_partitions, num_hosts)]
+
+        def close(self):
+            """Drop the partitions and the held messages."""
+            self.parts = []
             self._boxes = None      # local partitions' held inboxes
 
         def ingest(self, key: bytes, slices: list, digest: bytes) -> int:
@@ -1139,6 +1246,7 @@ class GraphEngine:
 
     def __init__(self, hosts: list, manifest: dict):
         self.hosts = hosts
+        self._session = _session()
         self.H = len(hosts)
         self.P = manifest["num_partitions"]
         self.manifest = manifest
@@ -1158,12 +1266,13 @@ class GraphEngine:
     def from_edges(cls, edges, num_partitions: int = 8,
                    symmetrize: bool = False):
         """Push-based shuffle straight into the shard hosts: the hosts
-        are spawned first, so their start-up overlaps the Ray Data
-        build, whose tasks scatter each block by source partition and
-        ship the slices to the hosts as they stream through (one call
-        per host, with the slices of its partitions) — no disk
-        round-trip, no all-to-all sort. The ``ray.get`` on the pushes
-        inside each task is the backpressure. Each slice carries its
+        are leased first (``_lease_hosts``: idle hosts of the session,
+        spawned ones for the shortfall, whose start-up overlaps the Ray
+        Data build), and the build's tasks scatter each block by source
+        partition and ship the slices to the hosts as they stream
+        through (one call per host, with the slices of its partitions)
+        — no disk round-trip, no all-to-all sort. The ``ray.get`` on
+        the pushes inside each task is the backpressure. Each slice carries its
         block's content key, and the partitions join slices in key
         order, so the same input blocks always give the same bits.
         ``symmetrize=True`` adds the reverse of every edge (connected
@@ -1172,9 +1281,7 @@ class GraphEngine:
 
         P = num_partitions
         H = _num_hosts(P)
-        host_cls = _shard_actor_cls()
-        hosts = [host_cls.remote(h, H, P, _MSG_REF_BYTES_DEFAULT)
-                 for h in range(H)]
+        hosts, opened = _lease_hosts(H, P)
 
         def push(batch: pa.Table) -> pa.Table:
             src = np.asarray(batch["src"], dtype=np.int64)
@@ -1208,6 +1315,9 @@ class GraphEngine:
             slices = [None if hi[p] == lo[p] and vhi[p] == vlo[p] else
                       (src[lo[p]:hi[p]], dst[lo[p]:hi[p]], w[lo[p]:hi[p]],
                        v[vlo[p]:vhi[p]]) for p in range(P)]
+            # the hosts' ``open`` calls come from the driver, so a slice
+            # from this task could overtake one
+            ray.get(opened)
             futures = [host.ingest.remote(key, slices[g::H], batch_digest)
                        for g, host in enumerate(hosts)
                        if any(sl is not None for sl in slices[g::H])]
@@ -1284,7 +1394,10 @@ class GraphEngine:
         signal (changed or undecided vertices, an L1 change) is the
         stop signal: the loop ends once it is <= ``tol``, or after
         round ``max_rounds`` (counting from ``first_round``, a resumed
-        run's round), or when a phase's ``reduce`` returns None. The
+        run's round), or when a phase's ``reduce`` returns None. A
+        merge may signal a pair instead (``CsrPartition.lpa_step``):
+        the first count is the stop signal, and the loop also ends once
+        the summed second one is <= ``tol``. The
         cap round's last phase emits nothing unless it has a
         ``reduce``, since no round would consume it.
         ``signal`` is the signal before round 1 (0 runs no round).
@@ -1294,7 +1407,8 @@ class GraphEngine:
         {"iter_secs": per-round wall seconds, "signals": per-round stop
         signals})."""
         it, trace = first_round, {"iter_secs": [], "signals": []}
-        while signal > tol and it < max_rounds:
+        second = np.inf
+        while signal > tol and second > tol and it < max_rounds:
             t0 = _time.time()
             for i, ph in enumerate(phases):
                 idle = it + 1 == max_rounds and i + 1 == len(phases) \
@@ -1306,7 +1420,10 @@ class GraphEngine:
                     if res is None:
                         return it, False, trace
                 signals, outs = res
-            signal = sum(signals)
+            if isinstance(signals[0], tuple):
+                signal, second = (sum(s) for s in zip(*signals))
+            else:
+                signal = sum(signals)
             it += 1
             trace["iter_secs"].append(round(_time.time() - t0, 4))
             trace["signals"].append(signal)
@@ -1538,37 +1655,54 @@ class GraphEngine:
                            "widest_messages", "max_apply", max_rounds,
                            np.float64, collect)
 
+    def _lpa(self, outs, max_rounds: int) -> dict:
+        """The rounds of label_propagation and label_spread, and their
+        info. Synchronous LPA's next labels are a function of its
+        labels (label_spread's clamp is fixed), so once every label
+        equals the one of two rounds back the labels repeat with period
+        2: the run stops there (``lpa_step`` signals the count of
+        labels that differ) and ends on the labels the round cap would
+        reach, this round's if the rounds left are even, else the round
+        before's. That is bit-identical to running to the cap. In the
+        info, ``stable`` means a fixpoint and ``period2`` a stop on a
+        repeat before the cap."""
+        it, stable, trace = self._until_stable(
+            outs, [_Phase("lpa_step", "lpa_messages")], max_rounds)
+        period2 = not stable and it < max_rounds
+        if period2 and (max_rounds - it) % 2:
+            self._all("lpa_rewind")
+        return {"rounds": it, "stable": stable, "period2": period2,
+                **trace}
+
     def label_propagation(self, max_rounds: int = 20, collect: bool = True):
-        """Synchronous weighted LPA, smallest-label tie-break.
+        """Synchronous weighted LPA, smallest-label tie-break, stopped
+        early on a fixpoint or a period-2 repeat (``_lpa``).
         Returns (vertex_ids, labels, info)."""
         _, outs = self._start("label_init", "lpa_messages")
-        it, stable, trace = self._until_stable(
-            outs, [_Phase("lpa_apply", "lpa_messages")], max_rounds)
+        info = self._lpa(outs, max_rounds)
         ids, labels = self._collect(np.int64) if collect else (None, None)
-        return ids, labels, {"rounds": it, "stable": stable, **trace}
+        return ids, labels, info
 
     def label_spread(self, seeds, max_rounds: int = 10,
                      collect: bool = True):
         """Semi-supervised label spreading: clamped seed labels,
         synchronous weighted-majority rounds where only LABELED
         vertices vote (smallest-label ties), unlabeled vertices stay
-        -1 until a labeled neighbor reaches them. Runs EXACTLY
-        ``max_rounds`` rounds unless a true fixpoint lands earlier —
-        the trajectory is deterministic, so a fixed-round SQL
-        unrolling is bit-equivalent. ``seeds`` = (sorted ids, labels
-        int64)."""
+        -1 until a labeled neighbor reaches them. Returns the labels of
+        EXACTLY ``max_rounds`` rounds, though it stops early on a
+        fixpoint or a period-2 repeat (``_lpa``) — the trajectory is
+        deterministic, so a fixed-round SQL unrolling is
+        bit-equivalent. ``seeds`` = (sorted ids, labels int64)."""
         import ray
 
         sref = ray.put((np.asarray(seeds[0], dtype=np.int64),
                         np.asarray(seeds[1], dtype=np.int64)))
         n_seed, outs = self._seeded("label_spread: no seed vertex in graph",
                                     "lpa_seed_init", "lpa_messages", sref)
-        it, stable, trace = self._until_stable(
-            outs, [_Phase("lpa_apply", "lpa_messages")], max_rounds)
+        info = self._lpa(outs, max_rounds)
         ids_out, labels = self._collect(np.int64) if collect \
             else (None, None)
-        return ids_out, labels, {"rounds": it, "stable": stable,
-                                 "seeds_found": n_seed, **trace}
+        return ids_out, labels, {**info, "seeds_found": n_seed}
 
     def kcore(self, max_rounds: int = 1000):
         """Core numbers via the distributed H-index fixpoint: start at
@@ -1703,11 +1837,10 @@ class GraphEngine:
         return rd.from_arrow_refs(self._by_part(refs))
 
     def shutdown(self):
-        """Kill the shard hosts."""
-        import ray
-
-        for host in self.hosts:
-            ray.kill(host)
+        """Close the shard hosts and return the live ones to the
+        session's pool (``_release_hosts``); the engine holds none
+        after."""
+        _release_hosts(self.hosts, self._session)
         self.hosts = []
 
 
