@@ -1027,21 +1027,21 @@ def _lease_hosts(H: int, P: int) -> tuple[list, list]:
     waited for, so its start-up overlaps the edge build."""
     import ray
 
-    if _POOL["session"] != _session():
-        _POOL.update(session=_session(), idle=[])
+    session = _session()
+    if _POOL["session"] != session:
+        _POOL.update(session=session, idle=[])
     idle = _POOL["idle"]
     hosts = [idle.pop() for _ in range(min(H, len(idle)))]
     reused = len(hosts)
-    if reused < H:
-        host_cls = _shard_actor_cls()
-        hosts += [host_cls.remote() for _ in range(H - reused)]
+    host_cls = _shard_actor_cls()
+    hosts += [host_cls.remote() for _ in range(H - reused)]
     opened = [host.open.remote(h, H, P, _MSG_REF_BYTES_DEFAULT)
               for h, host in enumerate(hosts)]
     for h in range(reused):
         try:
             ray.get(opened[h])
         except ray.exceptions.RayActorError:
-            hosts[h] = _shard_actor_cls().remote()
+            hosts[h] = host_cls.remote()
             opened[h] = hosts[h].open.remote(h, H, P,
                                              _MSG_REF_BYTES_DEFAULT)
     return hosts, opened
