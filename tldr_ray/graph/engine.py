@@ -1062,10 +1062,11 @@ def _release_hosts(hosts: list, session) -> None:
         except ray.exceptions.RayActorError:
             continue
         _POOL["idle"].append(host)
-    idle, keep = _POOL["idle"], _cluster_cpus()
-    for host in idle[:max(0, len(idle) - keep)]:
+    idle = _POOL["idle"]
+    excess = max(0, len(idle) - _cluster_cpus())
+    for host in idle[:excess]:
         ray.kill(host)
-    del idle[:max(0, len(idle) - keep)]
+    del idle[:excess]
 
 
 def _msg_nbytes(m) -> int:
