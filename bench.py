@@ -453,7 +453,7 @@ if __name__ == "__main__":
                  "paragraph_dedup_docs", "chunk_docs_sliding",
                  "merge_customer_balances", "ngram_containment_docs",
                  "incremental_dedup_docs", "hll_daily_rollup_events",
-                 "harmonic_closeness_sampled", "event_value_drift",
+                 "harmonic_closeness_sampled",
                  "dedup_rates_by_source", "profile_documents",
                  "langid_prf_docs", "user_active_time",
                  "scc_of_vertex_hashgraph", "betweenness_hashgraph",
@@ -470,7 +470,7 @@ if __name__ == "__main__":
                  "orders_cube", "zonemap_pruned_events",
                  "zorder_zonemap_events", "price_quantity_skyline",
                  "orders_expectations", "watermark_hourly_events",
-                 "events_hourly_interpolated", "user_type_gini",
+                 "events_hourly_interpolated",
                  # round-4 fourth wave
                  "event_trigram_paths", "fd_audit_lineitem",
                  "cogroup_orders_events", "scc_hashgraph",
@@ -482,8 +482,7 @@ if __name__ == "__main__":
                  "boilerplate_ngrams_docs",
                  # round-5 wave
                  "event_rate_cusum", "value_auc_purchase",
-                 "value_purchase_calibration",
-                 "bootstrap_mean_ci_value", "txlog_orders_snapshot",
+                 "txlog_orders_snapshot",
                  "cluster_aware_split_docs", "dup_gram_fraction_docs",
                  "purchase_last_click_asof_1h",
                  "ego_subgraph_hashgraph",
@@ -506,21 +505,15 @@ if __name__ == "__main__":
                  "revenue_first_touch_hourly",
                  "theilsen_user_value_trend",
                  "user_value_rolling_slope", "four_cycles_hashgraph",
-                 "click_purchase_lag_xcorr", "seasonal_value_outliers",
                  "target_encode_event_type", "rebalance_event_classes",
                  "event_type_index100_daily",
                  "kendall_user_value_trend",
                  "purchase_point_in_time_state", "user_rfm_segments",
                  "user_novelty_curve", "doc_readability_scores",
-                 "user_value_rolling_zscore",
                  "session_entry_exit_matrix", "file_lineage_audit",
                  "orders_customer_view_incremental",
                  "backfill_daily_partitions", "msf_hashgraph",
                  # round-5 fifth wave
-                 "wasserstein_click_vs_purchase", "anova_value_by_type",
-                 "kruskal_wallis_value_by_type",
-                 "mann_kendall_daily_events",
-                 "hodges_lehmann_weekend_shift",
                  "katz_centrality_hashgraph", "rich_club_hashgraph",
                  "avg_neighbor_degree_hashgraph", "chao1_vocab_docs",
                  "word_burstiness_docs",
@@ -531,10 +524,7 @@ if __name__ == "__main__":
                  "dvb_roundtrip_events", "kwic_docs",
                  "mutual_nn_embeddings",
                  "random_failure_robustness_hashgraph",
-                 "interarrival_cv_by_type", "type_count_corr_matrix",
-                 "mcnemar_purchase_halves",
-                 "bhattacharyya_click_purchase",
-                 "renyi2_diversity_daily", "bot_score_users",
+                 "bot_score_users",
                  "hod_profile_similarity",
                  "day_profile_knn",
                  "embedding_dim_minmax", "transition_dwell_matrix",
@@ -544,17 +534,14 @@ if __name__ == "__main__":
                  "two_hop_reach_hashgraph",
                  "value_cdf_export",
                  "rare_word_ratio_docs",
-                 "split_half_reliability_value",
-                 "its_level_trend_shift",
                  "triangle_null_model_hashgraph", "repurchase_cadence",
                  "video_scene_cuts_demo",
                  "dp_budget_audit", "learned_index_audit_events",
-                 "gamma_mom_by_type", "log2_histogram_value",
-                 "overdispersion_daily_by_type",
+                 "log2_histogram_value",
                  "user_feature_export",
-                 "repurchase_hazard", "peak_concurrency_5m",
+                 "peak_concurrency_5m",
                  "minute_uniformity_audit", "activity_calendar_grid",
-                 "weekly_zchart_events", "pvm_decomposition_by_type",
+                 "pvm_decomposition_by_type",
                  "rising_streak_daily"]
         qsec = {}
         try:

@@ -122,24 +122,6 @@ class TestInterleaveMix:
 
 
 @pytest.mark.usefixtures("ray_session")
-def test_bootstrap_ci_brackets_true_mean():
-    """The 32 Poisson-replica means spread around the true mean and
-    the min/max CI brackets it; mean Poisson weight is ~1 so replica
-    weighted counts are ~n."""
-    import numpy as np
-    import pyarrow.parquet as pq
-
-    out = to_pandas(q.QUERIES["bootstrap_mean_ci_value"](SF_DIR))
-    assert len(out) == 32
-    v = pq.read_table(f"{SF_DIR}/events.parquet",
-                      columns=["value"])["value"].to_numpy()
-    true_mean = np.floor(v * 100 + 0.5).mean()
-    assert out["mean_cents"].min() <= true_mean <= out["mean_cents"].max()
-    n = len(v)
-    assert (np.abs(out["n_w"] - n) < 5 * np.sqrt(n)).all()
-
-
-@pytest.mark.usefixtures("ray_session")
 def test_cluster_aware_split_has_zero_leakage():
     """No near-duplicate pair crosses the train/test boundary, and the
     split is roughly 80/20 over clusters."""

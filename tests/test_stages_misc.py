@@ -2891,62 +2891,6 @@ class TestIntervalScheduling:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestMarkovAbsorption:
-    def test_planted_chain_closed_form(self, tmp_path):
-        """view -> (purchase 30% | view 50% | exit 20%): closed form
-        p = 0.3/(1-0.5) = 0.6, steps = 1/(1-0.5) = 2. Build an event
-        log realizing EXACTLY those transition counts."""
-        import numpy as np
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from tldr_ray.queries import QUERIES
-
-        rows = []
-        eid = 0
-
-        def add_session(uid, types, t0):
-            nonlocal eid
-            for j, ty in enumerate(types):
-                rows.append((eid, uid, t0 + j * 60_000_000, ty, 1.0))
-                eid += 1
-
-        # 10 sessions from 'view': 3 v->p, 5 v->v then exit, 2 v exit
-        t0 = 0
-        uid = 0
-        for _ in range(3):
-            add_session(uid, ["view", "purchase"], t0)
-            uid += 1
-        for _ in range(5):
-            add_session(uid, ["view", "view"], t0)
-            uid += 1
-        for _ in range(2):
-            add_session(uid, ["view"], t0)
-            uid += 1
-        t = pa.table({
-            "event_id": pa.array([r[0] for r in rows], pa.int64()),
-            "user_id": pa.array([r[1] for r in rows], pa.int64()),
-            "ts": pa.array([r[2] for r in rows], pa.timestamp("us")),
-            "event_type": pa.array([r[3] for r in rows], pa.string()),
-            "value": pa.array([r[4] for r in rows], pa.float64()),
-            "props": pa.array(["{}"] * len(rows), pa.string())})
-        pq.write_table(t, str(tmp_path / "events.parquet"))
-        out = (QUERIES["markov_absorption_purchase"](str(tmp_path))
-               .to_pandas().set_index("state"))
-        # view: 15 outgoing (3 p, 5 v, 7 exit)... count: v->p 3,
-        # v->v 5, v->EXIT = 5 (second v of v,v) + 2 + ... recompute:
-        # transitions from view: rows of 'view' followed within
-        # session: 3 (->p) + 5 (->v) = 8; EXIT from view = sessions
-        # ending on a view = 5 + 2 = 7; total 15.
-        q = 5 / 15
-        r = 3 / 15
-        assert np.isclose(out.loc["view", "p_purchase"],
-                          r / (1 - q))
-        assert np.isclose(out.loc["view", "expected_steps"],
-                          1 / (1 - q))
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestMmrDiversity:
     def test_spans_planted_clusters(self, tmp_path):
         """Three tight clusters, one slightly closer to the query:

@@ -1,9 +1,9 @@
-"""Unit tests for state helpers and the classic Go sort emulation."""
+"""Unit tests for state helpers and the Go sort emulation."""
 
 import numpy as np
 import pytest
 
-from tldr_ray.kernel.go_sort import go_sort, go_sort_classic
+from tldr_ray.kernel.go_sort import go_sort
 from tldr_ray.state import (write_manifest, read_manifest, latest_checkpoint,
                             fingerprint_input)
 
@@ -13,10 +13,9 @@ class TestGoSorts:
         rng = np.random.default_rng(5)
         for n in (0, 1, 5, 13, 50, 300):
             base = rng.integers(0, 50, n).tolist()
-            for fn in (go_sort, go_sort_classic):
-                data = list(base)
-                fn(data, lambda a, b: a < b)
-                assert data == sorted(base)
+            data = list(base)
+            go_sort(data, lambda a, b: a < b)
+            assert data == sorted(base)
 
     def test_pdqsort_deterministic(self):
         base = [(i % 7, i) for i in range(100)]

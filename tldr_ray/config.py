@@ -7,7 +7,7 @@ Mirrors the reference's knob bundle (``Bag`` fields + ``Set``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Callable, Optional
 import json
 
@@ -55,20 +55,3 @@ class SummarizeConfig:
             d[k] = bool(d[k])
         d["dictionary"] = None if self.dictionary is None else len(self.dictionary)
         return json.dumps(d, indent=2, sort_keys=True)
-
-
-@dataclass
-class GraphConfig:
-    """Knobs of the distributed graph engine (tldr_ray.graph).
-
-    Partition count is a property of the JOB (shard layout), not the
-    cluster size; hub skew needs no reactive salting knob because the
-    engine's per-shard pre-combining bounds a hub destination's fan-in
-    at P messages per iteration structurally (see graph/engine.py)."""
-
-    num_partitions: int = 8                 # partitions, in min(P, CPUs) hosts
-    damping: float = DEFAULT_DAMPING
-    tolerance: float = DEFAULT_TOLERANCE
-    max_iterations: int = 200
-    checkpoint_every: int = 0               # 0 = no checkpointing
-    checkpoint_dir: Optional[str] = None

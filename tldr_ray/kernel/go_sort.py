@@ -13,11 +13,10 @@ more share 54).
 (sort/zsortinterface.go: insertion sort <=12, heap-sort limit fallback,
 Tukey-ninther pivoting, partial insertion sort, partitionEqual,
 deterministic xorshift breakPatterns) — verified to reproduce the
-reference's golden centrality tie order exactly. ``go_sort_classic`` is
-the Go <=1.18 intro-sort (median-of-nine, shell-sort gap-6 prefix pass),
-kept for reference; it does NOT match the goldens, which pins the
-reference's golden generation to a Go >=1.19 toolchain. Both are pure
-functions of (initial order, comparator), hence deterministic.
+reference's golden centrality tie order exactly. The Go <=1.18
+intro-sort does NOT match the goldens, which pins the reference's golden
+generation to a Go >=1.19 toolchain. The sort is a pure function of
+(initial order, comparator), hence deterministic.
 """
 
 from __future__ import annotations
@@ -30,18 +29,6 @@ def go_sort(data: list, less) -> None:
         return
     limit = n.bit_length()
     _pdqsort(data, less, 0, n, limit)
-
-
-def go_sort_classic(data: list, less) -> None:
-    """In-place unstable sort with Go <=1.18 ``sort.Sort`` semantics."""
-    n = len(data)
-    max_depth = 0
-    i = n
-    while i > 0:
-        max_depth += 1
-        i >>= 1
-    max_depth *= 2
-    _quick_sort(data, less, 0, n, max_depth)
 
 
 # ---------------------------------------------------------------------------
@@ -239,26 +226,6 @@ def _reverse_range(data, a, b):
         j -= 1
 
 
-def _quick_sort(data, less, a, b, max_depth):
-    while b - a > 12:
-        if max_depth == 0:
-            _heap_sort(data, less, a, b)
-            return
-        max_depth -= 1
-        mlo, mhi = _do_pivot(data, less, a, b)
-        if mlo - a < b - mhi:
-            _quick_sort(data, less, a, mlo, max_depth)
-            a = mhi
-        else:
-            _quick_sort(data, less, mhi, b, max_depth)
-            b = mlo
-    if b - a > 1:
-        for i in range(a + 6, b):
-            if less(data[i], data[i - 6]):
-                data[i], data[i - 6] = data[i - 6], data[i]
-        _insertion_sort(data, less, a, b)
-
-
 def _insertion_sort(data, less, a, b):
     for i in range(a + 1, b):
         j = i
@@ -288,67 +255,3 @@ def _heap_sort(data, less, a, b):
     for i in range(hi - 1, 0, -1):
         data[first], data[first + i] = data[first + i], data[first]
         _sift_down(data, less, lo, i, first)
-
-
-def _median_of_three(data, less, m1, m0, m2):
-    if less(data[m1], data[m0]):
-        data[m1], data[m0] = data[m0], data[m1]
-    if less(data[m2], data[m1]):
-        data[m2], data[m1] = data[m1], data[m2]
-        if less(data[m1], data[m0]):
-            data[m1], data[m0] = data[m0], data[m1]
-
-
-def _do_pivot(data, less, lo, hi):
-    m = (lo + hi) >> 1
-    if hi - lo > 40:
-        s = (hi - lo) // 8
-        _median_of_three(data, less, lo, lo + s, lo + 2 * s)
-        _median_of_three(data, less, m, m - s, m + s)
-        _median_of_three(data, less, hi - 1, hi - 1 - s, hi - 1 - 2 * s)
-    _median_of_three(data, less, lo, m, hi - 1)
-
-    pivot = lo
-    a, c = lo + 1, hi - 1
-    while a < c and less(data[a], data[pivot]):
-        a += 1
-    b = a
-    while True:
-        while b < c and not less(data[pivot], data[b]):
-            b += 1
-        while b < c and less(data[pivot], data[c - 1]):
-            c -= 1
-        if b >= c:
-            break
-        data[b], data[c - 1] = data[c - 1], data[b]
-        b += 1
-        c -= 1
-
-    protect = hi - c < 5
-    if not protect and hi - c < (hi - lo) // 4:
-        dups = 0
-        if not less(data[pivot], data[hi - 1]):
-            data[c], data[hi - 1] = data[hi - 1], data[c]
-            c += 1
-            dups += 1
-        if not less(data[b - 1], data[pivot]):
-            b -= 1
-            dups += 1
-        if not less(data[m], data[pivot]):
-            data[m], data[b - 1] = data[b - 1], data[m]
-            b -= 1
-            dups += 1
-        protect = dups > 1
-    if protect:
-        while True:
-            while a < b and not less(data[b - 1], data[pivot]):
-                b -= 1
-            while a < b and less(data[a], data[pivot]):
-                a += 1
-            if a >= b:
-                break
-            data[a], data[b - 1] = data[b - 1], data[a]
-            a += 1
-            b -= 1
-    data[pivot], data[b - 1] = data[b - 1], data[pivot]
-    return b - 1, c

@@ -425,11 +425,6 @@ def _simhash_batch(texts) -> np.ndarray:
     return sig
 
 
-def _simhash64(text: str) -> int:
-    """Single-doc convenience wrapper over the batch kernel."""
-    return int(_simhash_batch([text])[0])
-
-
 def _simhash_band_plan(max_hamming: int) -> list[tuple[int, int]]:
     """(shift, width) per LSH table. ``max_hamming + 1`` tables split the
     64 signature bits: a pair within hamming d <= max_hamming differs in
