@@ -10008,12 +10008,6 @@ ORACLE_SQL["value_auc_purchase"] = """
 """
 
 
-# Poisson(1) inverse-CDF thresholds scaled to [0, 2^64): T[k] =
-# floor(CDF(k) * 2^64). Weight = #(T <= u64) caps at 9 (P ~ 1e-7).
-# INTEGER comparisons on both sides — the bootstrap never touches a
-# float until the final per-replica mean division.
-
-
 def txlog_orders_snapshot(sf_dir: str):
     """Transaction-log table format end to end (state.txlog — the
     Delta-shaped file-level commit log): orders land as three APPEND
