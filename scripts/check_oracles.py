@@ -2,7 +2,8 @@
 
 Prints one ``name: OK/FAIL`` line per query and writes the sweep as
 ``SWEEP_r{N}.json`` at the repo root (N = one past the newest
-``CORRECTNESS_r*.json``): name, status, row count and wall seconds of
+``CORRECTNESS_r*.json`` or ``SWEEP_r*.json``, so no sweep overwrites an
+earlier one): name, status, row count and wall seconds of
 the query (run + collect, oracle excluded) per query.
 
     python scripts/check_oracles.py --all          # every oracle
@@ -79,7 +80,10 @@ for name in names:
 ray.shutdown()
 
 root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-rounds = [int(m.group(1)) for f in glob.glob(f"{root}/CORRECTNESS_r*.json")
+# one past the newest round of either file, so a second sweep in one
+# round writes a new file instead of overwriting the first
+rounds = [int(m.group(1)) for pat in ("CORRECTNESS", "SWEEP")
+          for f in glob.glob(f"{root}/{pat}_r*.json")
           if (m := re.search(r"_r(\d+)\.json$", f))]
 out = f"{root}/SWEEP_r{max(rounds, default=0) + 1:02d}.json"
 with open(out, "w") as fh:

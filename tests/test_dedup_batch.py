@@ -13,6 +13,7 @@ from tldr_ray.kernel.distance import distance, distance_pairs
 from tldr_ray.kernel.lexrank import pairwise_weights
 
 distance_mod = importlib.import_module("tldr_ray.kernel.distance")
+dedup_mod = importlib.import_module("tldr_ray.kernel.dedup")
 
 
 def oracle_uniq(token_lists, threshold):
@@ -126,6 +127,22 @@ class TestUniqAgainstOracle:
     @settings(max_examples=150, deadline=None)
     def test_sentence_like_documents(self, toks, th):
         assert uniq_sentence_indices(toks, th) == oracle_uniq(toks, th)
+
+    @given(st.lists(st.one_of(st.just([]), DOC.map(lambda d: d[:1]), DOC),
+                    max_size=6),
+           st.sampled_from([0.0, 0.5, 2 / 3, 0.95, 1.0]),
+           st.sampled_from([1, 2, 3, 5]), st.sampled_from([1, 3, 1 << 16]))
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_edges(self, docs, th, chunk, pairs):
+        # tiny chunk and gather caps: chunks end inside the batch at
+        # every document boundary, and the pair gathers run in blocks
+        old = dedup_mod._CHUNK, dedup_mod._PAIRS
+        dedup_mod._CHUNK, dedup_mod._PAIRS = chunk, pairs
+        try:
+            got = uniq_sentence_indices_many(docs, th)
+        finally:
+            dedup_mod._CHUNK, dedup_mod._PAIRS = old
+        assert got == [oracle_uniq(d, th) for d in docs]
 
 
 class TestPairwiseWeights:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tldr_ray.kernel import distance, pagerank_ref, uniq_sentence_indices
+from tldr_ray.kernel import (distance, pagerank_rank, pagerank_ref,
+                             uniq_sentence_indices)
 from tldr_ray.kernel.distance import distance_upper_bound
 
 
@@ -28,29 +29,39 @@ class TestDistanceProperties:
         assert distance(a, b) <= distance_upper_bound(la, lb) + 1e-12
 
 
-class TestPairwiseBoundSoundness:
+class TestJaroCandidatesSoundness:
+    """Every pair at or above the threshold is a Jaro candidate: the
+    length window and the histogram bound never drop a pair that could
+    reject. Each pair's own distance is among the thresholds, the
+    tightest case."""
+
+    @staticmethod
+    def _check(sens, thresholds):
+        from tldr_ray.kernel.dedup import _jaro_candidates
+
+        doc = np.zeros(len(sens), np.int64)
+        lowered = [s.lower() for s in sens]
+        dist = {(i, j): distance(sens[i], sens[j])
+                for i in range(len(sens)) for j in range(i + 1, len(sens))}
+        for th in [*thresholds, *dist.values()]:
+            I, J = _jaro_candidates(lowered, doc, th)
+            cands = set(zip(I.tolist(), J.tolist()))
+            assert {p for p, d in dist.items() if d >= th} <= cands
+
     @given(st.lists(st.text(alphabet=st.characters(min_codepoint=32,
                                                    max_codepoint=126),
                             min_size=0, max_size=30),
-                    min_size=2, max_size=6))
+                    min_size=2, max_size=6),
+           st.lists(st.floats(0.0, 1.0), max_size=3))
     @settings(max_examples=150, deadline=None)
-    def test_bound_dominates_distance_ascii(self, sens):
-        from tldr_ray.kernel.dedup import _pairwise_jaro_bound
+    def test_candidates_cover_close_pairs_ascii(self, sens, ths):
+        self._check(sens, ths)
 
-        bound = _pairwise_jaro_bound(sens)
-        for i in range(len(sens)):
-            for j in range(i + 1, len(sens)):
-                assert distance(sens[i], sens[j]) <= bound[i, j] + 1e-12
-
-    @given(st.lists(st.text(max_size=20), min_size=2, max_size=5))
+    @given(st.lists(st.text(max_size=20), min_size=2, max_size=5),
+           st.lists(st.floats(0.0, 1.0), max_size=3))
     @settings(max_examples=100, deadline=None)
-    def test_bound_dominates_distance_unicode(self, sens):
-        from tldr_ray.kernel.dedup import _pairwise_jaro_bound
-
-        bound = _pairwise_jaro_bound(sens)
-        for i in range(len(sens)):
-            for j in range(i + 1, len(sens)):
-                assert distance(sens[i], sens[j]) <= bound[i, j] + 1e-12
+    def test_candidates_cover_close_pairs_unicode(self, sens, ths):
+        self._check(sens, ths)
 
 
 class TestUniqProperties:
@@ -95,6 +106,47 @@ class TestPagerankRefProperties:
         _, s1 = pagerank_ref(src, dst, w)
         _, s2 = pagerank_ref(src, dst, w * 7.5)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
+
+
+class TestPagerankRankCompaction:
+    """``pagerank_rank``'s presence-mask compaction gives the same ids
+    and score bits as ranking ``pagerank_ref``'s output."""
+
+    @staticmethod
+    def _check(src, dst, w):
+        ids, scores = pagerank_rank(src, dst, w, 0.85, 1e-4)
+        ref_ids, ref_scores = pagerank_ref(src, dst, w, 0.85, 1e-4)
+        order = np.lexsort((ref_ids, -ref_scores))
+        assert np.array_equal(ids, ref_ids[order])
+        assert np.array_equal(scores, ref_scores[order])
+
+    def test_random_multigraphs(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            m = int(rng.integers(1, 60))
+            # ids with gaps; parallel edges from the small pool; vertices
+            # only ever hit as dst dangle; some zero weights
+            pool = np.sort(rng.choice(2 * m + 8, size=min(2 * m + 8, 12),
+                                      replace=False))
+            src = rng.choice(pool[: max(1, pool.size // 2)], m)
+            dst = rng.choice(pool, m)
+            w = rng.random(m) * (rng.random(m) > 0.1)
+            self._check(src, dst, w)
+
+    def test_hashed_ids_take_the_fallback(self):
+        from tldr_ray.stages.edges import conv_vertex_base
+
+        rng = np.random.default_rng(8)
+        verts = np.array([conv_vertex_base(f"c{k}") + k for k in range(20)])
+        src, dst = rng.choice(verts, 50), rng.choice(verts, 50)
+        assert src.max() > 4 * src.size         # past the mask's range
+        self._check(src, dst, rng.random(50))
+
+    def test_empty_graph(self):
+        ids, scores = pagerank_rank(np.empty(0, np.int64),
+                                    np.empty(0, np.int64), np.empty(0),
+                                    0.85, 1e-4)
+        assert ids.size == 0 and scores.size == 0
 
 
 def _uf_components(n, edges):

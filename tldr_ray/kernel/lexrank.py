@@ -34,7 +34,7 @@ from tldr_ray.kernel.text import (
 )
 from tldr_ray.kernel.dedup import uniq_sentence_indices_many
 from tldr_ray.kernel.go_sort import go_sort
-from tldr_ray.kernel.pagerank_ref import pagerank_ref
+from tldr_ray.kernel.pagerank_ref import pagerank_ref, power_iteration
 
 
 def build_vectors(bags: list[list[str]], dictionary: dict[str, int]) -> np.ndarray:
@@ -99,8 +99,27 @@ def pagerank_rank(src, dst, weight, damping, tolerance) -> tuple[np.ndarray, np.
 
     Returns (ranked_ids, scores_in_that_order). Vertices with every edge
     filtered never enter the graph (quirk Q10).
+
+    The scores are ``pagerank_ref``'s bits: the same loop over the same
+    compacted positions. Ids that are non-negative and below 4x the edge
+    count (the kernel's kept-list positions always are) are compacted
+    with a presence mask and its running count instead of
+    ``pagerank_ref``'s sort.
     """
-    ids, scores = pagerank_ref(src, dst, weight, damping, tolerance)
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    hi = max(src.max(initial=-1), dst.max(initial=-1))
+    if src.size and min(src.min(), dst.min()) >= 0 and hi < 4 * src.size:
+        seen = np.zeros(hi + 1, bool)
+        seen[src] = True
+        seen[dst] = True
+        ids = np.flatnonzero(seen)
+        pos = np.cumsum(seen) - 1
+        scores = power_iteration(pos[src], pos[dst],
+                                 np.asarray(weight, dtype=np.float64),
+                                 ids.size, damping, tolerance)
+    else:
+        ids, scores = pagerank_ref(src, dst, weight, damping, tolerance)
     order = np.lexsort((ids, -scores))
     return ids[order], scores[order]
 

@@ -17,7 +17,9 @@ SURVEY.md §2.7):
   eps < 1).
 
 This is the score oracle for both the per-conversation kernel and the
-distributed engine (allclose 1e-6 per the north rule).
+distributed engine (allclose 1e-6 per the north rule). ``power_iteration``
+is its loop over compacted vertex positions; the kernel's
+``pagerank_rank`` runs the same loop after a cheaper compaction.
 """
 
 from __future__ import annotations
@@ -41,19 +43,27 @@ def pagerank_ref(
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
 
     ids = np.unique(np.concatenate([src, dst]))
-    n = ids.size
-    s = np.searchsorted(ids, src)
-    d = np.searchsorted(ids, dst)
+    scores = power_iteration(np.searchsorted(ids, src),
+                             np.searchsorted(ids, dst), weight, ids.size,
+                             damping, tolerance, max_iterations)
+    return ids, scores
 
+
+def power_iteration(s: np.ndarray, d: np.ndarray, weight: np.ndarray,
+                    n: int, damping: float = 0.85, tolerance: float = 1e-4,
+                    max_iterations: int = 10_000) -> np.ndarray:
+    """Scores of the n vertices 0..n-1 of the multigraph whose edges run
+    from ``s`` to ``d`` (compacted positions, every vertex an endpoint)."""
     # accumulate parallel edges, then row-normalize
     outbound = np.bincount(s, weights=weight, minlength=n)
+    out_s = outbound[s]
     wn = weight.copy()
-    nz = outbound[s] > 0
-    wn[nz] = wn[nz] / outbound[s][nz]
+    nz = out_s > 0
+    wn[nz] = wn[nz] / out_s[nz]
 
     inv = 1.0 / n
     r = np.full(n, inv)
-    dangling = outbound == 0
+    dangling = np.flatnonzero(outbound == 0)
     delta = 1.0
     it = 0
     while delta > tolerance and it < max_iterations:
@@ -64,4 +74,4 @@ def pagerank_ref(
         delta = np.abs(new - r).sum()
         r = new
         it += 1
-    return ids, r
+    return r

@@ -73,7 +73,7 @@ def _convs_edges_table(group: pd.DataFrame, cfg: SummarizeConfig,
     edge table (src, dst, weight, etype, conv_id) via the kernel."""
     ids, texts = conversation_texts(group)
     docs = [(t, pseudo_sentences(t, presplit_words) or None) for t in texts]
-    srcs, dsts, ws, etypes, convs = [], [], [], [], []
+    srcs, dsts, ws, convs = [], [], [], []
     for conv_id, (_, kept_idx, src, dst, w) in zip(
             ids, summarize_to_edges_many(docs, cfg)):
         if len(src) == 0:
@@ -83,18 +83,20 @@ def _convs_edges_table(group: pd.DataFrame, cfg: SummarizeConfig,
         srcs.append(base + kept[src])
         dsts.append(base + kept[dst])
         ws.append(w)
-        etypes.extend(["sim"] * len(w))
-        convs.extend([conv_id] * len(w))
+        convs.append(conv_id)
     if not srcs:
         return _EDGE_SCHEMA.append(pa.field("conv_id", pa.string())) \
             .empty_table()
+    src = np.concatenate(srcs)
+    # string columns as takes of their distinct values, not per-edge lists
     return pa.table(
         {
-            "src": np.concatenate(srcs),
+            "src": src,
             "dst": np.concatenate(dsts),
             "weight": np.concatenate(ws),
-            "etype": pa.array(etypes, pa.string()),
-            "conv_id": pa.array(convs, pa.string()),
+            "etype": pa.array(["sim"]).take(np.zeros(src.size, np.int64)),
+            "conv_id": pa.array(convs, pa.string()).take(
+                np.repeat(np.arange(len(convs)), list(map(len, ws)))),
         }
     )
 
