@@ -145,6 +145,70 @@ class TestUniqAgainstOracle:
         assert got == [oracle_uniq(d, th) for d in docs]
 
 
+class TestChunks:
+    @given(st.lists(st.integers(0, 9), max_size=12),
+           st.sampled_from([1, 2, 5, 1 << 12]))
+    @settings(max_examples=300, deadline=None)
+    def test_whole_documents_in_order(self, sizes, chunk):
+        # chunks tile the sentences in order, cut only at document
+        # starts, and hold fewer than the cap before their last document
+        sizes = np.asarray(sizes, np.int64)
+        old = dedup_mod._CHUNK
+        dedup_mod._CHUNK = chunk
+        try:
+            chunks = dedup_mod._chunks(sizes)
+        finally:
+            dedup_mod._CHUNK = old
+        starts = (np.cumsum(sizes) - sizes).tolist()
+        ends = np.cumsum(sizes).tolist()
+        bounds = [0, *(hi for _, hi in chunks)]
+        assert [lo for lo, _ in chunks] == bounds[:-1]
+        assert bounds[-1] == int(sizes.sum())
+        for lo, hi in chunks:
+            assert lo < hi and lo in starts and hi in ends
+            last = max(s for s, e in zip(starts, ends) if lo <= s < hi)
+            assert last - lo < chunk
+
+
+class TestLengthPairs:
+    @given(st.lists(st.lists(st.integers(0, 12), max_size=6), max_size=4),
+           st.sampled_from([-1.0, 0.0, 0.3, 0.5, 0.9, 1.0, 1.5]))
+    @settings(max_examples=300, deadline=None)
+    def test_exactly_the_window(self, docs, ratio):
+        # every within-document (shorter, longer) pair inside the ratio
+        # window, each once, the lower index as the shorter on ties
+        lens = np.asarray([n for d in docs for n in d], np.int64)
+        doc = np.repeat(np.arange(len(docs)), list(map(len, docs)))
+        a, b = dedup_mod._length_pairs(lens, doc, ratio)
+        got = sorted(zip(a.tolist(), b.tolist()))
+        want = sorted((i, j) for i in range(lens.size)
+                      for j in range(lens.size)
+                      if i != j and doc[i] == doc[j]
+                      and (lens[i], i) < (lens[j], j)
+                      and lens[i] >= ratio * lens[j])
+        assert got == want
+
+
+class TestContainmentPairs:
+    @given(st.lists(st.lists(st.one_of(ASCII, UNICODE), max_size=5),
+                    min_size=1, max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_covers_every_substring_pair(self, docs):
+        # every within-document pair where one sentence holds the other
+        # is a candidate; candidates are within-document, i < j, sorted
+        sents = [s for d in docs for s in d]
+        doc = np.repeat(np.arange(len(docs)), list(map(len, docs)))
+        I, J = dedup_mod._containment_pairs(sents, doc)
+        got = list(zip(I.tolist(), J.tolist()))
+        assert got == sorted(set(got))
+        assert all(i < j and doc[i] == doc[j] for i, j in got)
+        want = {(i, j) for i in range(len(sents))
+                for j in range(i + 1, len(sents))
+                if doc[i] == doc[j]
+                and (sents[i] in sents[j] or sents[j] in sents[i])}
+        assert want <= set(got)
+
+
 class TestPairwiseWeights:
     def test_float_dot_equals_integer_formula(self):
         rng = np.random.default_rng(5)

@@ -179,3 +179,33 @@ def test_headline_with_all_null_tools_has_no_tool_edges(name):
     assert n > 0 and pr_info["converged"] and cc_info["converged"]
     np.testing.assert_allclose(scores.sum(), 1.0, atol=1e-9)
     assert np.array_equal(np.sort(pr_ids), np.sort(cc_ids))
+
+
+def test_similarity_edge_columns_follow_their_conversation():
+    # the etype and conv_id columns are takes of their distinct values:
+    # every edge is "sim" and carries the conversation its vertices hash
+    # to, across a conversation with no edges between two with edges
+    import pandas as pd
+
+    from tldr_ray.config import SummarizeConfig
+    from tldr_ray.stages.edges import _convs_edges_table, conv_vertex_base
+
+    convs = synth_transcripts_table(6, seed=5).to_pandas()
+    ids = convs["conv_id"].unique()
+    lone = convs[convs["conv_id"] == ids[0]].head(1).assign(
+        conv_id="lone", text="Only one sentence here.")
+    group = pd.concat([convs[convs["conv_id"].isin(ids[:3])], lone,
+                       convs[convs["conv_id"].isin(ids[3:])]])
+    tab = _convs_edges_table(group, SummarizeConfig(), None)
+    assert tab.schema.field("etype").type == pa.string()
+    assert tab.schema.field("conv_id").type == pa.string()
+    assert set(tab["etype"].to_pylist()) == {"sim"}
+    conv = tab["conv_id"].to_pylist()
+    assert set(conv) == set(ids)
+    base = np.array([conv_vertex_base(c) for c in conv]) >> 16
+    assert np.array_equal(np.asarray(tab["src"]) >> 16, base)
+    assert np.array_equal(np.asarray(tab["dst"]) >> 16, base)
+
+    empty = _convs_edges_table(lone, SummarizeConfig(), None)
+    assert empty.num_rows == 0
+    assert empty.column_names == [*_COLS, "conv_id"]
